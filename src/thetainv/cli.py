@@ -64,7 +64,7 @@ def _pick_normalization(degrees: tuple[int, ...], requested: str) -> str:
 
 def compute_invariant(lattice: IntegralLattice, degrees: tuple[int, ...],
                       order: int, normalization: str, *,
-                      cache_dir: str | None = None, threads: int = 1,
+                      cache_dir: str | None = None,
                       max_tuples: int = 2_000_000) -> QSeries:
     """Dispatch to the fast pair/triple paths when the normalization allows,
     otherwise to the general orthonormal-basis route."""
@@ -73,8 +73,7 @@ def compute_invariant(lattice: IntegralLattice, degrees: tuple[int, ...],
     if normalization == "pair":
         if len(degrees) != 2 or degrees[0] != degrees[1]:
             raise ValueError("pair normalization needs degrees m,m")
-        return theta_pair(lattice, degrees[0], order, threads=threads,
-                          cache_dir=cache_dir)
+        return theta_pair(lattice, degrees[0], order, cache_dir=cache_dir)
     if normalization == "triple":
         if degrees != (1, 1, 1):
             raise ValueError("triple normalization needs degrees 1,1,1")
@@ -129,8 +128,7 @@ def cmd_compute(args) -> int:
     normalization = _pick_normalization(degrees, args.normalization)
     series = compute_invariant(
         lattice, degrees, args.order, normalization,
-        cache_dir=_resolve_cache(args), threads=args.threads,
-        max_tuples=args.max_tuples)
+        cache_dir=_resolve_cache(args), max_tuples=args.max_tuples)
     print(_render(series, lattice, degrees, normalization, args.format,
                   args.decimal))
     return 0
@@ -150,11 +148,9 @@ def cmd_compare(args) -> int:
     for degrees in degree_lists:
         normalization = _pick_normalization(degrees, args.normalization)
         sa = compute_invariant(lat_a, degrees, args.order, normalization,
-                               cache_dir=cache, threads=args.threads,
-                               max_tuples=args.max_tuples)
+                               cache_dir=cache, max_tuples=args.max_tuples)
         sb = compute_invariant(lat_b, degrees, args.order, normalization,
-                               cache_dir=cache, threads=args.threads,
-                               max_tuples=args.max_tuples)
+                               cache_dir=cache, max_tuples=args.max_tuples)
         tag = ",".join(map(str, degrees))
         diff = next((k for k in range(args.order + 1)
                      if sa.coeff(k) != sb.coeff(k)), None)
@@ -175,8 +171,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verification(budget=args.order_budget, seed=args.seed,
-                               threads=args.threads)
+    results = run_verification(budget=args.order_budget, seed=args.seed)
     report = report_dict(results, args.order_budget)
     if args.format == "text":
         for r in results:
@@ -204,8 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"or ~/.cache/thetainv)")
         p.add_argument("--no-cache", action="store_true",
                        help="recompute shells, do not read or write the cache")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for pair statistics")
         p.add_argument("--max-tuples", type=int, default=2_000_000,
                        help="budget for the general invariant tuple count")
 
@@ -234,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="replay the identity suite")
     p_verify.add_argument("--order-budget", type=int, default=DEFAULT_BUDGET)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--format", default="json", choices=("json", "text"))
     p_verify.set_defaults(func=cmd_verify)
     return parser

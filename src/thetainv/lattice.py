@@ -12,14 +12,16 @@ integer square roots only; no floating point enters any numeric path.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
-from typing import Iterable, Sequence
+from math import isqrt, lcm, prod
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     NotPositiveDefiniteError,
@@ -33,8 +35,10 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 SHELL_CACHE_FORMAT = 1
 
-# int64 safety margin for the numpy fast paths
+# int64 safety margin of the pairing kernel
 _INT64_LIMIT = 2**62
+# entries per pairing block, which bounds the kernel's transient memory
+_BLOCK = 4_000_000
 
 
 def _as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
@@ -285,13 +289,42 @@ def content_hash(gram2: IntMatrix, bound: int | None = None) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _int_array(rows, n: int) -> np.ndarray:
+    """Integer rows as an (len(rows), n) array: int64 when every entry fits,
+    numpy object (Python ints) otherwise."""
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        arr = np.array(rows, dtype=object)
+    return arr.reshape(len(rows), n)
+
+
+def _exact(*factors: np.ndarray) -> list[np.ndarray]:
+    """The factors of the product factors[0] @ factors[1] @ ..., cast to a
+    dtype in which it is exact.
+
+    Every partial sum of the product is bounded by the product of the inner
+    dimensions and of the largest entry of each factor.  Below 2^62 the
+    factors stay int64; above it they become numpy object arrays.
+    """
+    bound = 1
+    for f in factors[:-1]:
+        bound *= f.shape[-1]
+    for f in factors:
+        if f.size:
+            bound *= max(abs(int(f.max())), abs(int(f.min())), 1)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    return [f.astype(dtype, copy=False) for f in factors]
+
+
 class ShellTable:
     """All lattice vectors up to a norm bound, grouped by exact norm, plus
     lazily built pair statistics.
 
-    Immutable after construction apart from internal caches; the cached pair
-    histograms and moment matrices are deterministic functions of the shells,
-    so concurrent builds are safe to merge in any order.
+    Immutable after construction apart from the caches of pair histograms
+    and moment matrices, which are deterministic functions of the shells.
+    Every pairing goes through one kernel, ``pairings``; it builds its
+    arrays on each call and the table keeps none.
     """
 
     def __init__(self, lattice: IntegralLattice, bound: int,
@@ -318,6 +351,38 @@ class ShellTable:
                 return k
         return None
 
+    # -- the pairing kernel ------------------------------------------------
+
+    def pairings(self, k1: int, k2: int,
+                 metric: Sequence[Sequence[int]] | None = None) -> Iterator[np.ndarray]:
+        """Exact blocks of v^T M w for v in shell k1 (rows) and w in
+        consecutive chunks of shell k2 (columns); M is gram2 unless given.
+
+        The blocks are int64 when ``_exact`` proves that no partial sum
+        overflows, numpy object arrays otherwise.
+        """
+        n = self.lattice.rank
+        v = _int_array(self._shells[k1], n)
+        m = _int_array(self.lattice.gram2 if metric is None else metric, n)
+        w = _int_array(self._shells[k2], n)
+        v, m, wt = _exact(v, m, w.T)
+        vm = v @ m
+        step = max(1, _BLOCK // max(1, len(v)))
+        for start in range(0, wt.shape[1], step):
+            yield vm @ wt[:, start:start + step]
+
+    def _pair_values(self, k1: int, k2: int) -> Iterator[np.ndarray]:
+        """The gram2 pairing blocks as int64, checked against Cauchy-Schwarz:
+        |v^T A w| <= 2 sqrt(k1 k2), so a value outside +-isqrt(4 k1 k2) can
+        only come from shells whose vectors do not have their shell's norm."""
+        tmax = isqrt(4 * k1 * k2)
+        for block in self.pairings(k1, k2):
+            if block.size and (block.min() < -tmax or block.max() > tmax):
+                raise ValueError(
+                    f"a pairing of shells {k1} and {k2} exceeds +-{tmax}: "
+                    f"the shell table is inconsistent")
+            yield block.astype(np.int64, copy=False)
+
     # -- pair statistics ---------------------------------------------------
 
     def pair_histogram(self, k1: int, k2: int) -> dict[int, int]:
@@ -325,95 +390,76 @@ class ShellTable:
         key = (min(k1, k2), max(k1, k2))
         hist = self._pair_hists.get(key)
         if hist is None:
-            hist = self._build_pair_histogram(*key)
+            tmax = isqrt(4 * key[0] * key[1])
+            counts = np.zeros(2 * tmax + 1, dtype=np.int64)
+            for block in self._pair_values(*key):
+                counts += np.bincount((block + tmax).ravel(),
+                                      minlength=2 * tmax + 1)
+            hist = {t - tmax: c for t, c in enumerate(counts.tolist()) if c}
             self._pair_hists[key] = hist
         return hist
 
-    def ensure_pair_histograms(self, cells: Iterable[tuple[int, int]],
-                               threads: int = 1) -> None:
-        todo = sorted({(min(a, b), max(a, b)) for a, b in cells}
-                      - set(self._pair_hists))
-        if threads > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for cell, hist in zip(todo, pool.map(
-                        lambda c: self._build_pair_histogram(*c), todo)):
-                    self._pair_hists[cell] = hist
-        else:
-            for cell in todo:
-                self._pair_hists[cell] = self._build_pair_histogram(*cell)
+    def ensure_pair_histograms(self, cells: Iterable[tuple[int, int]]) -> None:
+        for k1, k2 in cells:
+            self.pair_histogram(k1, k2)
 
-    def _build_pair_histogram(self, k1: int, k2: int) -> dict[int, int]:
-        s1 = self._shells[k1]
-        s2 = self._shells[k2]
-        if not s1 or not s2:
+    def tuple_histogram(self, comp: Sequence[int]) -> dict[tuple[int, ...], int]:
+        """Counts of the pairing vectors (t_ab for slot pairs a < b, in
+        lexicographic order) over all tuples of vectors from the shells
+        ``comp``, with t_ab = v_a^T A v_b.
+
+        Two slots read the cached pair histogram.  From three slots on, the
+        tuples are counted in chunks of slot-0 vectors: each pairing vector
+        is packed into one integer key in mixed radix 2 tmax_ab + 1.
+        """
+        if len(comp) == 2:
+            return {(t,): c for t, c in self.pair_histogram(*comp).items()}
+        sizes = [len(self._shells[c]) for c in comp]
+        if not all(sizes):
             return {}
-        if len(s1) * len(s2) >= 20000 and self._numpy_safe():
-            hist = self._pair_histogram_numpy(s1, s2, k1, k2)
-            if hist is not None:
-                return hist
-        return self._pair_histogram_naive(s1, s2)
-
-    def _pair_histogram_naive(self, s1, s2) -> dict[int, int]:
-        a = self.lattice.gram2
-        n = self.lattice.rank
-        hist: dict[int, int] = {}
-        rows = [tuple(sum(a[i][j] * w[j] for j in range(n)) for i in range(n))
-                for w in s2]
-        for v in s1:
-            nz = [(i, vi) for i, vi in enumerate(v) if vi]
-            for aw in rows:
-                t = sum(vi * aw[i] for i, vi in nz)
-                hist[t] = hist.get(t, 0) + 1
+        k = len(comp)
+        slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        tmaxes = [isqrt(4 * comp[a] * comp[b]) for a, b in slots]
+        radices = [2 * t + 1 for t in tmaxes]
+        values = {(a, b): np.concatenate(
+            list(self._pair_values(comp[a], comp[b])), axis=1) for a, b in slots}
+        key_dtype = np.int64 if prod(radices) < _INT64_LIMIT else object
+        step = max(1, _BLOCK // prod(sizes[1:]))
+        hist: dict[tuple[int, ...], int] = {}
+        for start in range(0, sizes[0], step):
+            key = np.zeros((), dtype=key_dtype)
+            for (a, b), tmax, radix in zip(slots, tmaxes, radices):
+                t = values[a, b][start:start + step] if a == 0 else values[a, b]
+                shape = [1] * k
+                shape[a], shape[b] = t.shape
+                key = key * radix + (t + tmax).reshape(shape)
+            packed, counts = np.unique(key, return_counts=True)
+            for code, c in zip(packed.tolist(), counts.tolist()):
+                ts = []
+                for tmax, radix in zip(reversed(tmaxes), reversed(radices)):
+                    code, digit = divmod(code, radix)
+                    ts.append(digit - tmax)
+                ts = tuple(reversed(ts))
+                hist[ts] = hist.get(ts, 0) + c
         return hist
 
-    def _numpy_safe(self) -> bool:
-        maxa = max(abs(x) for row in self.lattice.gram2 for x in row)
-        maxc = max((abs(c) for sh in self._shells.values() for v in sh for c in v),
-                   default=0)
-        n = self.lattice.rank
-        return n * n * maxa * max(maxc, 1) ** 2 < _INT64_LIMIT
-
-    def _pair_histogram_numpy(self, s1, s2, k1: int, k2: int) -> dict[int, int] | None:
-        try:
-            import numpy as np
-        except ImportError:
-            return None
-        a = np.array(self.lattice.gram2, dtype=np.int64)
-        v1 = np.array(s1, dtype=np.int64)
-        v2 = np.array(s2, dtype=np.int64)
-        w = v1 @ a
-        tmax = isqrt(4 * k1 * k2)  # |v^T A w| <= 2 sqrt(k1 k2), Cauchy-Schwarz
-        counts = np.zeros(2 * tmax + 1, dtype=np.int64)
-        chunk = max(1, 8_000_000 // max(1, len(s1)))
-        for start in range(0, len(s2), chunk):
-            block = w @ v2[start:start + chunk].T
-            if block.size:
-                bmin = int(block.min())
-                bmax = int(block.max())
-                if bmin < -tmax or bmax > tmax:
-                    return None  # falls back to the exact python path
-                counts += np.bincount((block + tmax).ravel(),
-                                      minlength=2 * tmax + 1)
-        return {t - tmax: int(c) for t, c in enumerate(counts.tolist()) if c}
+    def bilinear_sum(self, k1: int, k2: int,
+                     metric: Sequence[Sequence[int]]) -> int:
+        """Exact sum of (v^T A w)(v^T M w) over shell k1 x shell k2."""
+        total = 0
+        for t, y in zip(self.pairings(k1, k2), self.pairings(k1, k2, metric)):
+            total += int(np.dot(*_exact(t.ravel(), y.ravel())))
+        return total
 
     def moment_matrix(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Sum of v v^T over the shell of norm k (coordinate outer products)."""
         cached = self._moments.get(k)
-        if cached is not None:
-            return cached
-        n = self.lattice.rank
-        sh = self._shells[k]
-        m = [[0] * n for _ in range(n)]
-        for v in sh:
-            for i in range(n):
-                vi = v[i]
-                if vi:
-                    row = m[i]
-                    for j in range(n):
-                        row[j] += vi * v[j]
-        result = tuple(tuple(row) for row in m)
-        self._moments[k] = result
-        return result
+        if cached is None:
+            v = _int_array(self._shells[k], self.lattice.rank)
+            vt, v = _exact(v.T, v)
+            cached = tuple(tuple(row) for row in (vt @ v).tolist())
+            self._moments[k] = cached
+        return cached
 
 
 def enumerate_shells(lattice: IntegralLattice, bound: int,
@@ -437,6 +483,9 @@ def _cache_path(gram2: IntMatrix, bound: int, cache_dir: str) -> str:
 
 
 def save_shell_table(table: ShellTable, cache_dir: str) -> str:
+    """Write the table's shells to the cache through a private temporary
+    file, renamed into place, so that concurrent writers never clobber or
+    truncate each other's output."""
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(table.lattice.gram2, table.bound, cache_dir)
     doc = {
@@ -447,26 +496,80 @@ def save_shell_table(table: ShellTable, cache_dir: str) -> str:
         "shells": {str(k): [list(v) for v in table.shell(k)]
                    for k in range(table.bound + 1)},
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh, separators=(",", ":"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
+
+
+def _cached_shell(rows, n: int) -> np.ndarray | None:
+    """A cached shell as an int64 array, or None unless it is a list of
+    integer rows of length n."""
+    if not isinstance(rows, list):
+        return None
+    if not rows:
+        return np.zeros((0, n), dtype=np.int64)
+    try:
+        v = np.array(rows)
+    except ValueError:  # ragged rows
+        return None
+    if v.dtype.kind != "i" or v.shape != (len(rows), n):
+        return None
+    return v.astype(np.int64, copy=False)
+
+
+def _strictly_increasing(v: np.ndarray) -> bool:
+    """Whether the rows of v are in strictly increasing lexicographic order."""
+    a, b = v[:-1], v[1:]
+    differ = a != b
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(first))
+    return bool(differ[rows, first].all() and (a[rows, first] < b[rows, first]).all())
+
+
+def _trusted_shell(v: np.ndarray, k: int, gram2: np.ndarray) -> bool:
+    """Every vector has norm k, none repeats and the shell is closed under
+    negation.  The writer stores each shell sorted: a strictly increasing
+    shell has no repeated rows, its negation read backwards is again
+    strictly increasing, so closure under negation is equality with it."""
+    vx, a, _ = _exact(v, gram2, v.T)  # the diagonal of the pairing block
+    return (bool((((vx @ a) * vx).sum(axis=1) == 2 * k).all())
+            and _strictly_increasing(v)
+            and np.array_equal(-v[::-1], v))
 
 
 def load_shell_table(lattice: IntegralLattice, bound: int,
                      cache_dir: str) -> ShellTable | None:
+    """The cached table of the lattice up to ``bound``, or None when there is
+    none or the file cannot be trusted (then the caller recomputes)."""
     path = _cache_path(lattice.gram2, bound, cache_dir)
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
-    if (doc.get("format_version") != SHELL_CACHE_FORMAT
+    if (not isinstance(doc, dict)
+            or doc.get("format_version") != SHELL_CACHE_FORMAT
             or doc.get("bound") != bound
-            or _as_int_matrix(doc.get("gram2", ())) != lattice.gram2):
+            or doc.get("gram2") != [list(r) for r in lattice.gram2]):
         return None
-    shells = {int(k): [tuple(v) for v in vs] for k, vs in doc["shells"].items()}
+    cached = doc.get("shells")
+    if not isinstance(cached, dict) or set(cached) != {str(k) for k in range(bound + 1)}:
+        return None
+    gram2 = _int_array(lattice.gram2, lattice.rank)
+    shells = {}
+    for k in range(bound + 1):
+        rows = cached[str(k)]
+        v = _cached_shell(rows, lattice.rank)
+        if v is None or not _trusted_shell(v, k, gram2):
+            return None
+        shells[k] = [tuple(row) for row in rows]
     return ShellTable(lattice, bound, shells)

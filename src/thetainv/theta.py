@@ -34,8 +34,6 @@ from .harmonic import Poly, pair_poly, projector_coeffs
 from .lattice import IntegralLattice, ShellTable, enumerate_shells
 from .qseries import QSeries
 
-_INT64_LIMIT = 2**62
-
 
 def _table(lattice: IntegralLattice, order: int,
            shells: ShellTable | None, cache_dir: str | None = None) -> ShellTable:
@@ -168,7 +166,6 @@ def pair_term_scaled(lattice: IntegralLattice, v: Sequence[int],
 
 def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
                shells: ShellTable | None = None,
-               threads: int = 1,
                cache_dir: str | None = None) -> QSeries:
     """Degree-(m,m) pair invariant, normalized as a plain sum of squared
     spherical theta series over an orthonormal harmonic basis.
@@ -178,9 +175,6 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
     """
     n = lattice.rank
     table = _table(lattice, order, shells, cache_dir)
-    cells = [(k1, k - k1) for k in range(order + 1) for k1 in range(k + 1)
-             if table.shell(k1) and table.shell(k - k1)]
-    table.ensure_pair_histograms(cells, threads=threads)
     coeffs = []
     for k in range(order + 1):
         total = Fraction(0)
@@ -242,51 +236,7 @@ def _triple_product_sum(table: ShellTable, ka: int, kb: int, kc: int) -> Fractio
           for i in range(n)]
     bmat = [[sum(am[i][k] * a[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
-    s1 = table.shell(kb2)
-    s2 = table.shell(kc2)
-    total = _bilinear_pair_sum(a, bmat, s1, s2, kb2, kc2, len(table.shell(ka2)), ka2)
-    return Fraction(total, 8)
-
-
-def _bilinear_pair_sum(a, bmat, s1, s2, k1, k2, na, ka) -> int:
-    """Integer sum of (v^T a w)(v^T bmat w) over s1 x s2, numpy when safe."""
-    n = len(a)
-    if len(s1) * len(s2) >= 20000:
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-        if np is not None:
-            maxc = max((abs(c) for v in list(s1) + list(s2) for c in v), default=0)
-            # |v^T a w| <= 2 sqrt(k1 k2); |v^T bmat w| <= 4 na ka sqrt(k1 k2)
-            tb = 2 * isqrt(k1 * k2) + 2
-            yb = 4 * na * ka * (isqrt(k1 * k2) + 1)
-            if tb * yb * max(len(s1) * len(s2), 1) < _INT64_LIMIT \
-                    and n * n * max(abs(x) for r in bmat for x in r) * max(maxc, 1) ** 2 < _INT64_LIMIT:
-                av = np.array(a, dtype=np.int64)
-                bv = np.array(bmat, dtype=np.int64)
-                v1 = np.array(s1, dtype=np.int64)
-                v2 = np.array(s2, dtype=np.int64)
-                total = 0
-                chunk = max(1, 4_000_000 // max(1, len(s1)))
-                w1a = v1 @ av
-                w1b = v1 @ bv
-                for start in range(0, len(s2), chunk):
-                    blk = v2[start:start + chunk].T
-                    total += int(((w1a @ blk) * (w1b @ blk)).sum())
-                return total
-    rows_a = [tuple(sum(a[i][j] * w[j] for j in range(n)) for i in range(n))
-              for w in s2]
-    rows_b = [tuple(sum(bmat[i][j] * w[j] for j in range(n)) for i in range(n))
-              for w in s2]
-    total = 0
-    for v in s1:
-        nz = [(i, vi) for i, vi in enumerate(v) if vi]
-        for aw, bw in zip(rows_a, rows_b):
-            x = sum(vi * aw[i] for i, vi in nz)
-            if x:
-                total += x * sum(vi * bw[i] for i, vi in nz)
-    return total
+    return Fraction(table.bilinear_sum(kb2, kc2, bmat), 8)
 
 
 def theta_triple(lattice: IntegralLattice, order: int, *,
@@ -494,17 +444,6 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
 
     coeffs = [Fraction(0)] * (order + 1)
     poly_cache: dict[tuple[int, ...], dict] = {}
-    avec_cache: dict[int, list[tuple[int, ...]]] = {}
-    a = lattice.gram2
-
-    def avec(shell_k: int) -> list[tuple[int, ...]]:
-        got = avec_cache.get(shell_k)
-        if got is None:
-            got = [tuple(sum(a[i][j] * v[j] for j in range(n)) for i in range(n))
-                   for v in table.shell(shell_k)]
-            avec_cache[shell_k] = got
-        return got
-
     for kap, comp in comps:
         poly = poly_cache.get(comp)
         if poly is None:
@@ -516,15 +455,16 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
         cross = {e: c for e, c in poly.items() if any(e)}
         total = const * prod(sizes[c] for c in comp)
         if cross:
-            if k == 2:
-                hist = table.pair_histogram(comp[0], comp[1])
-                for t, cnt in hist.items():
-                    val = Fraction(0)
-                    for (e,), c in cross.items():
-                        val += c * t**e
-                    total += cnt * val
-            else:
-                total += _cross_sum(table, comp, cross, avec)
+            # bucket the tuples by their vector of doubled pairings
+            for key, cnt in table.tuple_histogram(comp).items():
+                val = Fraction(0)
+                for exps, c in cross.items():
+                    term = c
+                    for t, e in zip(key, exps):
+                        if e:
+                            term *= t**e
+                    val += term
+                total += cnt * val
         coeffs[kap] += total
 
     scale = Fraction(1)
@@ -535,46 +475,6 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
         scale = Fraction(n**4 * (n + 2) * (n + 4))
     return QSeries(order, [scale * c for c in coeffs], weight=weight,
                    level=lattice.level())
-
-
-def _cross_sum(table: ShellTable, comp: tuple[int, ...], cross: dict,
-               avec) -> Fraction:
-    """Sum the off-diagonal polynomial over all vector tuples of the
-    composition, bucketing tuples by their vector of doubled pairings."""
-    k = len(comp)
-    pairs = [(x, y) for x in range(k) for y in range(x + 1, k)]
-    shells = [table.shell(c) for c in comp]
-    arows = [avec(c) for c in comp]
-    hist: dict[tuple[int, ...], int] = {}
-    tvals = [0] * len(pairs)
-    pair_pos = {pq: i for i, pq in enumerate(pairs)}
-
-    def descend(slot: int, chosen_idx: list[int]):
-        if slot == k:
-            key = tuple(tvals)
-            hist[key] = hist.get(key, 0) + 1
-            return
-        for idx, v in enumerate(shells[slot]):
-            for prev in range(slot):
-                av = arows[prev][chosen_idx[prev]]
-                tvals[pair_pos[(prev, slot)]] = sum(
-                    av[i] * v[i] for i in range(len(v)))
-            chosen_idx.append(idx)
-            descend(slot + 1, chosen_idx)
-            chosen_idx.pop()
-
-    descend(0, [])
-    total = Fraction(0)
-    for key, cnt in hist.items():
-        val = Fraction(0)
-        for exps, c in cross.items():
-            term = c
-            for t, e in zip(key, exps):
-                if e:
-                    term *= t**e
-            val += term
-        total += cnt * val
-    return total
 
 
 # -- integrality report -----------------------------------------------------
@@ -600,8 +500,7 @@ class IntegralityReport:
 
 
 def integrality_report(lattice: IntegralLattice, m: int, order: int, *,
-                       shells: ShellTable | None = None,
-                       threads: int = 1) -> IntegralityReport:
+                       shells: ShellTable | None = None) -> IntegralityReport:
     """Check that pair_scale(n,m) times the (m,m) invariant and 8/n times the
     (1,1,1) invariant have integer q-coefficients up to the given order."""
     if m < 1:
@@ -609,7 +508,7 @@ def integrality_report(lattice: IntegralLattice, m: int, order: int, *,
     n = lattice.rank
     table = _table(lattice, order, shells)
     scal = pair_scale(n, m)
-    series = theta_pair(lattice, m, order, shells=table, threads=threads)
+    series = theta_pair(lattice, m, order, shells=table)
     pair_ok, pair_fail = True, None
     for k in range(order + 1):
         val = scal * series.coeff(k)

@@ -135,14 +135,14 @@ def check_pair_table(e8_shells) -> CheckResult:
                        else "; ".join(bad))
 
 
-def check_pair_identities(budget: int, e8_shells, threads: int = 1) -> list[CheckResult]:
+def check_pair_identities(budget: int, e8_shells) -> list[CheckResult]:
     if budget < 2:
         return [_skip("e8-pair-identities", "needs order budget >= 2")]
     e8 = catalog()["e8"].lattice
     results = []
 
     k4 = min(5, budget)
-    lhs = theta_pair(e8, 4, k4, shells=e8_shells, threads=threads)
+    lhs = theta_pair(e8, 4, k4, shells=e8_shells)
     rhs = E8_PAIR_CONSTANTS[4] * (delta_series(k4) ** 2)
     results.append(CheckResult(
         "e8-pair-m4", lhs == rhs,
@@ -150,7 +150,7 @@ def check_pair_identities(budget: int, e8_shells, threads: int = 1) -> list[Chec
         f"through q^{k4}" if lhs == rhs else f"{lhs!r} != {rhs!r}"))
 
     k6 = min(4, budget)
-    lhs = theta_pair(e8, 6, k6, shells=e8_shells, threads=threads)
+    lhs = theta_pair(e8, 6, k6, shells=e8_shells)
     rhs = E8_PAIR_CONSTANTS[6] * (eisenstein(8, k6) * delta_series(k6) ** 2)
     results.append(CheckResult(
         "e8-pair-m6", lhs == rhs,
@@ -160,7 +160,7 @@ def check_pair_identities(budget: int, e8_shells, threads: int = 1) -> list[Chec
     k9 = min(3, budget)
     bad = []
     for m, ew in ((7, 6), (8, 8), (9, 10)):
-        lhs = theta_pair(e8, m, k9, shells=e8_shells, threads=threads)
+        lhs = theta_pair(e8, m, k9, shells=e8_shells)
         rhs = E8_PAIR_CONSTANTS[m] * (eisenstein(ew, k9) ** 2 * delta_series(k9) ** 2)
         if lhs != rhs:
             bad.append(f"m={m}")
@@ -172,7 +172,7 @@ def check_pair_identities(budget: int, e8_shells, threads: int = 1) -> list[Chec
     kz = min(5, budget)
     bad = []
     for m in (1, 2, 3, 5):
-        if not theta_pair(e8, m, kz, shells=e8_shells, threads=threads).is_zero():
+        if not theta_pair(e8, m, kz, shells=e8_shells).is_zero():
             bad.append(f"m={m}")
     results.append(CheckResult(
         "e8-pair-vanishing", not bad,
@@ -181,8 +181,7 @@ def check_pair_identities(budget: int, e8_shells, threads: int = 1) -> list[Chec
     return results
 
 
-def check_pair_integrality(budget: int, seed: int, e8_shells,
-                           threads: int = 1) -> list[CheckResult]:
+def check_pair_integrality(budget: int, seed: int, e8_shells) -> list[CheckResult]:
     rng = random.Random(seed)
     lattices = [lattice_by_name(n) for n in
                 ("z1", "z2", "z3", "z4", "a2", "d4", "e8")]
@@ -216,8 +215,7 @@ def check_pair_integrality(budget: int, seed: int, e8_shells,
     e8 = catalog()["e8"].lattice
     e8_order = min(order, e8_shells.bound)
     for m in (1, 4):
-        rep = integrality_report(e8, m, e8_order, shells=e8_shells,
-                                 threads=threads)
+        rep = integrality_report(e8, m, e8_order, shells=e8_shells)
         if not rep.ok:
             failures.append(f"e8 m={m}")
     results.append(CheckResult(
@@ -566,8 +564,8 @@ def check_basis_invariance(budget: int, seed: int,
         else "; ".join(bad[:5]))
 
 
-def run_verification(budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
-                     threads: int = 1) -> list[CheckResult]:
+def run_verification(budget: int = DEFAULT_BUDGET,
+                     seed: int = DEFAULT_SEED) -> list[CheckResult]:
     results: list[CheckResult] = []
     e8 = catalog()["e8"].lattice
     e8_bound = 2 if budget < 2 else min(6, max(budget, 2))
@@ -575,9 +573,8 @@ def run_verification(budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED,
 
     results.extend(check_catalog(budget))
     results.append(check_pair_table(e8_shells))
-    results.extend(check_pair_identities(budget, e8_shells, threads=threads))
-    results.extend(check_pair_integrality(budget, seed, e8_shells,
-                                          threads=threads))
+    results.extend(check_pair_identities(budget, e8_shells))
+    results.extend(check_pair_integrality(budget, seed, e8_shells))
     results.append(check_triple_integrality(budget))
     results.extend(check_oracle_equivalences(budget))
     results.extend(check_combinatorial_lemmas())

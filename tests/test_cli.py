@@ -216,6 +216,21 @@ def test_cli_cache_env_var(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("shells-*.json"))
 
 
+def test_cli_recomputes_over_an_edited_shell_cache(capsys, tmp_path):
+    # one e8 root replaced by 7 times itself: trusting the file would print
+    # a wrong q^2 coefficient with exit code 0
+    argv = ("compute", "--lattice", "e8", "--degrees", "4,4", "--order", "4",
+            "--cache-dir", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    (path,) = tmp_path.glob("shells-*.json")
+    doc = json.loads(path.read_text())
+    doc["shells"]["1"][0] = [7 * x for x in doc["shells"]["1"][0]]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "q^2\t3/896" in out.splitlines()
+
+
 def test_cli_verify_budget_zero_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--order-budget", "0")
     assert code == 0

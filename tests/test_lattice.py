@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from itertools import product
 from math import lcm
@@ -14,6 +16,7 @@ from thetainv.errors import (
     RankMismatchError,
 )
 from thetainv.lattice import (
+    ShellTable,
     change_basis,
     det_int,
     enumerate_shells,
@@ -24,6 +27,8 @@ from thetainv.lattice import (
     validate_lattice,
 )
 from thetainv.qseries import sigma
+
+import oracles
 
 
 # -- validation ---------------------------------------------------------------
@@ -239,23 +244,36 @@ def test_pair_histogram_total_and_symmetry(a2):
         assert hist == table.pair_histogram(k2, k1)
 
 
-def test_pair_histogram_fast_path_equals_naive(e8_shells6, a2):
-    for table, cells in ((e8_shells6, [(1, 1), (1, 2)]),
-                         (enumerate_shells(a2, 4), [(1, 3), (1, 4)])):
+def test_pair_histogram_fast_path_equals_naive(e8_shells6, a2, d4, skew2, diag246):
+    e8_cells = [(k1, k2) for k1 in range(5) for k2 in range(k1, 5 - k1)]
+    small_cells = [(k1, k2) for k1 in range(5) for k2 in range(k1, 5)]
+    cases = [(e8_shells6, e8_cells)]
+    cases += [(enumerate_shells(lat, 4), small_cells) for lat in (a2, d4, skew2, diag246)]
+    for table, cells in cases:
         for k1, k2 in cells:
-            fast = table.pair_histogram(k1, k2)
-            naive = table._pair_histogram_naive(table.shell(k1), table.shell(k2))
-            assert fast == naive
+            naive = oracles.pair_histogram(table.lattice, table.shell(k1), table.shell(k2))
+            assert table.pair_histogram(k1, k2) == naive
 
 
-def test_parallel_histogram_build_is_deterministic(d4):
-    t1 = enumerate_shells(d4, 4)
-    t2 = enumerate_shells(d4, 4)
-    cells = [(k1, k2) for k1 in range(5) for k2 in range(k1, 5)]
-    t1.ensure_pair_histograms(cells, threads=1)
-    t2.ensure_pair_histograms(cells, threads=4)
-    for cell in cells:
-        assert t1.pair_histogram(*cell) == t2.pair_histogram(*cell)
+def test_bilinear_sum_and_tuple_histogram_equal_oracles(skew3, diag246):
+    for lat in (skew3, diag246):
+        table = enumerate_shells(lat, 4)
+        metric = [[3 * i - j for j in range(3)] for i in range(3)]
+        for k1, k2 in [(1, 2), (2, 3), (3, 4)]:
+            want = oracles.bilinear_sum(lat, metric, table.shell(k1), table.shell(k2))
+            assert table.bilinear_sum(k1, k2, metric) == want
+        for comp in [(1, 2), (0, 1, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1), (0, 1, 1, 2)]:
+            want = oracles.tuple_histogram(lat, [table.shell(c) for c in comp])
+            assert table.tuple_histogram(comp) == want
+
+
+def test_inconsistent_shells_raise_instead_of_miscounting(a2):
+    good = enumerate_shells(a2, 2)
+    shells = {k: list(good.shell(k)) for k in range(3)}
+    shells[1][0] = (7, 0)
+    table = ShellTable(a2, 2, shells)
+    with pytest.raises(ValueError, match="inconsistent"):
+        table.pair_histogram(1, 1)
 
 
 def test_moment_matrix(a2):
@@ -306,3 +324,59 @@ def test_no_cache_flag_respected(tmp_path, a2):
     cache = str(tmp_path)
     enumerate_shells(a2, 2, cache_dir=cache, use_cache=False)
     assert not list(tmp_path.glob("shells-*.json"))
+
+
+def _edit_cached_doc(path, edit):
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def _scale_first_root(doc):
+    doc["shells"]["1"][0] = [7 * x for x in doc["shells"]["1"][0]]
+
+
+def _repeat_row(doc):
+    doc["shells"]["3"][1] = doc["shells"]["3"][0]
+
+
+def _drop_negation(doc):
+    del doc["shells"]["3"][0]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("shells"),
+    lambda doc: doc["shells"].pop("2"),
+    lambda doc: doc["shells"].__setitem__("1", [[1.5, 0]] * 6),
+    lambda doc: doc["shells"].__setitem__("1", [[1, 0, 0]] * 6),
+    _scale_first_root,
+    _repeat_row,
+    _drop_negation,
+], ids=["no-shells", "missing-shell", "float", "wrong-rank", "scaled-vector",
+        "repeated-row", "not-negation-closed"])
+def test_shell_cache_rejects_untrustworthy_content(tmp_path, a2, edit):
+    cache = str(tmp_path)
+    table = enumerate_shells(a2, 3, cache_dir=cache)
+    _edit_cached_doc(save_shell_table(table, cache), edit)
+    assert load_shell_table(a2, 3, cache) is None
+    again = enumerate_shells(a2, 3, cache_dir=cache)
+    assert [again.shell(k) for k in range(4)] == [table.shell(k) for k in range(4)]
+    assert load_shell_table(a2, 3, cache) is not None
+
+
+def test_shell_cache_save_leaves_no_temp_files(tmp_path, a2, monkeypatch):
+    cache = str(tmp_path)
+    table = enumerate_shells(a2, 2, cache_dir=cache)
+    save_shell_table(table, cache)
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(
+        save_shell_table(table, cache))]
+
+    def broken_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("thetainv.lattice.json.dump", broken_dump)
+    with pytest.raises(OSError):
+        save_shell_table(enumerate_shells(a2, 3), cache)
+    assert len(list(tmp_path.iterdir())) == 1

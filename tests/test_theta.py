@@ -13,6 +13,7 @@ from thetainv.harmonic import Poly, harmonic_project
 from thetainv.lattice import change_basis, enumerate_shells, random_unimodular, validate_lattice
 from thetainv.theta import (
     InvariantRequest,
+    _composition_poly,
     integrality_report,
     invariant_metadata,
     pair_scale,
@@ -25,6 +26,8 @@ from thetainv.theta import (
     theta_triple,
     triple_form,
 )
+
+import oracles
 
 
 def z(n):
@@ -205,10 +208,23 @@ def test_pair_matches_naive_pair_loop(a2, skew2, diag246):
             assert list(fast.coeffs) == naive
 
 
-def test_pair_threads_deterministic(d4):
-    a = theta_pair(d4, 2, 4, threads=1)
-    b = theta_pair(d4, 2, 4, threads=3)
-    assert a == b
+@pytest.mark.parametrize("shift", [100000, 2**62])
+def test_object_dtype_kernel_matches_int64_results(a2, shift):
+    # shift 100000: coordinates up to 200002 and a gram2 entry of 20000200002
+    # fail the int64 bound; shift 2^62: coordinates no longer fit in int64.
+    # Either way the kernel runs on Python ints.
+    skewed = change_basis(a2, [[1, shift], [0, 1]])
+    table = enumerate_shells(skewed, 4)
+    assert next(table.pairings(1, 1)).dtype == object
+    for k1, k2 in [(1, 1), (1, 3), (3, 4)]:
+        want = oracles.pair_histogram(skewed, table.shell(k1), table.shell(k2))
+        assert table.pair_histogram(k1, k2) == want
+    want = oracles.tuple_histogram(skewed, [table.shell(c) for c in (1, 1, 3)])
+    assert table.tuple_histogram((1, 1, 3)) == want
+    assert theta_pair(skewed, 3, 4, shells=table) == theta_pair(a2, 3, 4)
+    assert theta_triple(skewed, 4, shells=table) == theta_triple(a2, 4)
+    req = InvariantRequest((1, 1, 2, 2), 4)
+    assert theta_general(skewed, req, shells=table) == theta_general(a2, req)
 
 
 # -- triple form --------------------------------------------------------------------
@@ -328,6 +344,29 @@ def test_general_mixed_degrees_basis_invariant(skew3):
         u = random_unimodular(3, rng)
         moved = change_basis(skew3, u)
         assert theta_general(moved, InvariantRequest((1, 2), 3)) == base
+
+
+def _general_by_tuple_loop(lat, degrees, order):
+    """theta_general's raw coefficients, summed over every explicit tuple."""
+    table = enumerate_shells(lat, order)
+    coeffs = [Fraction(0)] * (order + 1)
+    for comp in product(range(order + 1), repeat=len(degrees)):
+        if sum(comp) > order:
+            continue
+        poly = _composition_poly(lat.rank, degrees, comp)
+        hist = oracles.tuple_histogram(lat, [table.shell(c) for c in comp])
+        for key, cnt in hist.items():
+            coeffs[sum(comp)] += cnt * sum(
+                c * prod(t**e for t, e in zip(key, exps)) for exps, c in poly.items())
+    return coeffs
+
+
+@pytest.mark.parametrize("degrees", [(1, 1, 1, 1), (1, 1, 2, 2)])
+@pytest.mark.parametrize("name", ["skew2", "skew3", "diag246"])
+def test_general_four_slots_match_tuple_loop(request, name, degrees):
+    lat = request.getfixturevalue(name)
+    got = theta_general(lat, InvariantRequest(degrees, 4))
+    assert list(got.coeffs) == _general_by_tuple_loop(lat, degrees, 4)
 
 
 def test_request_validation():
