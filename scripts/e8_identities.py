@@ -27,7 +27,7 @@ def main():
     e8 = lattice_by_name("e8")
     start = time.monotonic()
     shells = enumerate_shells(e8, max(2, args.order))
-    print(f"enumerated {sum(len(shells.shell(k)) for k in range(shells.bound + 1))} "
+    print(f"enumerated {sum(shells.sizes().values())} "
           f"vectors up to norm {shells.bound} "
           f"({time.monotonic() - start:.2f}s)\n")
 

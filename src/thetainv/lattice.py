@@ -7,7 +7,9 @@ Squared vector lengths are (1/2) v^T gram2 v and are always integers; the
 doubled pairing v^T gram2 w keeps all pair statistics integral.
 
 Shell enumeration uses an exact LDL^T decomposition over the rationals and
-integer square roots only; no floating point enters any numeric path.
+integer square roots only; no floating point enters any numeric path except
+a square root that integer steps then correct.  Each shell is one integer
+numpy array, and the disk cache stores it as such in an ``.npz`` file.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import hashlib
 import json
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -33,12 +37,17 @@ from .errors import (
 Vector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
-SHELL_CACHE_FORMAT = 1
+SHELL_CACHE_FORMAT = 2
 
-# int64 safety margin of the pairing kernel
+# int64 safety margin of the pairing kernel and of the shell search
 _INT64_LIMIT = 2**62
-# entries per pairing block, which bounds the kernel's transient memory
+# entries per pairing block, and per int64 chunk cast from a stored shell,
+# which bounds the kernel's transient memory
 _BLOCK = 4_000_000
+# frontier rows the shell search expands at once
+_CHUNK = 1 << 16
+# the dtypes a shell is stored in, narrowest first
+_SHELL_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 def _as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
@@ -136,10 +145,20 @@ class IntegralLattice:
         return q // 2
 
     def discriminant(self) -> int:
-        return det_int(self.gram2)
+        return self._discriminant
 
     def level(self) -> int:
         """Smallest N > 0 with N * gram2^{-1} integral and even on the diagonal."""
+        return self._level
+
+    # computed once per lattice: cached_property writes the instance
+    # __dict__ directly, which a frozen dataclass allows
+    @cached_property
+    def _discriminant(self) -> int:
+        return det_int(self.gram2)
+
+    @cached_property
+    def _level(self) -> int:
         inv = invert_rational(self.gram2)
         m = 1
         for row in inv:
@@ -226,11 +245,42 @@ def _ldl(gram2: IntMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, u
 
 
-def _enumerate(gram2: IntMatrix, bound: int) -> dict[int, list[Vector]]:
-    """Depth-first enumeration of all v with norm <= bound, exact integers only.
+def _isqrt_int64(r: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(r)) of a nonnegative int64 array below 2^62.  The
+    float64 root of such an r is off by far less than one, so its
+    truncation is off by at most one, and one integer step each way
+    corrects it (in practice only the downward step ever fires)."""
+    s = np.sqrt(r).astype(np.int64)
+    s -= s * s > r
+    s += (s + 1) * (s + 1) <= r
+    return s
+
+
+_isqrt_object = np.frompyfunc(isqrt, 1, 1)
+
+
+def _narrow(v: np.ndarray) -> np.ndarray:
+    """v in the narrowest stored dtype whose symmetric range [-max, max]
+    holds every entry, numpy object when none does.  Negating a stored
+    vector therefore never overflows."""
+    top = max(abs(int(v.max())), abs(int(v.min()))) if v.size else 0
+    for dtype in _SHELL_DTYPES:
+        if top <= np.iinfo(dtype).max:
+            return v.astype(dtype, copy=False)
+    return v.astype(object, copy=False)
+
+
+def _enumerate(gram2: IntMatrix, bound: int) -> dict[int, np.ndarray]:
+    """All v with norm <= bound by shell, each shell sorted lexicographically:
+    the Fincke-Pohst search run level by level over numpy frontiers, in
+    exact integers only.
 
     The quadratic form is written as sum_i d_i (v_i + c_i(v))^2 from the LDL^T
-    decomposition; all comparisons are cleared of denominators up front.
+    decomposition; all comparisons are cleared of denominators up front.  A
+    frontier row holds the coordinates i+1..n-1 chosen so far (the others
+    0) and ``acc``, their part of 2 * big * norm.  Frontier chunks wait on a
+    stack, and no chunk expands to more than _CHUNK rows at once (unless
+    one row alone has more children), so transient memory stays bounded.
     """
     n = len(gram2)
     d, u = _ldl(gram2)
@@ -248,43 +298,67 @@ def _enumerate(gram2: IntMatrix, bound: int) -> dict[int, list[Vector]]:
     for i in range(n):
         big = lcm(big, dd[i] * cden[i] * cden[i])
     mult = [dn[i] * (big // (dd[i] * cden[i] * cden[i])) for i in range(n)]
-
     target = 2 * bound * big
-    shells: dict[int, list[Vector]] = {k: [] for k in range(bound + 1)}
-    v = [0] * n
 
-    def descend(i: int, acc: int) -> None:
-        if i < 0:
-            q = acc // (2 * big)
-            assert acc % (2 * big) == 0
-            shells[q].append(tuple(v))
-            return
-        cn = cnum[i]
-        c = sum(cn[j - i - 1] * v[j] for j in range(i + 1, n))
+    # Bound every intermediate: at level i, |s| <= smax, |c| <= cmax and
+    # |v_i| <= vmax[i], so that |x * cd + c| and |c + s| stay below limit;
+    # acc and mult * t^2 never exceed target.
+    vmax = [0] * n
+    limit = max(target, 2 * big, *mult)
+    for i in reversed(range(n)):
+        cmax = sum(abs(x) * vmax[j] for j, x in enumerate(cnum[i], i + 1))
+        smax = isqrt(target // mult[i])
+        vmax[i] = (cmax + smax) // cden[i] + 1
+        limit = max(limit, (smax + 1) ** 2, vmax[i] * cden[i] + cmax + smax)
+    dtype = np.int64 if limit < _INT64_LIMIT else object
+    root = _isqrt_int64 if dtype is np.int64 else _isqrt_object
+    cvec = [np.array(row, dtype=dtype) for row in cnum]
+
+    found: dict[int, list[np.ndarray]] = {k: [] for k in range(bound + 1)}
+    stack = [(n - 1, np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype))]
+    while stack:
+        i, v, acc = stack.pop()
+        c = v[:, i + 1:] @ cvec[i]
         cd = cden[i]
-        rem = target - acc
-        a = mult[i]
-        # a * (x*cd + c)^2 <= rem  <=>  |x*cd + c| <= s with s = isqrt(rem // a);
-        # bounds are exact: x in [ceil((-c - s)/cd), floor((-c + s)/cd)]
-        s = isqrt(rem // a)
+        # a * (x*cd + c)^2 <= rem  <=>  |x*cd + c| <= s with s = isqrt(rem // a),
+        # so x runs over [lo, hi] = [ceil((-c - s)/cd), floor((-c + s)/cd)]
+        s = root((target - acc) // mult[i])
         lo = -((c + s) // cd)
-        hi = (-c + s) // cd
-        for x in range(lo, hi + 1):
-            t = x * cd + c
-            add = a * t * t
-            if add <= rem:
-                v[i] = x
-                descend(i - 1, acc + add)
-        v[i] = 0
-
-    descend(n - 1, 0)
-    return {k: sorted(vs) for k, vs in shells.items()}
+        counts = ((s - c) // cd - lo + 1).astype(np.int64)
+        ends = np.cumsum(counts)
+        start = 0
+        while start < len(v):
+            first = ends[start] - counts[start]
+            stop = max(start + 1, int(np.searchsorted(ends, first + _CHUNK, side="right")))
+            rows = np.repeat(np.arange(start, stop), counts[start:stop])
+            # the j-th child of row r takes x = lo[r] + j
+            x = lo[rows] + (np.arange(len(rows)) - (ends[rows] - counts[rows] - first))
+            t = x * cd + c[rows]
+            child = v[rows]
+            child[:, i] = x
+            child_acc = acc[rows] + mult[i] * t * t
+            if i:
+                stack.append((i - 1, child, child_acc))
+            else:
+                assert not (child_acc % (2 * big)).any()
+                q = (child_acc // (2 * big)).astype(np.int64)
+                child = _narrow(child)
+                for k in range(bound + 1):
+                    found[k].append(child[q == k])
+            start = stop
+    shells = {}
+    for k, parts in found.items():
+        v = np.concatenate(parts)
+        shells[k] = v[np.lexsort(v.T[::-1])]
+    return shells
 
 
 def content_hash(gram2: IntMatrix, bound: int | None = None) -> str:
-    payload = {"format": SHELL_CACHE_FORMAT, "gram2": [list(r) for r in gram2]}
+    """Hash of the Gram data; with a bound it keys a shell cache file, and
+    then the cache format enters it too."""
+    payload = {"gram2": [list(r) for r in gram2]}
     if bound is not None:
-        payload["bound"] = bound
+        payload.update(bound=bound, format=SHELL_CACHE_FORMAT)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -299,13 +373,12 @@ def _int_array(rows, n: int) -> np.ndarray:
     return arr.reshape(len(rows), n)
 
 
-def _exact(*factors: np.ndarray) -> list[np.ndarray]:
-    """The factors of the product factors[0] @ factors[1] @ ..., cast to a
-    dtype in which it is exact.
+def _exact_dtype(*factors: np.ndarray) -> type:
+    """The dtype in which the product factors[0] @ factors[1] @ ... is exact.
 
     Every partial sum of the product is bounded by the product of the inner
-    dimensions and of the largest entry of each factor.  Below 2^62 the
-    factors stay int64; above it they become numpy object arrays.
+    dimensions and of the largest entry of each factor.  Below 2^62 that is
+    int64; above it, numpy object (Python ints).
     """
     bound = 1
     for f in factors[:-1]:
@@ -313,33 +386,73 @@ def _exact(*factors: np.ndarray) -> list[np.ndarray]:
     for f in factors:
         if f.size:
             bound *= max(abs(int(f.max())), abs(int(f.min())), 1)
-    dtype = np.int64 if bound < _INT64_LIMIT else object
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _exact(*factors: np.ndarray) -> list[np.ndarray]:
+    """The factors of the product factors[0] @ factors[1] @ ..., cast to
+    ``_exact_dtype``."""
+    dtype = _exact_dtype(*factors)
     return [f.astype(dtype, copy=False) for f in factors]
+
+
+class Shell(np.ndarray):
+    """The vectors of one shell, one per row, as a read-only integer array.
+
+    Like a sequence of vectors, and unlike a plain array, it is true
+    exactly when it holds a vector, and iterating it yields each vector as
+    a tuple of Python ints (a row yields Python ints), so no narrow numpy
+    scalar reaches Python arithmetic.  What is computed from it is a plain
+    array.
+    """
+
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
+    def __iter__(self) -> Iterator:
+        if self.ndim != 2:
+            return iter(self.tolist())
+        return (tuple(row) for start in range(0, len(self), _CHUNK)
+                for row in self[start:start + _CHUNK].tolist())
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        return array[()] if return_scalar else array.view(np.ndarray)
+
+
+def _as_shell(rows, n: int) -> np.ndarray:
+    """Rows of one shell as a read-only (len, n) array of a stored dtype."""
+    v = _narrow(rows if isinstance(rows, np.ndarray) else _int_array(rows, n)).view()
+    v.flags.writeable = False
+    return v
 
 
 class ShellTable:
     """All lattice vectors up to a norm bound, grouped by exact norm, plus
     lazily built pair statistics.
 
-    Immutable after construction apart from the caches of pair histograms
-    and moment matrices, which are deterministic functions of the shells.
-    Every pairing goes through one kernel, ``pairings``; it builds its
-    arrays on each call and the table keeps none.
+    Each shell is one integer array in the narrowest dtype that holds it
+    (``_narrow``), sorted lexicographically when it comes from the search
+    or the cache.  Immutable after construction apart from the caches of
+    pair histograms and moment matrices, which are deterministic functions
+    of the shells.  Every pairing goes through one kernel, ``pairings``,
+    which casts the stored arrays chunk by chunk to its exact dtype.
     """
 
     def __init__(self, lattice: IntegralLattice, bound: int,
-                 shells: dict[int, list[Vector]]):
+                 shells: dict[int, np.ndarray | Sequence[Vector]]):
         self.lattice = lattice
         self.bound = bound
-        self._shells: dict[int, tuple[Vector, ...]] = {
-            k: tuple(shells.get(k, ())) for k in range(bound + 1)}
+        self._shells: dict[int, np.ndarray] = {
+            k: _as_shell(shells.get(k, ()), lattice.rank) for k in range(bound + 1)}
         self._pair_hists: dict[tuple[int, int], dict[int, int]] = {}
         self._moments: dict[int, tuple[tuple[int, ...], ...]] = {}
 
-    def shell(self, k: int) -> tuple[Vector, ...]:
+    def shell(self, k: int) -> Shell:
+        """The vectors of norm k, one per row; ``.tolist()`` gives them as
+        lists of Python ints."""
         if not 0 <= k <= self.bound:
             raise IndexError(f"shell {k} beyond enumeration bound {self.bound}")
-        return self._shells[k]
+        return self._shells[k].view(Shell)
 
     def sizes(self) -> dict[int, int]:
         return {k: len(v) for k, v in self._shells.items()}
@@ -347,7 +460,7 @@ class ShellTable:
     def min_norm(self) -> int | None:
         """Smallest positive norm with a nonempty shell, if any within bound."""
         for k in range(1, self.bound + 1):
-            if self._shells[k]:
+            if len(self._shells[k]):
                 return k
         return None
 
@@ -358,18 +471,18 @@ class ShellTable:
         """Exact blocks of v^T M w for v in shell k1 (rows) and w in
         consecutive chunks of shell k2 (columns); M is gram2 unless given.
 
-        The blocks are int64 when ``_exact`` proves that no partial sum
-        overflows, numpy object arrays otherwise.
+        The blocks are int64 when ``_exact_dtype`` proves that no partial sum
+        overflows, numpy object arrays otherwise.  Shell k2 is cast to that
+        dtype one chunk at a time.
         """
         n = self.lattice.rank
-        v = _int_array(self._shells[k1], n)
+        v, w = self._shells[k1], self._shells[k2]
         m = _int_array(self.lattice.gram2 if metric is None else metric, n)
-        w = _int_array(self._shells[k2], n)
-        v, m, wt = _exact(v, m, w.T)
-        vm = v @ m
-        step = max(1, _BLOCK // max(1, len(v)))
-        for start in range(0, wt.shape[1], step):
-            yield vm @ wt[:, start:start + step]
+        dtype = _exact_dtype(v, m, w.T)
+        vm = v.astype(dtype) @ m.astype(dtype)
+        step = max(1, _BLOCK // max(len(v), n))
+        for start in range(0, len(w), step):
+            yield vm @ w[start:start + step].T.astype(dtype)
 
     def _pair_values(self, k1: int, k2: int) -> Iterator[np.ndarray]:
         """The gram2 pairing blocks as int64, checked against Cauchy-Schwarz:
@@ -452,12 +565,19 @@ class ShellTable:
         return total
 
     def moment_matrix(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """Sum of v v^T over the shell of norm k (coordinate outer products)."""
+        """Sum of v v^T over the shell of norm k (coordinate outer products),
+        summed over row chunks in the dtype that is exact for the whole sum."""
         cached = self._moments.get(k)
         if cached is None:
-            v = _int_array(self._shells[k], self.lattice.rank)
-            vt, v = _exact(v.T, v)
-            cached = tuple(tuple(row) for row in (vt @ v).tolist())
+            v = self._shells[k]
+            n = self.lattice.rank
+            dtype = _exact_dtype(v.T, v)
+            total = np.zeros((n, n), dtype=dtype)
+            step = max(1, _BLOCK // n)
+            for start in range(0, len(v), step):
+                chunk = v[start:start + step].astype(dtype)
+                total += chunk.T @ chunk
+            cached = tuple(tuple(row) for row in total.tolist())
             self._moments[k] = cached
         return cached
 
@@ -478,29 +598,41 @@ def enumerate_shells(lattice: IntegralLattice, bound: int,
     return table
 
 
+# -- shell cache -------------------------------------------------------------
+#
+# One .npz file per lattice and bound holds the 0-d arrays format_version
+# and bound, the (n, n) array gram2, and one (len, n) array shell_<k> per
+# norm k <= bound, each in its stored dtype.  The file is read without
+# pickle, so it never holds an object array: a table whose coordinates or
+# Gram entries exceed int64 is not cached.
+
 def _cache_path(gram2: IntMatrix, bound: int, cache_dir: str) -> str:
-    return os.path.join(cache_dir, f"shells-{content_hash(gram2, bound)[:20]}.json")
+    return os.path.join(cache_dir, f"shells-{content_hash(gram2, bound)[:20]}.npz")
 
 
-def save_shell_table(table: ShellTable, cache_dir: str) -> str:
+def save_shell_table(table: ShellTable, cache_dir: str) -> str | None:
     """Write the table's shells to the cache through a private temporary
     file, renamed into place, so that concurrent writers never clobber or
-    truncate each other's output."""
+    truncate each other's output.  Returns the path written, or None for a
+    table that needs object dtype, which is never cached."""
+    gram2 = _int_array(table.lattice.gram2, table.lattice.rank)
+    doc = {"format_version": np.int64(SHELL_CACHE_FORMAT),
+           "bound": np.int64(table.bound), "gram2": gram2}
+    doc.update((f"shell_{k}", v) for k, v in table._shells.items())
+    if any(a.dtype == object for a in doc.values()):
+        return None
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(table.lattice.gram2, table.bound, cache_dir)
-    doc = {
-        "format_version": SHELL_CACHE_FORMAT,
-        "hash": content_hash(table.lattice.gram2, table.bound),
-        "gram2": [list(r) for r in table.lattice.gram2],
-        "bound": table.bound,
-        "shells": {str(k): [list(v) for v in table.shell(k)]
-                   for k in range(table.bound + 1)},
-    }
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".",
                                suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
+        try:
+            fh = os.fdopen(fd, "wb")
+        except BaseException:
+            os.close(fd)
+            raise
+        with fh:
+            np.savez(fh, **doc)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -508,20 +640,21 @@ def save_shell_table(table: ShellTable, cache_dir: str) -> str:
     return path
 
 
-def _cached_shell(rows, n: int) -> np.ndarray | None:
-    """A cached shell as an int64 array, or None unless it is a list of
-    integer rows of length n."""
-    if not isinstance(rows, list):
-        return None
-    if not rows:
-        return np.zeros((0, n), dtype=np.int64)
+def _read_npz(path: str) -> dict[str, np.ndarray] | None:
+    """Every array of an .npz file, or None when it is unreadable, is not
+    an .npz archive or holds a pickled (object) array."""
     try:
-        v = np.array(rows)
-    except ValueError:  # ragged rows
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            return None
+        with data:
+            return {name: data[name] for name in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         return None
-    if v.dtype.kind != "i" or v.shape != (len(rows), n):
-        return None
-    return v.astype(np.int64, copy=False)
+
+
+def _is_int(a: np.ndarray, shape: tuple[int, ...]) -> bool:
+    return a.dtype in _SHELL_DTYPES and a.shape == shape
 
 
 def _strictly_increasing(v: np.ndarray) -> bool:
@@ -535,13 +668,21 @@ def _strictly_increasing(v: np.ndarray) -> bool:
 
 def _trusted_shell(v: np.ndarray, k: int, gram2: np.ndarray) -> bool:
     """Every vector has norm k, none repeats and the shell is closed under
-    negation.  The writer stores each shell sorted: a strictly increasing
-    shell has no repeated rows, its negation read backwards is again
-    strictly increasing, so closure under negation is equality with it."""
-    vx, a, _ = _exact(v, gram2, v.T)  # the diagonal of the pairing block
-    return (bool((((vx @ a) * vx).sum(axis=1) == 2 * k).all())
-            and _strictly_increasing(v)
-            and np.array_equal(-v[::-1], v))
+    negation.  The writer stores each shell sorted and in the symmetric
+    range of its dtype: a strictly increasing shell has no repeated rows,
+    its negation read backwards is again strictly increasing, so closure
+    under negation is equality with it.  The norms are checked over row
+    chunks cast to their exact dtype."""
+    if v.size and v.min() == np.iinfo(v.dtype).min:
+        return False
+    dtype = _exact_dtype(v, gram2, v.T)  # the diagonal of the pairing block
+    a = gram2.astype(dtype)
+    step = max(1, _BLOCK // len(gram2))
+    for start in range(0, len(v), step):
+        c = v[start:start + step].astype(dtype)
+        if not (((c @ a) * c).sum(axis=1) == 2 * k).all():
+            return False
+    return _strictly_increasing(v) and np.array_equal(-v[::-1], v)
 
 
 def load_shell_table(lattice: IntegralLattice, bound: int,
@@ -551,25 +692,18 @@ def load_shell_table(lattice: IntegralLattice, bound: int,
     path = _cache_path(lattice.gram2, bound, cache_dir)
     if not os.path.exists(path):
         return None
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
+    doc = _read_npz(path)
+    n = lattice.rank
+    names = {"format_version", "bound", "gram2"} | {f"shell_{k}" for k in range(bound + 1)}
+    if doc is None or set(doc) != names:
         return None
-    if (not isinstance(doc, dict)
-            or doc.get("format_version") != SHELL_CACHE_FORMAT
-            or doc.get("bound") != bound
-            or doc.get("gram2") != [list(r) for r in lattice.gram2]):
+    if not (_is_int(doc["format_version"], ()) and doc["format_version"] == SHELL_CACHE_FORMAT
+            and _is_int(doc["bound"], ()) and doc["bound"] == bound
+            and _is_int(doc["gram2"], (n, n))
+            and doc["gram2"].tolist() == [list(r) for r in lattice.gram2]):
         return None
-    cached = doc.get("shells")
-    if not isinstance(cached, dict) or set(cached) != {str(k) for k in range(bound + 1)}:
-        return None
-    gram2 = _int_array(lattice.gram2, lattice.rank)
-    shells = {}
-    for k in range(bound + 1):
-        rows = cached[str(k)]
-        v = _cached_shell(rows, lattice.rank)
-        if v is None or not _trusted_shell(v, k, gram2):
+    shells = {k: doc[f"shell_{k}"] for k in range(bound + 1)}
+    for k, v in shells.items():
+        if not _is_int(v, (*v.shape[:1], n)) or not _trusted_shell(v, k, doc["gram2"]):
             return None
-        shells[k] = [tuple(row) for row in rows]
     return ShellTable(lattice, bound, shells)

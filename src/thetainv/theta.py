@@ -49,7 +49,8 @@ def theta_series(lattice: IntegralLattice, order: int, *,
                  cache_dir: str | None = None) -> QSeries:
     """Vector counts by norm: coefficient of q^k is the size of shell k."""
     table = _table(lattice, order, shells, cache_dir)
-    coeffs = [Fraction(len(table.shell(k))) for k in range(order + 1)]
+    sizes = table.sizes()
+    coeffs = [Fraction(sizes[k]) for k in range(order + 1)]
     return QSeries(order, coeffs, weight=Fraction(lattice.rank, 2),
                    level=lattice.level())
 
@@ -107,7 +108,7 @@ def spherical_theta(lattice: IntegralLattice, h: Poly, order: int, *,
     coeffs = []
     for k in range(order + 1):
         total = Fraction(0)
-        for v in table.shell(k):
+        for v in table.shell(k).tolist():
             point = [sum(Fraction(v[i]) * emb[i][j] for i in range(n))
                      for j in range(n)]
             total += h.evaluate(point)
@@ -175,12 +176,13 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
     """
     n = lattice.rank
     table = _table(lattice, order, shells, cache_dir)
+    sizes = table.sizes()
     coeffs = []
     for k in range(order + 1):
         total = Fraction(0)
         for k1 in range(k + 1):
             k2 = k - k1
-            if not (table.shell(k1) and table.shell(k2)):
+            if not (sizes[k1] and sizes[k2]):
                 continue
             for t, cnt in table.pair_histogram(k1, k2).items():
                 total += cnt * pair_term(n, m, k1, k2, t)
@@ -223,7 +225,8 @@ def _triple_product_sum(table: ShellTable, ka: int, kb: int, kc: int) -> Fractio
     M = sum of u u^T over shell ka; the u slot is chosen largest so the
     remaining double loop is smallest.
     """
-    order = sorted(((len(table.shell(k)), i) for i, k in enumerate((ka, kb, kc))),
+    sizes = table.sizes()
+    order = sorted(((sizes[k], i) for i, k in enumerate((ka, kb, kc))),
                    reverse=True)
     slots = (ka, kb, kc)
     ia = order[0][1]
@@ -250,7 +253,7 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
     """
     n = lattice.rank
     table = _table(lattice, order, shells, cache_dir)
-    sizes = {k: len(table.shell(k)) for k in range(order + 1)}
+    sizes = table.sizes()
     cell_cache: dict[tuple[int, int, int], Fraction] = {}
 
     def cell(k1: int, k2: int, k3: int) -> Fraction:
@@ -426,7 +429,7 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
     n = lattice.rank
     order = request.order
     table = _table(lattice, order, shells, cache_dir)
-    sizes = {kk: len(table.shell(kk)) for kk in range(order + 1)}
+    sizes = table.sizes()
 
     comps: list[tuple[int, tuple[int, ...]]] = []
     budget = 0

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import thetainv.catalog as catmod
@@ -213,7 +214,7 @@ def test_cli_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, "compute", "--lattice", "a2",
                          "--degrees", "0", "--order", "3")
     assert code == 0
-    assert list(tmp_path.glob("shells-*.json"))
+    assert list(tmp_path.glob("shells-*.npz"))
 
 
 def test_cli_recomputes_over_an_edited_shell_cache(capsys, tmp_path):
@@ -222,10 +223,12 @@ def test_cli_recomputes_over_an_edited_shell_cache(capsys, tmp_path):
     argv = ("compute", "--lattice", "e8", "--degrees", "4,4", "--order", "4",
             "--cache-dir", str(tmp_path))
     assert run_cli(capsys, *argv)[0] == 0
-    (path,) = tmp_path.glob("shells-*.json")
-    doc = json.loads(path.read_text())
-    doc["shells"]["1"][0] = [7 * x for x in doc["shells"]["1"][0]]
-    path.write_text(json.dumps(doc))
+    (path,) = tmp_path.glob("shells-*.npz")
+    with np.load(path) as npz:
+        doc = dict(npz)
+    doc["shell_1"] = doc["shell_1"].astype(np.int64)
+    doc["shell_1"][0] *= 7
+    np.savez(path, **doc)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "q^2\t3/896" in out.splitlines()

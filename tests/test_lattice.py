@@ -1,9 +1,10 @@
-import json
 import os
+import pickle
 import random
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from thetainv.errors import (
 )
 from thetainv.lattice import (
     ShellTable,
+    _isqrt_int64,
     change_basis,
     det_int,
     enumerate_shells,
@@ -29,6 +31,7 @@ from thetainv.lattice import (
 from thetainv.qseries import sigma
 
 import oracles
+import thetainv.lattice as lattice_module
 
 
 # -- validation ---------------------------------------------------------------
@@ -160,11 +163,12 @@ def test_e8_minimal_vector_pairings(e8_shells6):
 
 def test_enumerate_z1():
     table = enumerate_shells(validate_lattice([[2]]), 4)
-    assert table.shell(0) == ((0,),)
-    assert table.shell(1) == ((-1,), (1,))
-    assert table.shell(2) == ()
-    assert table.shell(3) == ()
-    assert table.shell(4) == ((-2,), (2,))
+    assert table.shell(0).tolist() == [[0]]
+    assert table.shell(1).tolist() == [[-1], [1]]
+    assert table.shell(2).tolist() == []
+    assert table.shell(3).tolist() == []
+    assert table.shell(4).tolist() == [[-2], [2]]
+    assert table.shell(1) and not table.shell(2)
 
 
 def test_enumerate_a2(a2):
@@ -202,7 +206,7 @@ def test_enumeration_matches_brute_force(gram, box):
     table = enumerate_shells(lat, bound)
     brute = _brute_shells(gram, bound, box)
     for k in range(bound + 1):
-        assert set(table.shell(k)) == brute.get(k, set())
+        assert set(map(tuple, table.shell(k).tolist())) == brute.get(k, set())
 
 
 def _gram_from_seed(entries, n):
@@ -222,9 +226,9 @@ def test_shell_invariants_random_lattices(args):
     lat = validate_lattice(_gram_from_seed(entries, n))
     bound = 4
     table = enumerate_shells(lat, bound)
-    assert table.shell(0) == ((0,) * n,)
+    assert table.shell(0).tolist() == [[0] * n]
     for k in range(bound + 1):
-        sh = table.shell(k)
+        sh = [tuple(v) for v in table.shell(k).tolist()]
         for v in sh:
             assert lat.norm(v) == k
         if k >= 1:
@@ -233,7 +237,7 @@ def test_shell_invariants_random_lattices(args):
     # enumerating further extends without changing the lower shells
     bigger = enumerate_shells(lat, bound + 2)
     for k in range(bound + 1):
-        assert bigger.shell(k) == table.shell(k)
+        assert bigger.shell(k).tolist() == table.shell(k).tolist()
 
 
 def test_pair_histogram_total_and_symmetry(a2):
@@ -251,7 +255,8 @@ def test_pair_histogram_fast_path_equals_naive(e8_shells6, a2, d4, skew2, diag24
     cases += [(enumerate_shells(lat, 4), small_cells) for lat in (a2, d4, skew2, diag246)]
     for table, cells in cases:
         for k1, k2 in cells:
-            naive = oracles.pair_histogram(table.lattice, table.shell(k1), table.shell(k2))
+            naive = oracles.pair_histogram(table.lattice, table.shell(k1).tolist(),
+                                           table.shell(k2).tolist())
             assert table.pair_histogram(k1, k2) == naive
 
 
@@ -260,10 +265,11 @@ def test_bilinear_sum_and_tuple_histogram_equal_oracles(skew3, diag246):
         table = enumerate_shells(lat, 4)
         metric = [[3 * i - j for j in range(3)] for i in range(3)]
         for k1, k2 in [(1, 2), (2, 3), (3, 4)]:
-            want = oracles.bilinear_sum(lat, metric, table.shell(k1), table.shell(k2))
+            want = oracles.bilinear_sum(lat, metric, table.shell(k1).tolist(),
+                                        table.shell(k2).tolist())
             assert table.bilinear_sum(k1, k2, metric) == want
         for comp in [(1, 2), (0, 1, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1), (0, 1, 1, 2)]:
-            want = oracles.tuple_histogram(lat, [table.shell(c) for c in comp])
+            want = oracles.tuple_histogram(lat, [table.shell(c).tolist() for c in comp])
             assert table.tuple_histogram(comp) == want
 
 
@@ -280,11 +286,78 @@ def test_moment_matrix(a2):
     table = enumerate_shells(a2, 1)
     mom = table.moment_matrix(1)
     expected = [[0, 0], [0, 0]]
-    for v in table.shell(1):
+    for v in table.shell(1).tolist():
         for i in range(2):
             for j in range(2):
                 expected[i][j] += v[i] * v[j]
     assert mom == tuple(tuple(row) for row in expected)
+
+
+# -- enumeration against the depth-first oracle ------------------------------------
+
+def _assert_equals_oracle(lat, bound):
+    table = enumerate_shells(lat, bound)
+    want = oracles.enumerate_shells(lat.gram2, bound)
+    for k in range(bound + 1):
+        assert table.shell(k).tolist() == [list(v) for v in want[k]]
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("a2", 6), ("d4", 6), ("skew2", 6), ("skew3", 6), ("diag246", 6), ("e8", 4)])
+def test_enumeration_equals_dfs_oracle(request, name, bound):
+    lat = request.getfixturevalue(name)
+    rng = random.Random(f"oracle-{name}")
+    _assert_equals_oracle(lat, bound)
+    for _ in range(3):
+        _assert_equals_oracle(change_basis(lat, random_unimodular(lat.rank, rng)), bound)
+
+
+@pytest.mark.parametrize("shift", [100000, 2**62])
+def test_object_dtype_enumeration_equals_dfs_oracle(a2, shift):
+    # shift 100000: coordinates up to 600006 (stored int32); shift 2^62: the
+    # search itself runs on Python ints and shells 3 and 4 are stored as object
+    skewed = change_basis(a2, [[1, shift], [0, 1]])
+    _assert_equals_oracle(skewed, 6)
+    dtypes = {enumerate_shells(skewed, 6).shell(k).dtype for k in range(7)}
+    assert dtypes == ({np.dtype(np.int8), np.dtype(np.int32)} if shift == 100000
+                      else {np.dtype(np.int8), np.dtype(np.int64), np.dtype(object)})
+
+
+def test_enumeration_in_one_row_chunks_is_identical(monkeypatch, a2, d4, skew3):
+    lats = [d4, skew3, change_basis(a2, [[1, 2**62], [0, 1]])]
+    want = [enumerate_shells(lat, 4) for lat in lats]
+    monkeypatch.setattr(lattice_module, "_CHUNK", 1)
+    for lat, table in zip(lats, want):
+        got = enumerate_shells(lat, 4)
+        for k in range(5):
+            assert got.shell(k).dtype == table.shell(k).dtype
+            assert got.shell(k).tolist() == table.shell(k).tolist()
+
+
+def test_int64_isqrt_is_exact_near_squares():
+    # every r below 2^62 next to a square s^2, up to 2^62 - 1 = (2^31 - 1)^2 + 2 (2^31 - 1)
+    r = sorted({max(s * s + e, 0) for s in (0, 1, 2, 3, 1000, 2**26 + 1, 2**30 - 1, 2**31 - 1)
+                for e in (-1, 0, 1, 2 * s)})
+    assert _isqrt_int64(np.array(r, dtype=np.int64)).tolist() == [isqrt(x) for x in r]
+
+
+def test_shells_are_stored_narrow_sorted_and_read_only(e8_shells6):
+    for k in range(7):
+        v = e8_shells6.shell(k)
+        assert v.dtype == np.int8
+        assert v.tolist() == sorted(v.tolist())
+        with pytest.raises(ValueError):
+            v[0, 0] = 0
+
+
+def test_shell_iterates_as_python_int_tuples(e8_shells6, monkeypatch):
+    monkeypatch.setattr(lattice_module, "_CHUNK", 7)
+    shell = e8_shells6.shell(2)
+    vectors = list(shell)
+    assert vectors == [tuple(v) for v in shell.tolist()]
+    assert {type(x) for v in vectors for x in v} == {int}
+    assert list(shell[5]) == shell.tolist()[5]
+    assert {type(x) for x in shell[5]} == {int}
 
 
 # -- shell cache ---------------------------------------------------------------
@@ -292,12 +365,13 @@ def test_moment_matrix(a2):
 def test_shell_cache_roundtrip(tmp_path, a2):
     cache = str(tmp_path)
     table = enumerate_shells(a2, 3, cache_dir=cache)
-    files = list(tmp_path.glob("shells-*.json"))
+    files = list(tmp_path.glob("shells-*.npz"))
     assert len(files) == 1
     again = enumerate_shells(a2, 3, cache_dir=cache)
     assert again.sizes() == table.sizes()
     for k in range(4):
-        assert again.shell(k) == table.shell(k)
+        assert again.shell(k).dtype == table.shell(k).dtype
+        assert again.shell(k).tolist() == table.shell(k).tolist()
 
 
 def test_shell_cache_miss_on_other_bound_or_lattice(tmp_path, a2):
@@ -312,45 +386,50 @@ def test_shell_cache_rejects_corrupt_file(tmp_path, a2):
     cache = str(tmp_path)
     table = enumerate_shells(a2, 2, cache_dir=cache)
     path = save_shell_table(table, cache)
-    with open(path, "w") as fh:
-        fh.write("{not json")
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:len(blob) // 2])
     assert load_shell_table(a2, 2, cache) is None
     # a fresh call silently recomputes and rewrites
     again = enumerate_shells(a2, 2, cache_dir=cache)
     assert again.sizes() == table.sizes()
+    assert load_shell_table(a2, 2, cache) is not None
 
 
 def test_no_cache_flag_respected(tmp_path, a2):
     cache = str(tmp_path)
     enumerate_shells(a2, 2, cache_dir=cache, use_cache=False)
-    assert not list(tmp_path.glob("shells-*.json"))
+    assert not list(tmp_path.iterdir())
 
 
 def _edit_cached_doc(path, edit):
-    with open(path) as fh:
-        doc = json.load(fh)
+    with np.load(path) as npz:
+        doc = dict(npz)
     edit(doc)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    np.savez(path, **doc)
 
 
 def _scale_first_root(doc):
-    doc["shells"]["1"][0] = [7 * x for x in doc["shells"]["1"][0]]
+    # the root and its negation, the first and last rows, so that the shell
+    # stays sorted and closed under negation and only its norms are wrong
+    doc["shell_1"] = doc["shell_1"].astype(np.int64)
+    doc["shell_1"][[0, -1]] *= 7
 
 
 def _repeat_row(doc):
-    doc["shells"]["3"][1] = doc["shells"]["3"][0]
+    doc["shell_3"][1] = doc["shell_3"][0]
 
 
 def _drop_negation(doc):
-    del doc["shells"]["3"][0]
+    doc["shell_3"] = doc["shell_3"][1:]
 
 
 @pytest.mark.parametrize("edit", [
-    lambda doc: doc.pop("shells"),
-    lambda doc: doc["shells"].pop("2"),
-    lambda doc: doc["shells"].__setitem__("1", [[1.5, 0]] * 6),
-    lambda doc: doc["shells"].__setitem__("1", [[1, 0, 0]] * 6),
+    lambda doc: [doc.pop(f"shell_{k}") for k in range(4)],
+    lambda doc: doc.pop("shell_2"),
+    lambda doc: doc.__setitem__("shell_1", np.array([[1.5, 0]] * 6)),
+    lambda doc: doc.__setitem__("shell_1", np.array([[1, 0, 0]] * 6)),
     _scale_first_root,
     _repeat_row,
     _drop_negation,
@@ -362,8 +441,73 @@ def test_shell_cache_rejects_untrustworthy_content(tmp_path, a2, edit):
     _edit_cached_doc(save_shell_table(table, cache), edit)
     assert load_shell_table(a2, 3, cache) is None
     again = enumerate_shells(a2, 3, cache_dir=cache)
-    assert [again.shell(k) for k in range(4)] == [table.shell(k) for k in range(4)]
+    assert ([again.shell(k).tolist() for k in range(4)]
+            == [table.shell(k).tolist() for k in range(4)])
     assert load_shell_table(a2, 3, cache) is not None
+
+
+def test_cached_shell_at_its_dtype_minimum_is_untrusted():
+    # -(-128) wraps to -128 in int8, so [[-128]] would pass the norm, order
+    # and negation checks as the norm-16384 shell of Z (gram2 [[2]])
+    gram2 = np.array([[2]])
+    assert lattice_module._trusted_shell(np.array([[-128], [128]], dtype=np.int16),
+                                         16384, gram2)
+    assert not lattice_module._trusted_shell(np.array([[-128]], dtype=np.int8),
+                                             16384, gram2)
+
+
+_UNPICKLED = []
+
+
+def _record_unpickling():
+    _UNPICKLED.append(True)
+
+
+class _UnpickleAlarm:
+    """Unpickling an instance calls _record_unpickling."""
+
+    def __reduce__(self):
+        return (_record_unpickling, ())
+
+
+def test_shell_cache_never_unpickles(tmp_path, a2):
+    cache = str(tmp_path)
+    path = save_shell_table(enumerate_shells(a2, 3), cache)
+    alarm = np.empty((6, 2), dtype=object)
+    alarm[:] = _UnpickleAlarm()
+    pickle.loads(pickle.dumps(alarm))  # the alarm works
+    assert _UNPICKLED
+    _UNPICKLED.clear()
+    _edit_cached_doc(path, lambda doc: doc.__setitem__("shell_1", alarm))
+    assert load_shell_table(a2, 3, cache) is None
+    assert enumerate_shells(a2, 3, cache_dir=cache).sizes()[1] == 6
+    assert _UNPICKLED == []
+
+
+def test_shell_cache_ignores_format_one_json(tmp_path, a2):
+    # a format-1 file of the same lattice, with a wrong vector, never is read
+    cache = str(tmp_path)
+    legacy = tmp_path / "shells-0123456789abcdef0123.json"
+    legacy.write_text('{"format_version": 1, "bound": 2, "gram2": [[2, 1], [1, 2]], '
+                      '"shells": {"0": [[0, 0]], "1": [[7, 0]], "2": []}}')
+    assert load_shell_table(a2, 2, cache) is None
+    table = enumerate_shells(a2, 2, cache_dir=cache)
+    assert table.sizes() == {0: 1, 1: 6, 2: 0}
+    assert len(list(tmp_path.glob("shells-*.npz"))) == 1
+    assert load_shell_table(a2, 2, cache) is not None
+
+
+def test_object_dtype_table_is_computed_but_not_cached(tmp_path, a2):
+    cache = str(tmp_path)
+    skewed = change_basis(a2, [[1, 2**62], [0, 1]])
+    table = enumerate_shells(skewed, 4, cache_dir=cache)
+    assert table.shell(3).dtype == object
+    assert not list(tmp_path.iterdir())
+    assert save_shell_table(table, cache) is None
+    assert not list(tmp_path.iterdir())
+    want = oracles.enumerate_shells(skewed.gram2, 4)
+    assert [table.shell(k).tolist() for k in range(5)] == [
+        [list(v) for v in want[k]] for k in range(5)]
 
 
 def test_shell_cache_save_leaves_no_temp_files(tmp_path, a2, monkeypatch):
@@ -373,10 +517,29 @@ def test_shell_cache_save_leaves_no_temp_files(tmp_path, a2, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(
         save_shell_table(table, cache))]
 
-    def broken_dump(*args, **kwargs):
+    def broken_savez(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr("thetainv.lattice.json.dump", broken_dump)
+    monkeypatch.setattr("thetainv.lattice.np.savez", broken_savez)
     with pytest.raises(OSError):
         save_shell_table(enumerate_shells(a2, 3), cache)
     assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_shell_cache_save_closes_descriptor_when_fdopen_fails(tmp_path, a2, monkeypatch):
+    closed = []
+    real_close = os.close
+
+    def broken_fdopen(fd, *args, **kwargs):
+        raise OSError("no file object")
+
+    def spy_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr("thetainv.lattice.os.fdopen", broken_fdopen)
+    monkeypatch.setattr("thetainv.lattice.os.close", spy_close)
+    with pytest.raises(OSError):
+        save_shell_table(enumerate_shells(a2, 2), str(tmp_path))
+    assert len(closed) == 1
+    assert not list(tmp_path.iterdir())

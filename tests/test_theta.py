@@ -201,8 +201,8 @@ def test_pair_matches_naive_pair_loop(a2, skew2, diag246):
             for k in range(order + 1):
                 acc = Fraction(0)
                 for k1 in range(k + 1):
-                    for v in table.shell(k1):
-                        for w in table.shell(k - k1):
+                    for v in table.shell(k1).tolist():
+                        for w in table.shell(k - k1).tolist():
                             acc += pair_term(n, m, k1, k - k1, lat.inner2(v, w))
                 naive.append(acc)
             assert list(fast.coeffs) == naive
@@ -217,9 +217,10 @@ def test_object_dtype_kernel_matches_int64_results(a2, shift):
     table = enumerate_shells(skewed, 4)
     assert next(table.pairings(1, 1)).dtype == object
     for k1, k2 in [(1, 1), (1, 3), (3, 4)]:
-        want = oracles.pair_histogram(skewed, table.shell(k1), table.shell(k2))
+        want = oracles.pair_histogram(skewed, table.shell(k1).tolist(),
+                                      table.shell(k2).tolist())
         assert table.pair_histogram(k1, k2) == want
-    want = oracles.tuple_histogram(skewed, [table.shell(c) for c in (1, 1, 3)])
+    want = oracles.tuple_histogram(skewed, [table.shell(c).tolist() for c in (1, 1, 3)])
     assert table.tuple_histogram((1, 1, 3)) == want
     assert theta_pair(skewed, 3, 4, shells=table) == theta_pair(a2, 3, 4)
     assert theta_triple(skewed, 4, shells=table) == theta_triple(a2, 4)
@@ -263,7 +264,7 @@ def test_triple_form_denominator_divides_eight(skew3, a2):
 
 def _triple_brute(lat, order):
     table = enumerate_shells(lat, order)
-    vectors = [(k, v) for k in range(order + 1) for v in table.shell(k)]
+    vectors = [(k, v) for k in range(order + 1) for v in table.shell(k).tolist()]
     acc = [Fraction(0)] * (order + 1)
     for ku, u in vectors:
         for kv, v in vectors:
@@ -354,7 +355,7 @@ def _general_by_tuple_loop(lat, degrees, order):
         if sum(comp) > order:
             continue
         poly = _composition_poly(lat.rank, degrees, comp)
-        hist = oracles.tuple_histogram(lat, [table.shell(c) for c in comp])
+        hist = oracles.tuple_histogram(lat, [table.shell(c).tolist() for c in comp])
         for key, cnt in hist.items():
             coeffs[sum(comp)] += cnt * sum(
                 c * prod(t**e for t, e in zip(key, exps)) for exps, c in poly.items())
