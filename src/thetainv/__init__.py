@@ -48,6 +48,7 @@ from .qseries import QSeries, delta_series, eisenstein, sigma
 from .theta import (
     IntegralityReport,
     InvariantRequest,
+    compute,
     integrality_report,
     invariant_metadata,
     pair_scale,

@@ -15,14 +15,7 @@ from .catalog import get_lattice
 from .errors import ResourceLimitError, ThetaInvError
 from .lattice import IntegralLattice
 from .qseries import QSeries, format_rational
-from .theta import (
-    InvariantRequest,
-    invariant_metadata,
-    theta_general,
-    theta_pair,
-    theta_series,
-    theta_triple,
-)
+from .theta import InvariantRequest, compute, invariant_metadata
 from .verify import DEFAULT_BUDGET, DEFAULT_SEED, report_dict, run_verification
 
 CACHE_ENV = "THETAINV_CACHE_DIR"
@@ -42,48 +35,28 @@ def _resolve_cache(args) -> str | None:
     return os.environ.get(CACHE_ENV) or _default_cache_dir()
 
 
-def _parse_degrees(text: str) -> tuple[int, ...]:
+def _request(args, text: str) -> InvariantRequest:
+    """The request named by one --degrees value and the common flags."""
     try:
         degrees = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"degrees must be a comma list of integers, got {text!r}")
-    if not degrees:
-        raise ValueError("at least one degree is required")
-    return degrees
-
-
-def _pick_normalization(degrees: tuple[int, ...], requested: str) -> str:
-    if requested != "auto":
-        return requested
-    if len(degrees) == 2 and degrees[0] == degrees[1]:
-        return "pair"
-    if degrees == (1, 1, 1):
-        return "triple"
-    return "general"
+    return InvariantRequest(degrees, args.order, args.normalization,
+                            args.max_tuples)
 
 
 def compute_invariant(lattice: IntegralLattice, degrees: tuple[int, ...],
                       order: int, normalization: str, *,
                       cache_dir: str | None = None,
                       max_tuples: int = 2_000_000) -> QSeries:
-    """Dispatch to the fast pair/triple paths when the normalization allows,
-    otherwise to the general orthonormal-basis route."""
-    if degrees == (0,):
-        return theta_series(lattice, order, cache_dir=cache_dir)
-    if normalization == "pair":
-        if len(degrees) != 2 or degrees[0] != degrees[1]:
-            raise ValueError("pair normalization needs degrees m,m")
-        return theta_pair(lattice, degrees[0], order, cache_dir=cache_dir)
-    if normalization == "triple":
-        if degrees != (1, 1, 1):
-            raise ValueError("triple normalization needs degrees 1,1,1")
-        return theta_triple(lattice, order, cache_dir=cache_dir)
-    request = InvariantRequest(degrees, order, "general", max_tuples)
-    return theta_general(lattice, request, cache_dir=cache_dir)
+    """``theta.compute`` on the request these arguments name."""
+    return compute(lattice, InvariantRequest(degrees, order, normalization,
+                                             max_tuples), cache_dir=cache_dir)
 
 
-def _render(series: QSeries, lattice: IntegralLattice, degrees, normalization,
-            fmt: str, decimal: bool) -> str:
+def _render(series: QSeries, lattice: IntegralLattice,
+            request: InvariantRequest, fmt: str, decimal: bool) -> str:
+    degrees, normalization = request.degrees, request.normalization
     meta = invariant_metadata(lattice, degrees)
     weight = format_rational(meta["weight"])
     character = meta["character"] or ""
@@ -124,13 +97,9 @@ def _render(series: QSeries, lattice: IntegralLattice, degrees, normalization,
 
 def cmd_compute(args) -> int:
     lattice = get_lattice(args.lattice)
-    degrees = _parse_degrees(args.degrees)
-    normalization = _pick_normalization(degrees, args.normalization)
-    series = compute_invariant(
-        lattice, degrees, args.order, normalization,
-        cache_dir=_resolve_cache(args), max_tuples=args.max_tuples)
-    print(_render(series, lattice, degrees, normalization, args.format,
-                  args.decimal))
+    request = _request(args, args.degrees)
+    series = compute(lattice, request, cache_dir=_resolve_cache(args))
+    print(_render(series, lattice, request, args.format, args.decimal))
     return 0
 
 
@@ -141,17 +110,14 @@ def cmd_compare(args) -> int:
         raise ValueError(
             f"rank mismatch: {lat_a.label()} has rank {lat_a.rank}, "
             f"{lat_b.label()} has rank {lat_b.rank}")
-    degree_lists = [_parse_degrees(d) for d in (args.degrees or ["0"])]
+    requests = [_request(args, d) for d in (args.degrees or ["0"])]
     cache = _resolve_cache(args)
     lines = [f"# compare {lat_a.label()} vs {lat_b.label()} order={args.order}"]
     separated = []
-    for degrees in degree_lists:
-        normalization = _pick_normalization(degrees, args.normalization)
-        sa = compute_invariant(lat_a, degrees, args.order, normalization,
-                               cache_dir=cache, max_tuples=args.max_tuples)
-        sb = compute_invariant(lat_b, degrees, args.order, normalization,
-                               cache_dir=cache, max_tuples=args.max_tuples)
-        tag = ",".join(map(str, degrees))
+    for request in requests:
+        sa = compute(lat_a, request, cache_dir=cache)
+        sb = compute(lat_b, request, cache_dir=cache)
+        tag = ",".join(map(str, request.degrees))
         diff = next((k for k in range(args.order + 1)
                      if sa.coeff(k) != sb.coeff(k)), None)
         if diff is None:

@@ -197,12 +197,6 @@ def laplacian(f: Poly) -> Poly:
     return Poly(f.rank, out)
 
 
-def laplacian_power(f: Poly, k: int) -> Poly:
-    for _ in range(k):
-        f = laplacian(f)
-    return f
-
-
 def radial_norm_scale(n: int, k: int, m: int) -> int:
     """Scale relating the pairing of r^{2k} h_1, r^{2k} h_2 to that of the
     degree-(2m-2k) harmonics h_1, h_2: 2^k k! prod_{l=1..k} (n + 4m - 2k - 2l)."""
@@ -320,13 +314,6 @@ def pair_poly(n: int, m: int) -> tuple[Fraction, ...]:
             den *= factor
         out.append(Fraction((-1) ** k, den))
     return tuple(out)
-
-
-def eval_pair_poly(coeffs: Sequence[Fraction], c: Rational) -> Fraction:
-    """Evaluate a pair polynomial given by its c^(2m-2k) coefficients."""
-    c = Fraction(c)
-    m = len(coeffs) - 1
-    return sum((coeffs[k] * c ** (2 * m - 2 * k) for k in range(m + 1)), Fraction(0))
 
 
 def _binom_nonneg(top: int, k: int) -> int:

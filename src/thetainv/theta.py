@@ -36,23 +36,27 @@ from .qseries import QSeries
 
 
 def _table(lattice: IntegralLattice, order: int,
-           shells: ShellTable | None, cache_dir: str | None = None) -> ShellTable:
+           shells: ShellTable | None) -> ShellTable:
     if shells is not None:
         if shells.lattice.gram2 != lattice.gram2 or shells.bound < order:
             raise ValueError("shell table does not cover the requested lattice/order")
         return shells
-    return enumerate_shells(lattice, order, cache_dir=cache_dir)
+    return enumerate_shells(lattice, order)
+
+
+def _invariant(lattice: IntegralLattice, degrees: Sequence[int],
+               coeffs: Sequence[Fraction]) -> QSeries:
+    """The series of the degree-list invariant with these coefficients."""
+    meta = invariant_metadata(lattice, degrees)
+    return QSeries(len(coeffs) - 1, coeffs, weight=meta["weight"],
+                   level=meta["level"])
 
 
 def theta_series(lattice: IntegralLattice, order: int, *,
-                 shells: ShellTable | None = None,
-                 cache_dir: str | None = None) -> QSeries:
+                 shells: ShellTable | None = None) -> QSeries:
     """Vector counts by norm: coefficient of q^k is the size of shell k."""
-    table = _table(lattice, order, shells, cache_dir)
-    sizes = table.sizes()
-    coeffs = [Fraction(sizes[k]) for k in range(order + 1)]
-    return QSeries(order, coeffs, weight=Fraction(lattice.rank, 2),
-                   level=lattice.level())
+    sizes = _table(lattice, order, shells).sizes()
+    return _invariant(lattice, (0,), [Fraction(sizes[k]) for k in range(order + 1)])
 
 
 # -- spherical theta series ----------------------------------------------
@@ -166,8 +170,7 @@ def pair_term_scaled(lattice: IntegralLattice, v: Sequence[int],
 
 
 def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
-               shells: ShellTable | None = None,
-               cache_dir: str | None = None) -> QSeries:
+               shells: ShellTable | None = None) -> QSeries:
     """Degree-(m,m) pair invariant, normalized as a plain sum of squared
     spherical theta series over an orthonormal harmonic basis.
 
@@ -175,7 +178,7 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
     pair-histogram buckets times pair_term(n, m, k1, k2, t).
     """
     n = lattice.rank
-    table = _table(lattice, order, shells, cache_dir)
+    table = _table(lattice, order, shells)
     sizes = table.sizes()
     coeffs = []
     for k in range(order + 1):
@@ -187,7 +190,7 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
             for t, cnt in table.pair_histogram(k1, k2).items():
                 total += cnt * pair_term(n, m, k1, k2, t)
         coeffs.append(total)
-    return QSeries(order, coeffs, weight=4 * m + n, level=lattice.level())
+    return _invariant(lattice, (m, m), coeffs)
 
 
 # -- triple invariant -------------------------------------------------------
@@ -243,8 +246,7 @@ def _triple_product_sum(table: ShellTable, ka: int, kb: int, kc: int) -> Fractio
 
 
 def theta_triple(lattice: IntegralLattice, order: int, *,
-                 shells: ShellTable | None = None,
-                 cache_dir: str | None = None) -> QSeries:
+                 shells: ShellTable | None = None) -> QSeries:
     """Degree-(1,1,1) invariant: n times the triple sums of triple_form,
     computed through pair statistics (never a raw triple loop).
 
@@ -252,7 +254,7 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
     volume term, three histogram square sums and one contracted product sum.
     """
     n = lattice.rank
-    table = _table(lattice, order, shells, cache_dir)
+    table = _table(lattice, order, shells)
     sizes = table.sizes()
     cell_cache: dict[tuple[int, int, int], Fraction] = {}
 
@@ -282,8 +284,7 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
                 if sizes[k1] and sizes[k2] and sizes[k3]:
                     total += cell(k1, k2, k3)
         coeffs.append(n * total)
-    return QSeries(order, coeffs, weight=Fraction(3 * n + 12, 2),
-                   level=lattice.level())
+    return _invariant(lattice, (1, 1, 1), coeffs)
 
 
 # -- general invariant ------------------------------------------------------
@@ -293,7 +294,12 @@ _NORMALIZATIONS = ("general", "pair", "triple")
 
 @dataclass(frozen=True)
 class InvariantRequest:
-    """Degrees, truncation order and normalization of a requested invariant."""
+    """Degrees, truncation order and normalization of a requested invariant.
+
+    normalization="auto" resolves to "pair" for degrees (m, m), "triple" for
+    (1, 1, 1) and "general" otherwise: the conventions under which the
+    explicit identities hold.
+    """
 
     degrees: tuple[int, ...]
     order: int
@@ -302,6 +308,11 @@ class InvariantRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
+        if self.normalization == "auto":
+            d = self.degrees
+            object.__setattr__(self, "normalization", (
+                "pair" if len(d) == 2 and d[0] == d[1]
+                else "triple" if d == (1, 1, 1) else "general"))
         if len(self.degrees) < 1:
             raise ValueError("at least one degree is required")
         if any(m < 0 for m in self.degrees):
@@ -310,8 +321,11 @@ class InvariantRequest:
             raise ValueError("degrees must be non-decreasing")
         if self.order < 0:
             raise ValueError("order must be >= 0")
+        if self.max_tuples < 0:
+            raise ValueError("max_tuples must be >= 0")
         if self.normalization not in _NORMALIZATIONS:
-            raise ValueError(f"normalization must be one of {_NORMALIZATIONS}")
+            raise ValueError(
+                f"normalization must be 'auto' or one of {_NORMALIZATIONS}")
         if self.normalization == "pair" and (
                 len(self.degrees) != 2 or self.degrees[0] != self.degrees[1]):
             raise ValueError("pair normalization needs degrees (m, m)")
@@ -416,8 +430,7 @@ def _compositions(total: int, slots: int):
 
 
 def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
-                  shells: ShellTable | None = None,
-                  cache_dir: str | None = None) -> QSeries:
+                  shells: ShellTable | None = None) -> QSeries:
     """General invariant for an arbitrary non-decreasing degree list.
 
     The raw normalization is the plain orthonormal-basis sum; "pair" and
@@ -428,7 +441,7 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
     k = len(degrees)
     n = lattice.rank
     order = request.order
-    table = _table(lattice, order, shells, cache_dir)
+    table = _table(lattice, order, shells)
     sizes = table.sizes()
 
     comps: list[tuple[int, tuple[int, ...]]] = []
@@ -471,13 +484,32 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
         coeffs[kap] += total
 
     scale = Fraction(1)
-    weight = Fraction(n * k, 2) + 2 * sum(degrees)
     if request.normalization == "pair":
         scale = Fraction(prod(n + 2 * j for j in range(2 * degrees[0])))
     elif request.normalization == "triple":
         scale = Fraction(n**4 * (n + 2) * (n + 4))
-    return QSeries(order, [scale * c for c in coeffs], weight=weight,
-                   level=lattice.level())
+    return _invariant(lattice, degrees, [scale * c for c in coeffs])
+
+
+def compute(lattice: IntegralLattice, request: InvariantRequest, *,
+            shells: ShellTable | None = None,
+            cache_dir: str | None = None) -> QSeries:
+    """The invariant a request names, through its fastest route: vector
+    counts for degrees (0,), the pair histograms or the triple contraction
+    under their normalizations, and the general reduction otherwise.
+
+    Without ``shells`` the table is enumerated, through the shell cache in
+    ``cache_dir`` when one is given.
+    """
+    if shells is None:
+        shells = enumerate_shells(lattice, request.order, cache_dir=cache_dir)
+    if request.degrees == (0,):
+        return theta_series(lattice, request.order, shells=shells)
+    if request.normalization == "pair":
+        return theta_pair(lattice, request.degrees[0], request.order, shells=shells)
+    if request.normalization == "triple":
+        return theta_triple(lattice, request.order, shells=shells)
+    return theta_general(lattice, request, shells=shells)
 
 
 # -- integrality report -----------------------------------------------------
@@ -533,7 +565,12 @@ def integrality_report(lattice: IntegralLattice, m: int, order: int, *,
 
 
 def invariant_metadata(lattice: IntegralLattice, degrees: Sequence[int]) -> dict:
-    """Weight, level and character flag attached to a computed invariant."""
+    """Weight, level and character flag attached to a computed invariant.
+
+    For even rank n the character is the Kronecker symbol of
+    (-1)^(n/2) det(gram2) (Miyake, Modular Forms, Thm 4.9.3); odd rank
+    reports det(gram2).
+    """
     n = lattice.rank
     k = len(degrees)
     meta = {
@@ -542,5 +579,8 @@ def invariant_metadata(lattice: IntegralLattice, degrees: Sequence[int]) -> dict
         "character": None,
     }
     if k % 2 == 1:
-        meta["character"] = f"kronecker({lattice.discriminant()}|.)"
+        disc = lattice.discriminant()
+        if n % 2 == 0:
+            disc *= (-1) ** (n // 2)
+        meta["character"] = f"kronecker({disc}|.)"
     return meta

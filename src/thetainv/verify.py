@@ -40,6 +40,7 @@ from .lattice import (
 from .qseries import delta_series, eisenstein
 from .theta import (
     InvariantRequest,
+    compute,
     integrality_report,
     pair_term_scaled,
     theta_general,
@@ -378,9 +379,7 @@ def _harm_dimension_by_rank(n: int, m: int) -> int:
             row[low_index[e]] = c
         rows.append(row)
     # rank of the matrix rows
-    rank = 0
     cols = len(low)
-    pivot_col = 0
     r = 0
     rows = [row[:] for row in rows]
     for col in range(cols):
@@ -394,8 +393,7 @@ def _harm_dimension_by_rank(n: int, m: int) -> int:
                 f = rows[i][col] / pv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
-    rank = r
-    return len(basis) - rank
+    return len(basis) - r
 
 
 def check_projectors(seed: int) -> list[CheckResult]:
@@ -526,35 +524,22 @@ def check_basis_invariance(budget: int, seed: int,
     rng = random.Random(seed)
     order = min(4, budget)
     bad = []
+    requests = [InvariantRequest(d, order, norm) for d, norm in (
+        ((0,), "general"), ((1, 1), "pair"), ((1, 1, 1), "triple"),
+        ((1, 1), "general"), ((2, 2), "pair"))]
     for name in ("z2", "a2", "z3", "d4"):
         lat = lattice_by_name(name)
         n = lat.rank
+        reqs = requests if n == 2 else requests[:-1]  # (2, 2) on rank 2 only
         table = enumerate_shells(lat, order)
-        base = {
-            "theta": theta_series(lat, order, shells=table),
-            "pair1": theta_pair(lat, 1, order, shells=table),
-            "triple": theta_triple(lat, order, shells=table),
-            "general11": theta_general(lat, InvariantRequest((1, 1), order),
-                                       shells=table),
-        }
-        if n == 2:
-            base["pair2"] = theta_pair(lat, 2, order, shells=table)
+        base = [compute(lat, r, shells=table) for r in reqs]
         for i in range(rounds):
-            u = random_unimodular(n, rng)
-            moved = change_basis(lat, u)
+            moved = change_basis(lat, random_unimodular(n, rng))
             mt = enumerate_shells(moved, order)
-            checks = {
-                "theta": theta_series(moved, order, shells=mt),
-                "pair1": theta_pair(moved, 1, order, shells=mt),
-                "triple": theta_triple(moved, order, shells=mt),
-                "general11": theta_general(moved, InvariantRequest((1, 1), order),
-                                           shells=mt),
-            }
-            if n == 2:
-                checks["pair2"] = theta_pair(moved, 2, order, shells=mt)
-            for key, val in checks.items():
-                if val != base[key]:
-                    bad.append(f"{name} round={i} {key}")
+            for r, want in zip(reqs, base):
+                if compute(moved, r, shells=mt) != want:
+                    tag = ",".join(map(str, r.degrees))
+                    bad.append(f"{name} round={i} ({tag}) {r.normalization}")
         if bad:
             break
     return CheckResult(

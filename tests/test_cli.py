@@ -165,6 +165,31 @@ def test_cli_bad_degrees_exit_2(capsys):
     assert "degrees" in err
 
 
+@pytest.mark.parametrize("normalization", ["pair", "triple"])
+def test_cli_theta_with_a_fast_route_normalization_exit_2(capsys, normalization):
+    # degrees 0 is the theta series; labelling it pair or triple is an error
+    code, out, err = run_cli(capsys, "compute", "--lattice", "a2",
+                             "--degrees", "0", "--order", "2",
+                             "--normalization", normalization, "--no-cache")
+    assert code == 2 and not out
+    assert f"{normalization} normalization needs degrees" in err
+
+
+def test_cli_negative_max_tuples_exit_2(capsys):
+    code, out, err = run_cli(capsys, "compute", "--lattice", "z2",
+                             "--degrees", "1,2", "--order", "2",
+                             "--max-tuples", "-1", "--no-cache")
+    assert code == 2 and not out
+    assert "max_tuples" in err
+
+
+def test_cli_character_of_even_rank_theta(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--lattice", "a2",
+                           "--degrees", "0", "--order", "2", "--no-cache")
+    assert code == 0
+    assert out.splitlines()[0].endswith(" character=kronecker(-3|.)")
+
+
 def test_cli_resource_limit_exit_3(capsys):
     code, _, err = run_cli(capsys, "compute", "--lattice", "z3",
                            "--degrees", "1,2", "--order", "4",

@@ -5,6 +5,10 @@ from math import prod
 
 import pytest
 
+import thetainv.lattice as latmod
+import thetainv.theta as thetamod
+from thetainv.catalog import lattice_by_name
+from thetainv.cli import compute_invariant
 from thetainv.errors import (
     NoRationalEmbeddingError,
     ResourceLimitError,
@@ -14,6 +18,7 @@ from thetainv.lattice import change_basis, enumerate_shells, random_unimodular, 
 from thetainv.theta import (
     InvariantRequest,
     _composition_poly,
+    compute,
     integrality_report,
     invariant_metadata,
     pair_scale,
@@ -383,6 +388,79 @@ def test_request_validation():
         InvariantRequest((1, 2), 4, "pair")
     with pytest.raises(ValueError):
         InvariantRequest((1, 1), 4, "triple")
+    with pytest.raises(ValueError, match="max_tuples"):
+        InvariantRequest((1, 1), 4, max_tuples=-1)
+    with pytest.raises(ValueError, match="pair normalization"):
+        InvariantRequest((0,), 4, "pair")
+    with pytest.raises(ValueError, match="triple normalization"):
+        InvariantRequest((0,), 4, "triple")
+
+
+@pytest.mark.parametrize("degrees, want", [
+    ((0,), "general"), ((2, 2), "pair"), ((1, 1, 1), "triple"),
+    ((1, 2), "general"), ((1, 1, 1, 1), "general"), ((0, 0), "pair")])
+def test_request_auto_normalization(degrees, want):
+    assert InvariantRequest(degrees, 3, "auto").normalization == want
+    assert InvariantRequest(degrees, 3).normalization == "general"
+
+
+# -- the single request-to-series path ------------------------------------------------------
+
+def _route(route, lat, degrees, order):
+    """The named route, called directly."""
+    return {
+        "theta_series": lambda: theta_series(lat, order),
+        "theta_pair": lambda: theta_pair(lat, degrees[0], order),
+        "theta_triple": lambda: theta_triple(lat, order),
+        "theta_general": lambda: theta_general(lat, InvariantRequest(degrees, order)),
+    }[route]()
+
+
+@pytest.mark.parametrize("degrees, normalization, route", [
+    ((0,), "auto", "theta_series"), ((0,), "general", "theta_series"),
+    ((1, 1), "auto", "theta_pair"), ((1, 1), "pair", "theta_pair"),
+    ((1, 1), "general", "theta_general"),
+    ((2, 2), "auto", "theta_pair"), ((2, 2), "pair", "theta_pair"),
+    ((2, 2), "general", "theta_general"),
+    ((1, 1, 1), "auto", "theta_triple"), ((1, 1, 1), "triple", "theta_triple"),
+    ((1, 1, 1), "general", "theta_general"),
+    ((1, 2), "auto", "theta_general"), ((1, 2), "general", "theta_general")])
+@pytest.mark.parametrize("name", ["a2", "skew2", "skew3"])
+def test_compute_is_the_route_with_metadata(request, monkeypatch, name, degrees,
+                                            normalization, route):
+    lat = request.getfixturevalue(name)
+    order = 3
+
+    def wrong_route(*args, **kwargs):
+        raise AssertionError(f"compute did not take {route}")
+    for other in {"theta_series", "theta_pair", "theta_triple",
+                  "theta_general"} - {route}:
+        monkeypatch.setattr(thetamod, other, wrong_route)
+    got = compute(lat, InvariantRequest(degrees, order, normalization))
+    assert got == _route(route, lat, degrees, order)
+    meta = invariant_metadata(lat, degrees)
+    assert got.weight == meta["weight"] and got.level == meta["level"]
+    assert compute_invariant(lat, degrees, order, normalization) == got
+
+
+def test_compute_writes_and_reuses_one_cache_file(tmp_path, skew2, monkeypatch):
+    req = InvariantRequest((1, 1), 4, "auto")
+    first = compute(skew2, req, cache_dir=str(tmp_path))
+    files = list(tmp_path.iterdir())
+    assert len(files) == 1 and files[0].suffix == ".npz"
+
+    def no_search(*args):
+        raise AssertionError("shells enumerated despite a cached table")
+    monkeypatch.setattr(latmod, "_enumerate", no_search)
+    assert compute(skew2, req, cache_dir=str(tmp_path)) == first
+    assert list(tmp_path.iterdir()) == files
+
+
+def test_compute_rejects_a_table_that_does_not_cover_the_request(a2, skew2):
+    with pytest.raises(ValueError, match="does not cover"):
+        compute(skew2, InvariantRequest((1, 1), 3), shells=enumerate_shells(a2, 3))
+    with pytest.raises(ValueError, match="does not cover"):
+        compute(a2, InvariantRequest((0,), 4), shells=enumerate_shells(a2, 3))
 
 
 def test_resource_limit(skew2):
@@ -419,3 +497,17 @@ def test_invariant_metadata(e8, skew3):
     meta3 = invariant_metadata(skew3, (1, 1, 1))
     assert meta3["weight"] == Fraction(3 * 3, 2) + 6
     assert meta3["character"] is not None
+
+
+@pytest.mark.parametrize("name, want", [
+    # even rank n: ((-1)^(n/2) det gram2 | .)
+    ("a2", "kronecker(-3|.)"), ("z2", "kronecker(-4|.)"),
+    ("d4", "kronecker(4|.)"), ("e8", "kronecker(1|.)"),
+    # odd rank: det gram2, as before
+    ("z1", "kronecker(2|.)"), ("skew3", "kronecker(40|.)"),
+    ("diag246", "kronecker(48|.)")])
+def test_invariant_metadata_character(request, name, want):
+    lat = lattice_by_name(name) or request.getfixturevalue(name)
+    for degrees in ((0,), (1, 1, 1)):
+        assert invariant_metadata(lat, degrees)["character"] == want
+    assert invariant_metadata(lat, (1, 1))["character"] is None
