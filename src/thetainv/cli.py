@@ -46,12 +46,9 @@ def _request(args, text: str) -> InvariantRequest:
 
 
 def compute_invariant(lattice: IntegralLattice, degrees: tuple[int, ...],
-                      order: int, normalization: str, *,
-                      cache_dir: str | None = None,
-                      max_tuples: int = 2_000_000) -> QSeries:
+                      order: int, normalization: str) -> QSeries:
     """``theta.compute`` on the request these arguments name."""
-    return compute(lattice, InvariantRequest(degrees, order, normalization,
-                                             max_tuples), cache_dir=cache_dir)
+    return compute(lattice, InvariantRequest(degrees, order, normalization))
 
 
 def _render(series: QSeries, lattice: IntegralLattice,

@@ -567,9 +567,11 @@ def integrality_report(lattice: IntegralLattice, m: int, order: int, *,
 def invariant_metadata(lattice: IntegralLattice, degrees: Sequence[int]) -> dict:
     """Weight, level and character flag attached to a computed invariant.
 
-    For even rank n the character is the Kronecker symbol of
-    (-1)^(n/2) det(gram2) (Miyake, Modular Forms, Thm 4.9.3); odd rank
-    reports det(gram2).
+    For an odd number k of degrees and even rank n the character is the
+    Kronecker symbol of (-1)^(n/2) det(gram2) (Miyake, Modular Forms,
+    Thm 4.9.3); odd rank reports det(gram2).  Even k reports no character,
+    which is right for even n only: for odd n the weight is odd, so the
+    character cannot be trivial (not yet derived).
     """
     n = lattice.rank
     k = len(degrees)

@@ -510,4 +510,5 @@ def test_invariant_metadata_character(request, name, want):
     lat = lattice_by_name(name) or request.getfixturevalue(name)
     for degrees in ((0,), (1, 1, 1)):
         assert invariant_metadata(lat, degrees)["character"] == want
-    assert invariant_metadata(lat, (1, 1))["character"] is None
+    if lat.rank % 2 == 0:
+        assert invariant_metadata(lat, (1, 1))["character"] is None
