@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -129,14 +130,7 @@ class IntegralLattice:
         n = self.rank
         if len(v) != n or len(w) != n:
             raise RankMismatchError(f"vectors must have length {n}")
-        a = self.gram2
-        total = 0
-        for i in range(n):
-            vi = v[i]
-            if vi:
-                row = a[i]
-                total += vi * sum(row[j] * w[j] for j in range(n))
-        return total
+        return sum(vi * sum(map(mul, row, w)) for vi, row in zip(v, self.gram2) if vi)
 
     def norm(self, v: Sequence[int]) -> int:
         """Integer squared length (1/2) v^T gram2 v."""
@@ -389,13 +383,6 @@ def _exact_dtype(*factors: np.ndarray) -> type:
     return np.int64 if bound < _INT64_LIMIT else object
 
 
-def _exact(*factors: np.ndarray) -> list[np.ndarray]:
-    """The factors of the product factors[0] @ factors[1] @ ..., cast to
-    ``_exact_dtype``."""
-    dtype = _exact_dtype(*factors)
-    return [f.astype(dtype, copy=False) for f in factors]
-
-
 class Shell(np.ndarray):
     """The vectors of one shell, one per row, as a read-only integer array.
 
@@ -444,6 +431,7 @@ class ShellTable:
         self.bound = bound
         self._shells: dict[int, np.ndarray] = {
             k: _as_shell(shells.get(k, ()), lattice.rank) for k in range(bound + 1)}
+        self._gram2 = _int_array(lattice.gram2, lattice.rank)
         self._pair_hists: dict[tuple[int, int], dict[int, int]] = {}
         self._moments: dict[int, tuple[tuple[int, ...], ...]] = {}
 
@@ -466,23 +454,20 @@ class ShellTable:
 
     # -- the pairing kernel ------------------------------------------------
 
-    def pairings(self, k1: int, k2: int,
-                 metric: Sequence[Sequence[int]] | None = None) -> Iterator[np.ndarray]:
-        """Exact blocks of v^T M w for v in shell k1 (rows) and w in
-        consecutive chunks of shell k2 (columns); M is gram2 unless given.
+    def pairings(self, k1: int, k2: int) -> Iterator[np.ndarray]:
+        """Exact blocks of v^T A w for v in shell k1 (rows) and w in
+        consecutive chunks of shell k2 (columns), with A = gram2.
 
         The blocks are int64 when ``_exact_dtype`` proves that no partial sum
         overflows, numpy object arrays otherwise.  Shell k2 is cast to that
         dtype one chunk at a time.
         """
-        n = self.lattice.rank
-        v, w = self._shells[k1], self._shells[k2]
-        m = _int_array(self.lattice.gram2 if metric is None else metric, n)
-        dtype = _exact_dtype(v, m, w.T)
-        vm = v.astype(dtype) @ m.astype(dtype)
-        step = max(1, _BLOCK // max(len(v), n))
+        v, w, a = self._shells[k1], self._shells[k2], self._gram2
+        dtype = _exact_dtype(v, a, w.T)
+        va = v.astype(dtype) @ a.astype(dtype)
+        step = max(1, _BLOCK // max(len(v), len(a)))
         for start in range(0, len(w), step):
-            yield vm @ w[start:start + step].T.astype(dtype)
+            yield va @ w[start:start + step].T.astype(dtype)
 
     def _pair_values(self, k1: int, k2: int) -> Iterator[np.ndarray]:
         """The gram2 pairing blocks as int64, checked against Cauchy-Schwarz:
@@ -556,14 +541,6 @@ class ShellTable:
                 hist[ts] = hist.get(ts, 0) + c
         return hist
 
-    def bilinear_sum(self, k1: int, k2: int,
-                     metric: Sequence[Sequence[int]]) -> int:
-        """Exact sum of (v^T A w)(v^T M w) over shell k1 x shell k2."""
-        total = 0
-        for t, y in zip(self.pairings(k1, k2), self.pairings(k1, k2, metric)):
-            total += int(np.dot(*_exact(t.ravel(), y.ravel())))
-        return total
-
     def moment_matrix(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Sum of v v^T over the shell of norm k (coordinate outer products),
         summed over row chunks in the dtype that is exact for the whole sum."""
@@ -615,9 +592,8 @@ def save_shell_table(table: ShellTable, cache_dir: str) -> str | None:
     file, renamed into place, so that concurrent writers never clobber or
     truncate each other's output.  Returns the path written, or None for a
     table that needs object dtype, which is never cached."""
-    gram2 = _int_array(table.lattice.gram2, table.lattice.rank)
     doc = {"format_version": np.int64(SHELL_CACHE_FORMAT),
-           "bound": np.int64(table.bound), "gram2": gram2}
+           "bound": np.int64(table.bound), "gram2": table._gram2}
     doc.update((f"shell_{k}", v) for k, v in table._shells.items())
     if any(a.dtype == object for a in doc.values()):
         return None

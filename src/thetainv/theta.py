@@ -14,7 +14,10 @@ the same element at v equals the harmonic projection (in x) of
 values (x . v_l), and its sphere average is a universal polynomial in the
 pairwise inner products of the v_l, evaluated here from the Gram data.  The
 pair/triple fast paths below are independent implementations used as oracles
-for this reduction.
+for this reduction: the pair invariant sums over pair histograms of the
+doubled pairing, and the triple invariant is a sum of traces of products of
+P_k = gram2 M_k, with M_k the moment matrix of shell k, so it pairs no two
+vectors at all.
 """
 
 from __future__ import annotations
@@ -22,8 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt, prod
+from itertools import permutations
+from math import factorial, isqrt, lcm, prod
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     NoRationalEmbeddingError,
@@ -126,18 +132,20 @@ def spherical_theta(lattice: IntegralLattice, h: Poly, order: int, *,
 # -- pair invariant --------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _pair_poly_cached(n: int, m: int):
-    return pair_poly(n, m)
+def _pair_poly_cached(n: int, m: int) -> tuple[tuple[int, ...], int]:
+    """pair_poly(n, m) over one common denominator: (numerators, denominator)."""
+    coeffs = pair_poly(n, m)
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * den) for c in coeffs), den
 
 
 def pair_term(n: int, m: int, a: int, b: int, t: int) -> Fraction:
     """Contribution of one vector pair with norms a, b and doubled pairing t:
-    the degree-2m pair polynomial evaluated cosine-free."""
-    coeffs = _pair_poly_cached(n, m)
-    total = Fraction(0)
-    for k in range(m + 1):
-        total += coeffs[k] * Fraction(t, 2) ** (2 * m - 2 * k) * (a * b) ** k
-    return total
+    the degree-2m pair polynomial evaluated cosine-free,
+    sum_k c_k (t/2)^{2m-2k} (ab)^k, over a single denominator."""
+    nums, den = _pair_poly_cached(n, m)
+    return Fraction(sum(c * t ** (2 * m - 2 * k) * (4 * a * b) ** k
+                        for k, c in enumerate(nums)), den * 4 ** m)
 
 
 def pair_scale(n: int, m: int) -> int:
@@ -215,74 +223,41 @@ def triple_form(lattice: IntegralLattice, u: Sequence[int], v: Sequence[int],
             + n * n * svw * suw * suv)
 
 
-def _pair_square_sum(table: ShellTable, ka: int, kb: int) -> Fraction:
-    """Sum of <v,w>^2 over shell ka x shell kb."""
-    total = sum(cnt * t * t for t, cnt in table.pair_histogram(ka, kb).items())
-    return Fraction(total, 4)
-
-
-def _triple_product_sum(table: ShellTable, ka: int, kb: int, kc: int) -> Fraction:
-    """Sum of <u,v><u,w><v,w> over shells ka x kb x kc.
-
-    Contracting the u slot: sum_{v,w} <v,w> * (v^T (A M A) w) / 8 with
-    M = sum of u u^T over shell ka; the u slot is chosen largest so the
-    remaining double loop is smallest.
-    """
-    sizes = table.sizes()
-    order = sorted(((sizes[k], i) for i, k in enumerate((ka, kb, kc))),
-                   reverse=True)
-    slots = (ka, kb, kc)
-    ia = order[0][1]
-    ka2 = slots[ia]
-    kb2, kc2 = (slots[i] for i in range(3) if i != ia)
-    a = table.lattice.gram2
-    n = table.lattice.rank
-    mom = table.moment_matrix(ka2)
-    am = [[sum(a[i][k] * mom[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    bmat = [[sum(am[i][k] * a[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-    return Fraction(table.bilinear_sum(kb2, kc2, bmat), 8)
-
-
 def theta_triple(lattice: IntegralLattice, order: int, *,
                  shells: ShellTable | None = None) -> QSeries:
     """Degree-(1,1,1) invariant: n times the triple sums of triple_form,
-    computed through pair statistics (never a raw triple loop).
+    contracted through moment matrices (never a pair or triple loop).
 
-    For each shell composition (k1,k2,k3) the triple sum splits into a
-    volume term, three histogram square sums and one contracted product sum.
+    With A = gram2, M_k the moment matrix of shell k and P_k = A M_k, the
+    doubled pairings t satisfy sum t_vw^2 = tr(P_b P_c) over shells b x c
+    and sum t_uv t_uw t_vw = tr(P_a P_b P_c) over shells a x b x c, so each
+    shell composition is exact n x n integer algebra.
     """
     n = lattice.rank
     table = _table(lattice, order, shells)
     sizes = table.sizes()
-    cell_cache: dict[tuple[int, int, int], Fraction] = {}
+    gram2 = np.array(lattice.gram2, dtype=object)
+    p = {k: gram2 @ np.array(table.moment_matrix(k), dtype=object)
+         for k in range(1, order - 1) if sizes[k]}
 
-    def cell(k1: int, k2: int, k3: int) -> Fraction:
-        key = tuple(sorted((k1, k2, k3)))
-        got = cell_cache.get(key)
-        if got is not None:
-            return got
-        n1, n2, n3 = sizes[key[0]], sizes[key[1]], sizes[key[2]]
-        a, b, c = key
-        total = Fraction(2 * a * b * c * n1 * n2 * n3)
-        total -= n * (a * n1 * _pair_square_sum(table, b, c)
-                      + b * n2 * _pair_square_sum(table, a, c)
-                      + c * n3 * _pair_square_sum(table, a, b))
-        total += n * n * _triple_product_sum(table, a, b, c)
-        cell_cache[key] = total
-        return total
+    def cell(a: int, b: int, c: int) -> Fraction:
+        pa, pb, pc = p[a], p[b], p[c]
+        n1, n2, n3 = sizes[a], sizes[b], sizes[c]
+        return (Fraction(2 * a * b * c * n1 * n2 * n3)
+                - Fraction(n * (a * n1 * np.trace(pb @ pc)
+                                + b * n2 * np.trace(pa @ pc)
+                                + c * n3 * np.trace(pa @ pb)), 4)
+                + Fraction(n * n * np.trace(pa @ pb @ pc), 8))
 
+    # each cell a <= b <= c stands for its distinct orderings
     coeffs = []
     for k in range(order + 1):
         total = Fraction(0)
-        for k1 in range(1, k + 1):
-            for k2 in range(1, k - k1 + 1):
-                k3 = k - k1 - k2
-                if k3 < 1:
-                    continue
-                if sizes[k1] and sizes[k2] and sizes[k3]:
-                    total += cell(k1, k2, k3)
+        for a in range(1, k // 3 + 1):
+            for b in range(a, (k - a) // 2 + 1):
+                c = k - a - b
+                if a in p and b in p and c in p:
+                    total += len(set(permutations((a, b, c)))) * cell(a, b, c)
         coeffs.append(n * total)
     return _invariant(lattice, (1, 1, 1), coeffs)
 
@@ -534,6 +509,17 @@ class IntegralityReport:
         return self.pair_ok and self.triple_ok
 
 
+def first_non_integral(series: QSeries, scale: int | Fraction
+                       ) -> tuple[int, Fraction] | None:
+    """(k, scale * c_k) for the first q^k whose scaled coefficient is not an
+    integer, None when every one is."""
+    for k in range(series.order + 1):
+        val = scale * series.coeff(k)
+        if val.denominator != 1:
+            return k, val
+    return None
+
+
 def integrality_report(lattice: IntegralLattice, m: int, order: int, *,
                        shells: ShellTable | None = None) -> IntegralityReport:
     """Check that pair_scale(n,m) times the (m,m) invariant and 8/n times the
@@ -543,25 +529,14 @@ def integrality_report(lattice: IntegralLattice, m: int, order: int, *,
     n = lattice.rank
     table = _table(lattice, order, shells)
     scal = pair_scale(n, m)
-    series = theta_pair(lattice, m, order, shells=table)
-    pair_ok, pair_fail = True, None
-    for k in range(order + 1):
-        val = scal * series.coeff(k)
-        if val.denominator != 1:
-            pair_ok, pair_fail = False, (k, val)
-            break
-    tri = theta_triple(lattice, order, shells=table)
-    tri_ok, tri_fail = True, None
-    for k in range(order + 1):
-        val = Fraction(8, n) * tri.coeff(k)
-        if val.denominator != 1:
-            tri_ok, tri_fail = False, (k, val)
-            break
+    pair_fail = first_non_integral(theta_pair(lattice, m, order, shells=table), scal)
+    tri_fail = first_non_integral(theta_triple(lattice, order, shells=table),
+                                  Fraction(8, n))
     return IntegralityReport(
         lattice=lattice.label(), rank=n, m=m, order=order,
         min_norm=table.min_norm(), pair_scale=scal,
-        pair_ok=pair_ok, pair_failure=pair_fail,
-        triple_ok=tri_ok, triple_failure=tri_fail)
+        pair_ok=pair_fail is None, pair_failure=pair_fail,
+        triple_ok=tri_fail is None, triple_failure=tri_fail)
 
 
 def invariant_metadata(lattice: IntegralLattice, degrees: Sequence[int]) -> dict:

@@ -41,7 +41,10 @@ from .qseries import delta_series, eisenstein
 from .theta import (
     InvariantRequest,
     compute,
+    first_non_integral,
     integrality_report,
+    pair_scale,
+    pair_term,
     pair_term_scaled,
     theta_general,
     theta_pair,
@@ -194,12 +197,14 @@ def check_pair_integrality(budget: int, seed: int, e8_shells) -> list[CheckResul
         v = tuple(rng.randint(-3, 3) for _ in range(n))
         w = tuple(rng.randint(-3, 3) for _ in range(n))
         m = rng.randint(1, 4)
-        if not isinstance(pair_term_scaled(lat, v, w, m), int):
+        want = pair_scale(n, m) * pair_term(n, m, lat.norm(v), lat.norm(w),
+                                             lat.inner2(v, w))
+        if pair_term_scaled(lat, v, w, m) != want:
             bad += 1
     results = [CheckResult(
         "pair-term-integrality", bad == 0,
         f"{samples} random scaled pair terms are integers" if bad == 0
-        else f"{bad} non-integer samples")]
+        else f"{bad} samples differ from pair_scale * pair_term")]
 
     if budget < 1:
         results.append(_skip("series-integrality", "needs order budget >= 1"))
@@ -234,12 +239,9 @@ def check_triple_integrality(budget: int) -> CheckResult:
     cases = [lattice_by_name(n) for n in ("z2", "z3", "a2", "d4")]
     cases.append(validate_lattice(_DIAG246, name="diag246"))
     for lat in cases:
-        tri = theta_triple(lat, order)
-        for k in range(order + 1):
-            val = Fraction(8, lat.rank) * tri.coeff(k)
-            if val.denominator != 1:
-                failures.append(f"{lat.label()} q^{k}")
-                break
+        fail = first_non_integral(theta_triple(lat, order), Fraction(8, lat.rank))
+        if fail is not None:
+            failures.append(f"{lat.label()} q^{fail[0]}")
     return CheckResult(
         "triple-integrality", not failures,
         f"8/n-scaled triple series integral through q^{order}"
@@ -255,11 +257,8 @@ def check_oracle_equivalences(budget: int) -> list[CheckResult]:
     skew3 = validate_lattice(_SKEW3, name="skew3")
     bad = []
     for lat, m in ((skew2, 1), (skew2, 2), (skew3, 1)):
-        n = lat.rank
-        gen = theta_general(lat, InvariantRequest((m, m), order))
-        pair = theta_pair(lat, m, order)
-        c2m = Fraction(1, prod(n + 2 * j for j in range(2 * m)))
-        if gen != c2m * pair:
+        gen = theta_general(lat, InvariantRequest((m, m), order, "pair"))
+        if gen != theta_pair(lat, m, order):
             bad.append(f"{lat.label()} m={m}")
     results.append(CheckResult(
         "pair-route-equivalence", not bad,
@@ -269,11 +268,8 @@ def check_oracle_equivalences(budget: int) -> list[CheckResult]:
     t_order = min(3, budget)
     bad = []
     for lat in (skew2, skew3, validate_lattice(_DIAG246, name="diag246")):
-        n = lat.rank
-        gen = theta_general(lat, InvariantRequest((1, 1, 1), t_order))
-        tri = theta_triple(lat, t_order)
-        scale = Fraction(n**4 * (n + 2) * (n + 4))
-        if scale * gen != tri:
+        gen = theta_general(lat, InvariantRequest((1, 1, 1), t_order, "triple"))
+        if gen != theta_triple(lat, t_order):
             bad.append(lat.label())
     results.append(CheckResult(
         "triple-route-equivalence", not bad,

@@ -91,7 +91,8 @@ def pair_histogram(lattice, s1, s2) -> dict[int, int]:
 
 
 def bilinear_sum(lattice, metric, s1, s2) -> int:
-    """Sum of (v^T gram2 w)(v^T metric w) over s1 x s2."""
+    """Sum of (v^T gram2 w)(v^T metric w) over s1 x s2: the reference for
+    the moment-matrix traces of the triple invariant."""
     rows_a = _times_gram(lattice.gram2, s2)
     rows_b = _times_gram(metric, s2)
     return sum(sum(map(mul, v, aw)) * sum(map(mul, v, bw))

@@ -1,8 +1,10 @@
 import os
 import pickle
 import random
+from functools import reduce
 from itertools import product
 from math import isqrt, lcm
+from operator import mul
 
 import numpy as np
 import pytest
@@ -260,14 +262,33 @@ def test_pair_histogram_fast_path_equals_naive(e8_shells6, a2, d4, skew2, diag24
             assert table.pair_histogram(k1, k2) == naive
 
 
-def test_bilinear_sum_and_tuple_histogram_equal_oracles(skew3, diag246):
+def _matmul(x, y):
+    return [[sum(map(mul, row, col)) for col in zip(*y)] for row in x]
+
+
+def _trace(*factors):
+    prod_ = reduce(_matmul, factors)
+    return sum(prod_[i][i] for i in range(len(prod_)))
+
+
+def test_bilinear_sum_and_tuple_histogram_equal_oracles(skew3, diag246, a2):
+    # the traces theta_triple contracts through: with P_k = A M_k,
+    # tr(P_x P_y) is the sum of t^2 over shells x, y, and tr(P_a P_b P_c) is
+    # the bilinear sum of t against A M_a A over shells b, c
+    skewed = change_basis(a2, [[1, 2**62], [0, 1]])
+    for lat in (skew3, diag246, skewed):
+        table = enumerate_shells(lat, 4)
+        a = lat.gram2
+        p = {k: _matmul(a, table.moment_matrix(k)) for k in range(1, 5)}
+        shell = {k: table.shell(k).tolist() for k in range(1, 5)}
+        for x, y in [(1, 1), (1, 2), (2, 3), (3, 4)]:
+            hist = oracles.pair_histogram(lat, shell[x], shell[y])
+            assert _trace(p[x], p[y]) == sum(c * t * t for t, c in hist.items())
+        for ka, kb, kc in [(1, 1, 1), (1, 2, 3), (3, 1, 4), (3, 3, 2), (4, 4, 1)]:
+            want = oracles.bilinear_sum(lat, _matmul(p[ka], a), shell[kb], shell[kc])
+            assert _trace(p[ka], p[kb], p[kc]) == want
     for lat in (skew3, diag246):
         table = enumerate_shells(lat, 4)
-        metric = [[3 * i - j for j in range(3)] for i in range(3)]
-        for k1, k2 in [(1, 2), (2, 3), (3, 4)]:
-            want = oracles.bilinear_sum(lat, metric, table.shell(k1).tolist(),
-                                        table.shell(k2).tolist())
-            assert table.bilinear_sum(k1, k2, metric) == want
         for comp in [(1, 2), (0, 1, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1), (0, 1, 1, 2)]:
             want = oracles.tuple_histogram(lat, [table.shell(c).tolist() for c in comp])
             assert table.tuple_histogram(comp) == want

@@ -15,6 +15,7 @@ from thetainv.errors import (
 )
 from thetainv.harmonic import Poly, harmonic_project
 from thetainv.lattice import change_basis, enumerate_shells, random_unimodular, validate_lattice
+from thetainv.qseries import QSeries
 from thetainv.theta import (
     InvariantRequest,
     _composition_poly,
@@ -305,6 +306,31 @@ def test_triple_asymmetric_lattices_nonzero(diag246, skew3):
     assert got3.weight == Fraction(3 * 3 + 12, 2)
 
 
+def test_triple_equals_general_route_across_bases(skew2, skew3, diag246):
+    rng = random.Random(5)
+    for lat in (skew2, skew3, diag246):
+        lats = [lat] + [change_basis(lat, random_unimodular(lat.rank, rng))
+                        for _ in range(3)]
+        for moved in lats:
+            want = theta_general(moved, InvariantRequest((1, 1, 1), 5, "triple"))
+            assert theta_triple(moved, 5) == want
+            # skew2's series is zero through q^5; the rank-3 ones are not
+            assert want.is_zero() == (lat is skew2)
+
+
+def test_triple_reads_no_pairing_kernel(skew3, monkeypatch):
+    table = enumerate_shells(skew3, 5)
+    want = _triple_brute(skew3, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the triple route ran the pairing kernel")
+
+    monkeypatch.setattr(latmod.ShellTable, "pairings", refuse)
+    with pytest.raises(AssertionError):
+        table.pair_histogram(1, 1)
+    assert list(theta_triple(skew3, 5, shells=table).coeffs) == want
+
+
 # -- general invariant ------------------------------------------------------------------
 
 def test_general_degree_zero_is_theta(a2):
@@ -482,11 +508,26 @@ def test_integrality_report_z2():
     assert rep.ok
 
 
-def test_integrality_report_catches_violations(skew3):
-    # sanity: the report inspects exactly the scaled coefficients
-    rep = integrality_report(skew3, 1, 4)
+def test_integrality_report_catches_violations(skew2, monkeypatch):
+    rep = integrality_report(skew2, 1, 4)
     assert rep.ok
     assert rep.pair_failure is None and rep.triple_failure is None
+
+    # a series whose q^2 coefficient is 1/3; both scales (16 and 8/2) leave
+    # it non-integral
+    third = QSeries(4, [0, 0, Fraction(1, 3), 0, 0])
+    monkeypatch.setattr(thetamod, "theta_triple", lambda *a, **k: third)
+    rep = integrality_report(skew2, 1, 4)
+    assert rep.pair_ok and rep.pair_failure is None
+    assert rep.triple_ok is False and not rep.ok
+    assert rep.triple_failure == (2, Fraction(4, 3))
+
+    monkeypatch.setattr(thetamod, "theta_triple", theta_triple)
+    monkeypatch.setattr(thetamod, "theta_pair", lambda *a, **k: third)
+    rep = integrality_report(skew2, 1, 4)
+    assert rep.triple_ok and rep.triple_failure is None
+    assert rep.pair_ok is False and not rep.ok
+    assert rep.pair_failure == (2, Fraction(pair_scale(2, 1), 3)) == (2, Fraction(16, 3))
 
 
 # -- metadata --------------------------------------------------------------------------------
