@@ -236,7 +236,7 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
     n = lattice.rank
     table = _table(lattice, order, shells)
     sizes = table.sizes()
-    gram2 = np.array(lattice.gram2, dtype=object)
+    gram2 = table._gram2.astype(object)
     p = {k: gram2 @ np.array(table.moment_matrix(k), dtype=object)
          for k in range(1, order - 1) if sizes[k]}
 

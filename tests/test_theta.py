@@ -508,26 +508,26 @@ def test_integrality_report_z2():
     assert rep.ok
 
 
-def test_integrality_report_catches_violations(skew2, monkeypatch):
-    rep = integrality_report(skew2, 1, 4)
+def test_integrality_report_catches_violations(skew3, monkeypatch):
+    # skew3 has a nonzero triple series (scale 8/3) and pair scale 24
+    rep = integrality_report(skew3, 1, 4)
     assert rep.ok
     assert rep.pair_failure is None and rep.triple_failure is None
 
-    # a series whose q^2 coefficient is 1/3; both scales (16 and 8/2) leave
-    # it non-integral
-    third = QSeries(4, [0, 0, Fraction(1, 3), 0, 0])
-    monkeypatch.setattr(thetamod, "theta_triple", lambda *a, **k: third)
-    rep = integrality_report(skew2, 1, 4)
+    # a series whose q^2 coefficient is 1/7; both scales leave it non-integral
+    seventh = QSeries(4, [0, 0, Fraction(1, 7), 0, 0])
+    monkeypatch.setattr(thetamod, "theta_triple", lambda *a, **k: seventh)
+    rep = integrality_report(skew3, 1, 4)
     assert rep.pair_ok and rep.pair_failure is None
     assert rep.triple_ok is False and not rep.ok
-    assert rep.triple_failure == (2, Fraction(4, 3))
+    assert rep.triple_failure == (2, Fraction(8, 21))
 
     monkeypatch.setattr(thetamod, "theta_triple", theta_triple)
-    monkeypatch.setattr(thetamod, "theta_pair", lambda *a, **k: third)
-    rep = integrality_report(skew2, 1, 4)
+    monkeypatch.setattr(thetamod, "theta_pair", lambda *a, **k: seventh)
+    rep = integrality_report(skew3, 1, 4)
     assert rep.triple_ok and rep.triple_failure is None
     assert rep.pair_ok is False and not rep.ok
-    assert rep.pair_failure == (2, Fraction(pair_scale(2, 1), 3)) == (2, Fraction(16, 3))
+    assert rep.pair_failure == (2, Fraction(pair_scale(3, 1), 7)) == (2, Fraction(24, 7))
 
 
 # -- metadata --------------------------------------------------------------------------------
