@@ -7,8 +7,11 @@ Squared vector lengths are (1/2) v^T gram2 v and are always integers; the
 doubled pairing v^T gram2 w keeps all pair statistics integral.
 
 Shell enumeration uses an exact LDL^T decomposition over the rationals and
-integer square roots only; no floating point enters any numeric path except
-a square root that integer steps then correct.  Each shell is one integer
+integer square roots; a float64 square root enters only where integer steps
+then correct it.  Products of integer arrays run in float64 (BLAS) only when
+a bound shows that every partial sum is an integer below 2^53, which float64
+represents exactly whatever order the sum is taken in; otherwise in int64
+below 2^62, and in Python integers beyond that.  Each shell is one integer
 numpy array, and the disk cache stores it as such in an ``.npz`` file.
 """
 
@@ -42,9 +45,17 @@ SHELL_CACHE_FORMAT = 2
 
 # int64 safety margin of the pairing kernel and of the shell search
 _INT64_LIMIT = 2**62
-# entries per pairing block, and per int64 chunk cast from a stored shell,
-# which bounds the kernel's transient memory
-_BLOCK = 4_000_000
+# float64 holds every integer of smaller magnitude exactly
+_FLOAT64_LIMIT = 2**53
+# entries per pairing block, and per chunk cast from a stored shell, which
+# bounds the kernel's transient memory: 512 KB in float64, near cache size;
+# blocks of 2^20 entries (8 MB) ran up to 1.5x slower on the e8 cells
+_BLOCK = 1 << 16
+# rows of shell k1 per pair-histogram tile: each tile casts shell k2 again,
+# which costs rank / _TILE_ROWS of the tile's own work
+_TILE_ROWS = 1 << 10
+# packed tuple keys per np.unique call of tuple_histogram
+_TUPLE_KEYS = 4_000_000
 # frontier rows the shell search expands at once
 _CHUNK = 1 << 16
 # the dtypes a shell is stored in, narrowest first
@@ -371,8 +382,10 @@ def _exact_dtype(*factors: np.ndarray) -> type:
     """The dtype in which the product factors[0] @ factors[1] @ ... is exact.
 
     Every partial sum of the product is bounded by the product of the inner
-    dimensions and of the largest entry of each factor.  Below 2^62 that is
-    int64; above it, numpy object (Python ints).
+    dimensions and of the largest entry of each factor.  Below 2^53 that is
+    float64: each partial sum is then an integer float64 represents exactly,
+    so BLAS is exact in whatever order it sums.  Below 2^62 it is int64,
+    above that numpy object (Python ints).
     """
     bound = 1
     for f in factors[:-1]:
@@ -380,7 +393,14 @@ def _exact_dtype(*factors: np.ndarray) -> type:
     for f in factors:
         if f.size:
             bound *= max(abs(int(f.max())), abs(int(f.min())), 1)
+    if bound < _FLOAT64_LIMIT:
+        return np.float64
     return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _inconsistent(k1: int, k2: int, tmax: int) -> str:
+    return (f"a pairing of shells {k1} and {k2} exceeds +-{tmax}: "
+            f"the shell table is inconsistent")
 
 
 class Shell(np.ndarray):
@@ -413,13 +433,43 @@ def _as_shell(rows, n: int) -> np.ndarray:
     return v
 
 
+def _strictly_increasing(v: np.ndarray) -> bool:
+    """Whether the rows of v are in strictly increasing lexicographic order."""
+    a, b = v[:-1], v[1:]
+    differ = a != b
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(first))
+    return bool(differ[rows, first].all() and (a[rows, first] < b[rows, first]).all())
+
+
+def _check_shell(k: int, v: np.ndarray) -> None:
+    """Raise ValueError unless the stored shell k is strictly increasing and
+    closed under negation, and holds the zero vector exactly when k is 0.
+
+    A stored shell is in the symmetric range of its dtype, so negating it
+    never overflows, and a strictly increasing shell has no repeated rows;
+    its negation read backwards is again strictly increasing, so closure
+    under negation is equality with it.  Such a shell holds the zero vector
+    exactly when its length is odd, and its upper half, rows len // 2 on,
+    is then the vectors whose first nonzero coordinate is positive.
+    """
+    if not (_strictly_increasing(v) and np.array_equal(-v[::-1], v)):
+        raise ValueError(f"shell {k} is not strictly increasing and closed "
+                         f"under negation")
+    if v.any() if k == 0 else len(v) % 2:
+        raise ValueError(f"shell {k}: the zero vector must be the only vector "
+                         f"of shell 0 and of no other shell")
+
+
 class ShellTable:
     """All lattice vectors up to a norm bound, grouped by exact norm, plus
     lazily built pair statistics.
 
     Each shell is one integer array in the narrowest dtype that holds it
-    (``_narrow``), sorted lexicographically when it comes from the search
-    or the cache.  Immutable after construction apart from the caches of
+    (``_narrow``).  The constructor requires every shell to be strictly
+    increasing and closed under negation (``_check_shell``): the search and
+    the cache store them sorted, and the pair histograms pair only the upper
+    half of a shell.  Immutable after construction apart from the caches of
     pair histograms and moment matrices, which are deterministic functions
     of the shells.  Every pairing goes through one kernel, ``pairings``,
     which casts the stored arrays chunk by chunk to its exact dtype.
@@ -431,6 +481,8 @@ class ShellTable:
         self.bound = bound
         self._shells: dict[int, np.ndarray] = {
             k: _as_shell(shells.get(k, ()), lattice.rank) for k in range(bound + 1)}
+        for k, v in self._shells.items():
+            _check_shell(k, v)
         self._gram2 = _int_array(lattice.gram2, lattice.rank)
         self._pair_hists: dict[tuple[int, int], dict[int, int]] = {}
         self._moments: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -454,18 +506,20 @@ class ShellTable:
 
     # -- the pairing kernel ------------------------------------------------
 
-    def pairings(self, k1: int, k2: int) -> Iterator[np.ndarray]:
-        """Exact blocks of v^T A w for v in shell k1 (rows) and w in
-        consecutive chunks of shell k2 (columns), with A = gram2.
+    def pairings(self, k1: int, k2: int,
+                 rows: slice = slice(None)) -> Iterator[np.ndarray]:
+        """Exact blocks of v^T A w for v in ``rows`` of shell k1 (block rows)
+        and w in consecutive chunks of shell k2 (block columns), A = gram2.
 
-        The blocks are int64 when ``_exact_dtype`` proves that no partial sum
-        overflows, numpy object arrays otherwise.  Shell k2 is cast to that
-        dtype one chunk at a time.
+        A block has at most about _BLOCK entries.  Its dtype is the one
+        ``_exact_dtype`` proves exact: float64 (BLAS) or int64, holding
+        integers either way, or numpy object.  The rows and each chunk of
+        shell k2 are cast to it as they are needed, never a whole shell.
         """
-        v, w, a = self._shells[k1], self._shells[k2], self._gram2
-        dtype = _exact_dtype(v, a, w.T)
-        va = v.astype(dtype) @ a.astype(dtype)
-        step = max(1, _BLOCK // max(len(v), len(a)))
+        v, w = self._shells[k1][rows], self._shells[k2]
+        dtype = _exact_dtype(v, self._gram2, w.T)
+        va = v.astype(dtype) @ self._gram2.astype(dtype)
+        step = max(1, _BLOCK // max(len(v), 1))
         for start in range(0, len(w), step):
             yield va @ w[start:start + step].T.astype(dtype)
 
@@ -476,24 +530,44 @@ class ShellTable:
         tmax = isqrt(4 * k1 * k2)
         for block in self.pairings(k1, k2):
             if block.size and (block.min() < -tmax or block.max() > tmax):
-                raise ValueError(
-                    f"a pairing of shells {k1} and {k2} exceeds +-{tmax}: "
-                    f"the shell table is inconsistent")
+                raise ValueError(_inconsistent(k1, k2, tmax))
             yield block.astype(np.int64, copy=False)
 
     # -- pair statistics ---------------------------------------------------
 
     def pair_histogram(self, k1: int, k2: int) -> dict[int, int]:
-        """Counts of the doubled pairing t = v^T A w over shell k1 x shell k2."""
+        """Counts of the doubled pairing t = v^T A w over shell k1 x shell k2.
+
+        Shell 0 is at most the zero vector, which pairs to 0 with every w.
+        Otherwise the lower half of the smaller-norm shell is the negation of
+        its upper half, so only the upper half is paired, and the counts of
+        -t are added to those of t.  A pairing outside the Cauchy-Schwarz
+        range +-isqrt(4 k1 k2) raises ValueError, as in ``_pair_values``.
+        """
         key = (min(k1, k2), max(k1, k2))
         hist = self._pair_hists.get(key)
         if hist is None:
-            tmax = isqrt(4 * key[0] * key[1])
-            counts = np.zeros(2 * tmax + 1, dtype=np.int64)
-            for block in self._pair_values(*key):
-                counts += np.bincount((block + tmax).ravel(),
-                                      minlength=2 * tmax + 1)
-            hist = {t - tmax: c for t, c in enumerate(counts.tolist()) if c}
+            k1, k2 = key
+            if k1 == 0:
+                pairs = len(self._shells[0]) * len(self._shells[k2])
+                hist = {0: pairs} if pairs else {}
+            else:
+                tmax = isqrt(4 * k1 * k2)
+                size = 2 * tmax + 1
+                counts = np.zeros(size, dtype=np.int64)
+                n1 = len(self._shells[k1])
+                try:
+                    for start in range(n1 // 2, n1, _TILE_ROWS):
+                        tile = slice(start, start + _TILE_ROWS)
+                        for block in self.pairings(k1, k2, tile):
+                            # a t below -tmax makes bincount raise, one above
+                            # +tmax lengthens its output so that += raises
+                            counts += np.bincount((block.astype(np.int64) + tmax).ravel(),
+                                                  minlength=size)
+                except (ValueError, OverflowError):
+                    raise ValueError(_inconsistent(k1, k2, tmax)) from None
+                counts = counts + counts[::-1]
+                hist = {t - tmax: c for t, c in enumerate(counts.tolist()) if c}
             self._pair_hists[key] = hist
         return hist
 
@@ -522,7 +596,7 @@ class ShellTable:
         values = {(a, b): np.concatenate(
             list(self._pair_values(comp[a], comp[b])), axis=1) for a, b in slots}
         key_dtype = np.int64 if prod(radices) < _INT64_LIMIT else object
-        step = max(1, _BLOCK // prod(sizes[1:]))
+        step = max(1, _TUPLE_KEYS // prod(sizes[1:]))
         hist: dict[tuple[int, ...], int] = {}
         for start in range(0, sizes[0], step):
             key = np.zeros((), dtype=key_dtype)
@@ -543,7 +617,8 @@ class ShellTable:
 
     def moment_matrix(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Sum of v v^T over the shell of norm k (coordinate outer products),
-        summed over row chunks in the dtype that is exact for the whole sum."""
+        summed over row chunks in the dtype that is exact for the whole sum,
+        as Python ints."""
         cached = self._moments.get(k)
         if cached is None:
             v = self._shells[k]
@@ -554,7 +629,7 @@ class ShellTable:
             for start in range(0, len(v), step):
                 chunk = v[start:start + step].astype(dtype)
                 total += chunk.T @ chunk
-            cached = tuple(tuple(row) for row in total.tolist())
+            cached = tuple(tuple(int(x) for x in row) for row in total.tolist())
             self._moments[k] = cached
         return cached
 
@@ -633,22 +708,11 @@ def _is_int(a: np.ndarray, shape: tuple[int, ...]) -> bool:
     return a.dtype in _SHELL_DTYPES and a.shape == shape
 
 
-def _strictly_increasing(v: np.ndarray) -> bool:
-    """Whether the rows of v are in strictly increasing lexicographic order."""
-    a, b = v[:-1], v[1:]
-    differ = a != b
-    first = differ.argmax(axis=1)
-    rows = np.arange(len(first))
-    return bool(differ[rows, first].all() and (a[rows, first] < b[rows, first]).all())
-
-
 def _trusted_shell(v: np.ndarray, k: int, gram2: np.ndarray) -> bool:
-    """Every vector has norm k, none repeats and the shell is closed under
-    negation.  The writer stores each shell sorted and in the symmetric
-    range of its dtype: a strictly increasing shell has no repeated rows,
-    its negation read backwards is again strictly increasing, so closure
-    under negation is equality with it.  The norms are checked over row
-    chunks cast to their exact dtype."""
+    """Every vector has norm k, and the shell lies in the symmetric range of
+    its dtype, where the writer stores it.  The norms are checked over row
+    chunks cast to their exact dtype.  Order and closure under negation are
+    the ``ShellTable`` constructor's checks."""
     if v.size and v.min() == np.iinfo(v.dtype).min:
         return False
     dtype = _exact_dtype(v, gram2, v.T)  # the diagonal of the pairing block
@@ -658,7 +722,7 @@ def _trusted_shell(v: np.ndarray, k: int, gram2: np.ndarray) -> bool:
         c = v[start:start + step].astype(dtype)
         if not (((c @ a) * c).sum(axis=1) == 2 * k).all():
             return False
-    return _strictly_increasing(v) and np.array_equal(-v[::-1], v)
+    return True
 
 
 def load_shell_table(lattice: IntegralLattice, bound: int,
@@ -682,4 +746,7 @@ def load_shell_table(lattice: IntegralLattice, bound: int,
     for k, v in shells.items():
         if not _is_int(v, (*v.shape[:1], n)) or not _trusted_shell(v, k, doc["gram2"]):
             return None
-    return ShellTable(lattice, bound, shells)
+    try:
+        return ShellTable(lattice, bound, shells)
+    except ValueError:
+        return None

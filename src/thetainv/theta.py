@@ -27,7 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, isqrt, lcm, prod
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -354,10 +355,13 @@ def _moment_patterns(n: int, exps: tuple[int, ...]):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _composition_poly(n: int, degrees: tuple[int, ...],
-                      norms: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+                      norms: tuple[int, ...]) -> Mapping[tuple[int, ...], Fraction]:
     """Per-tuple value of the collapsed kernel sum as a polynomial in the
-    doubled pairings t_ab = 2 <v_a, v_b>, for vectors with the given norms.
+    doubled pairings t_ab = 2 <v_a, v_b>, for vectors with the given norms,
+    as a read-only mapping from exponent tuples to coefficients, since every
+    caller shares the memoised value.
 
     Slot l carries phi_l(x . v) = sum_j (-1)^j r_{j,2m_l} norm^j / (2m_l-2j)!
     times (x . v)^{2m_l - 2j}; the product is averaged with _moment_patterns
@@ -392,7 +396,7 @@ def _composition_poly(n: int, degrees: tuple[int, ...],
             descend(l + 1, jt + [j], coef * slot_coeffs[l][j])
 
     descend(0, [], Fraction(1))
-    return {e: c for e, c in poly.items() if c != 0}
+    return MappingProxyType({e: c for e, c in poly.items() if c != 0})
 
 
 def _compositions(total: int, slots: int):
@@ -434,12 +438,8 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
             f"{request.max_tuples}")
 
     coeffs = [Fraction(0)] * (order + 1)
-    poly_cache: dict[tuple[int, ...], dict] = {}
     for kap, comp in comps:
-        poly = poly_cache.get(comp)
-        if poly is None:
-            poly = _composition_poly(n, degrees, comp)
-            poly_cache[comp] = poly
+        poly = _composition_poly(n, degrees, comp)
         if not poly:
             continue
         const = poly.get((0,) * (k * (k - 1) // 2), Fraction(0))

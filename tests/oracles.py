@@ -99,6 +99,12 @@ def bilinear_sum(lattice, metric, s1, s2) -> int:
                for v in s1 for aw, bw in zip(rows_a, rows_b))
 
 
+def moment_matrix(vectors, n) -> tuple[tuple[int, ...], ...]:
+    """Sum of v v^T over the vectors (each of length n), in Python ints."""
+    return tuple(tuple(sum(v[i] * v[j] for v in vectors) for j in range(n))
+                 for i in range(n))
+
+
 def tuple_histogram(lattice, shells) -> dict[tuple[int, ...], int]:
     """Counts of (inner2(v_a, v_b) for a < b) over every tuple of vectors
     drawn from ``shells``, one shell per slot."""

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetainv.catalog import lattice_by_name
 from thetainv.errors import (
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -298,9 +299,155 @@ def test_inconsistent_shells_raise_instead_of_miscounting(a2):
     good = enumerate_shells(a2, 2)
     shells = {k: list(good.shell(k)) for k in range(3)}
     shells[1][0] = (7, 0)
+    with pytest.raises(ValueError, match="closed under negation"):
+        ShellTable(a2, 2, shells)
+    # the first root and its negation scaled by 7: still sorted and closed
+    # under negation, but of norm 49, which only the kernel's range check sees
+    shells[1][0], shells[1][-1] = (-7, 0), (7, 0)
     table = ShellTable(a2, 2, shells)
     with pytest.raises(ValueError, match="inconsistent"):
         table.pair_histogram(1, 1)
+    with pytest.raises(ValueError, match="inconsistent"):
+        table.tuple_histogram((1, 1, 1))
+    # in the 2^62 basis the kernel runs on Python ints, and these scaled
+    # roots pair beyond int64: the range check must catch that too
+    skewed = change_basis(a2, [[1, 2**62], [0, 1]])
+    good = enumerate_shells(skewed, 2)
+    shells = {k: good.shell(k).tolist() for k in range(3)}
+    for i in (0, -1):
+        shells[1][i] = [x * 2**64 for x in shells[1][i]]
+    with pytest.raises(ValueError, match="inconsistent"):
+        ShellTable(skewed, 2, shells).pair_histogram(1, 1)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda shells: shells[1].pop(),
+    lambda shells: shells[1].reverse(),
+    lambda shells: shells[1].insert(3, (0, 0)),
+    lambda shells: shells[0].extend([(0, 1)]),
+], ids=["not-negation-closed", "unsorted", "zero-in-shell-1", "nonzero-in-shell-0"])
+def test_shell_table_requires_sorted_negation_closed_shells(a2, edit):
+    good = enumerate_shells(a2, 2)
+    shells = {k: good.shell(k).tolist() for k in range(3)}
+    ShellTable(a2, 2, shells)
+    edit(shells)
+    with pytest.raises(ValueError, match="shell [01]"):
+        ShellTable(a2, 2, shells)
+
+
+def test_pair_histogram_with_shell_zero_runs_no_kernel(e8, monkeypatch):
+    table = enumerate_shells(e8, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("shell 0 went through the pairing kernel")
+
+    monkeypatch.setattr(ShellTable, "pairings", refuse)
+    for k in range(4):
+        assert table.pair_histogram(0, k) == {0: len(table.shell(k))}
+        assert table.pair_histogram(k, 0) == {0: len(table.shell(k))}
+    with pytest.raises(AssertionError):
+        table.pair_histogram(1, 1)
+
+
+@pytest.mark.parametrize("cells, name, bound", [
+    ([(1, 2)], "e8e8", 2),
+    ([(3, 3), (2, 4)], "e8", 6),
+])
+def test_half_shell_histograms_match_moment_traces(request, cells, name, bound):
+    # cells too large for the pure-Python oracle: the histogram's zeroth,
+    # first and second moments are |S_a||S_b|, 0 (both shells are closed
+    # under negation) and tr(P_a P_b) with P_k = gram2 M_k, which the moment
+    # matrices give without pairing two vectors
+    if name == "e8":
+        table = request.getfixturevalue("e8_shells6")
+    else:
+        table = enumerate_shells(lattice_by_name(name), bound)
+    gram2 = table.lattice.gram2
+    for a, b in cells:
+        hist = table.pair_histogram(a, b)
+        assert sum(hist.values()) == len(table.shell(a)) * len(table.shell(b))
+        assert sum(c * t for t, c in hist.items()) == 0
+        want = _trace(_matmul(gram2, table.moment_matrix(a)),
+                      _matmul(gram2, table.moment_matrix(b)))
+        assert sum(c * t * t for t, c in hist.items()) == want
+
+
+# -- the exact dtype tiers ---------------------------------------------------------
+
+def test_exact_dtype_tiers():
+    def tier(top, inner=1):
+        # the bound of a (1, inner) @ (inner, 1) product is inner * top * 1
+        return lattice_module._exact_dtype(np.full((1, inner), top, dtype=object),
+                                           np.ones((inner, 1), dtype=np.int64))
+    assert tier(2**53 - 1) is np.float64
+    assert tier(2**53) is np.int64
+    assert tier(2**52, inner=2) is np.int64
+    assert tier(2**51 - 1, inner=4) is np.float64
+    assert tier(2**62 - 1) is np.int64
+    assert tier(2**62) is object
+    assert tier(2**70) is object
+
+
+_SKEWS = [2**12, 2**13, 2**25, 2**26, 2**27]
+
+
+def _skewed(a2, s):
+    return change_basis(a2, [[1, s], [0, 1]])
+
+
+def _tiers(table, cells):
+    """The dtypes the kernel picks for these pairing cells and for the
+    moment matrices of shells 1..bound."""
+    gram2 = np.array(table.lattice.gram2, dtype=object)
+    shell = {k: np.asarray(table.shell(k)) for k in range(table.bound + 1)}
+    pair = {lattice_module._exact_dtype(shell[a], gram2, shell[b].T) for a, b in cells}
+    moment = {lattice_module._exact_dtype(shell[k].T, shell[k])
+              for k in range(1, table.bound + 1) if len(shell[k])}
+    return pair, moment
+
+
+_SKEW_CELLS = [(1, 1), (1, 3), (3, 4), (4, 4)]
+
+
+def test_skewed_a2_bases_cross_the_float64_bound(a2):
+    # the pairing bound grows like 8 s^4 and crosses 2^53 near s = 2^12, the
+    # moment bound like 6 s^2 and crosses it near s = 2^25: the bases of the
+    # exactness test below lie on both sides of each
+    pair, moment = set(), set()
+    for s in _SKEWS:
+        p, m = _tiers(enumerate_shells(_skewed(a2, s), 4), _SKEW_CELLS)
+        pair |= p
+        moment |= m
+    assert pair == {np.float64, np.int64, object}
+    assert moment == {np.float64, np.int64}
+
+
+@pytest.mark.parametrize("s", _SKEWS)
+def test_kernel_is_exact_on_both_sides_of_the_float64_bound(tmp_path, a2, s):
+    lat = _skewed(a2, s)
+    table = enumerate_shells(lat, 4, cache_dir=str(tmp_path))
+    loaded = load_shell_table(lat, 4, str(tmp_path))
+    assert loaded is not None
+    for t in (table, loaded):
+        shell = {k: t.shell(k).tolist() for k in range(5)}
+        for k1, k2 in _SKEW_CELLS + [(0, 4)]:
+            assert t.pair_histogram(k1, k2) == oracles.pair_histogram(lat, shell[k1],
+                                                                      shell[k2])
+        for k in range(5):
+            assert t.moment_matrix(k) == oracles.moment_matrix(shell[k], 2)
+    assert ([loaded.shell(k).tolist() for k in range(5)]
+            == [table.shell(k).tolist() for k in range(5)])
+
+
+def test_moment_matrix_entries_are_python_ints(e8_shells6, a2):
+    tables = [e8_shells6, enumerate_shells(_skewed(a2, 2**26), 4),
+              enumerate_shells(_skewed(a2, 2**62), 4)]
+    tiers = set()
+    for table in tables:
+        tiers |= _tiers(table, [])[1]
+        for k in range(5):
+            assert all(type(x) is int for row in table.moment_matrix(k) for x in row)
+    assert tiers == {np.float64, np.int64, object}
 
 
 def test_moment_matrix(a2):

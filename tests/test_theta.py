@@ -553,3 +553,10 @@ def test_invariant_metadata_character(request, name, want):
         assert invariant_metadata(lat, degrees)["character"] == want
     if lat.rank % 2 == 0:
         assert invariant_metadata(lat, (1, 1))["character"] is None
+
+
+def test_composition_poly_is_memoised_and_read_only():
+    poly = _composition_poly(8, (1, 2), (1, 1))
+    assert _composition_poly(8, (1, 2), (1, 1)) is poly
+    with pytest.raises(TypeError):
+        poly[(0,)] = Fraction(1)
