@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .catalog import get_lattice
 from .errors import ResourceLimitError, ThetaInvError
@@ -146,6 +147,8 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+# built once per process: parse_args leaves the parser unchanged
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetainv",

@@ -25,7 +25,7 @@ import zipfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -106,6 +106,27 @@ def det_int(a: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det a, adj a) of a positive-definite integer matrix by fraction-free
+    Gauss-Jordan elimination of [a | I], which ends at [det I | adj a].
+
+    The pivot of step k is the leading principal minor of order k + 1, which
+    is positive, so no pivoting is needed, and each division by the previous
+    pivot is exact (Sylvester's identity)."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        pivot, pivot_row = m[k][k], m[k]
+        for i in range(n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return prev, [row[n:] for row in m]
+
+
 def invert_rational(a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     """Exact inverse of an integer matrix over the rationals."""
     n = len(a)
@@ -164,13 +185,12 @@ class IntegralLattice:
 
     @cached_property
     def _level(self) -> int:
-        inv = invert_rational(self.gram2)
-        m = 1
-        for row in inv:
-            for x in row:
-                m = lcm(m, x.denominator)
-        diag_even = all((m * inv[i][i]).numerator % 2 == 0 for i in range(self.rank))
-        return m if diag_even else 2 * m
+        # gram2^{-1} = adj / det, so with g = gcd(det, adj) the lcm of its
+        # denominators is det / g, and N * gram2^{-1} = adj / g at N = det / g
+        det, adj = adjugate(self.gram2)
+        g = gcd(det, *(x for row in adj for x in row))
+        diag_even = all(adj[i][i] // g % 2 == 0 for i in range(self.rank))
+        return det // g if diag_even else 2 * det // g
 
     def label(self) -> str:
         return self.name if self.name else f"lattice-{content_hash(self.gram2)[:12]}"
@@ -286,6 +306,20 @@ def _enumerate(gram2: IntMatrix, bound: int) -> dict[int, np.ndarray]:
     0) and ``acc``, their part of 2 * big * norm.  Frontier chunks wait on a
     stack, and no chunk expands to more than _CHUNK rows at once (unless
     one row alone has more children), so transient memory stays bounded.
+
+    Every shell is closed under v -> -v, so the search finds only half of
+    it (Fincke & Pohst, Math. Comp. 44, 1985): a chunk carries the index of
+    its one all-zero row, if it has one, and that row takes only x >= 0.
+    The search so finds 0 and the vectors whose last nonzero coordinate is
+    positive.  Each leaf chunk then negates the rows whose first nonzero
+    coordinate is negative, which makes shell k >= 1 its lexicographic upper
+    half U_k; only U_k is sorted, and the shell is -U_k reversed, then U_k.
+
+    The last coordinate stays outermost: with coordinate 0 outermost the
+    found half would come out sorted, but on the a2 basis [[1, 2^62],
+    [0, 1]] coordinate 0 alone ranges over about 2^62 values.  The order
+    stays lexicographic, so the shells, and the cache files that store
+    them, are those of a search over whole shells.
     """
     n = len(gram2)
     d, u = _ldl(gram2)
@@ -320,15 +354,20 @@ def _enumerate(gram2: IntMatrix, bound: int) -> dict[int, np.ndarray]:
     cvec = [np.array(row, dtype=dtype) for row in cnum]
 
     found: dict[int, list[np.ndarray]] = {k: [] for k in range(bound + 1)}
-    stack = [(n - 1, np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype))]
+    # a stack entry is (level, rows, acc, index of the all-zero row or -1)
+    stack = [(n - 1, np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype), 0)]
     while stack:
-        i, v, acc = stack.pop()
+        i, v, acc, zero = stack.pop()
         c = v[:, i + 1:] @ cvec[i]
         cd = cden[i]
         # a * (x*cd + c)^2 <= rem  <=>  |x*cd + c| <= s with s = isqrt(rem // a),
         # so x runs over [lo, hi] = [ceil((-c - s)/cd), floor((-c + s)/cd)]
         s = root((target - acc) // mult[i])
         lo = -((c + s) // cd)
+        if zero >= 0:
+            # c = 0 on the all-zero row, so its range is [-hi, hi] with
+            # hi >= 0: its children x >= 0 are one of each +-v pair
+            lo[zero] = 0
         counts = ((s - c) // cd - lo + 1).astype(np.int64)
         ends = np.cumsum(counts)
         start = 0
@@ -343,18 +382,24 @@ def _enumerate(gram2: IntMatrix, bound: int) -> dict[int, np.ndarray]:
             child[:, i] = x
             child_acc = acc[rows] + mult[i] * t * t
             if i:
-                stack.append((i - 1, child, child_acc))
+                # the all-zero row's first child, x = 0, is all zero again
+                child_zero = ends[zero] - counts[zero] - first if start <= zero < stop else -1
+                stack.append((i - 1, child, child_acc, child_zero))
             else:
                 assert not (child_acc % (2 * big)).any()
                 q = (child_acc // (2 * big)).astype(np.int64)
                 child = _narrow(child)
+                # the symmetric stored range makes this negation safe
+                lead = child[np.arange(len(child)), (child != 0).argmax(axis=1)]
+                child[lead < 0] *= -1
                 for k in range(bound + 1):
                     found[k].append(child[q == k])
             start = stop
     shells = {}
     for k, parts in found.items():
-        v = np.concatenate(parts)
-        shells[k] = v[np.lexsort(v.T[::-1])]
+        u = np.concatenate(parts)
+        u = u[np.lexsort(u.T[::-1])]
+        shells[k] = np.concatenate([-u[::-1], u]) if k else u
     return shells
 
 
@@ -452,8 +497,12 @@ def _check_shell(k: int, v: np.ndarray) -> None:
     under negation is equality with it.  Such a shell holds the zero vector
     exactly when its length is odd, and its upper half, rows len // 2 on,
     is then the vectors whose first nonzero coordinate is positive.
+
+    Closure is checked first.  Negation reverses lexicographic order, so on
+    a closed shell the rows before len // 2 - 1 mirror those after it, and
+    the order needs checking only from row len // 2 - 1 on.
     """
-    if not (_strictly_increasing(v) and np.array_equal(-v[::-1], v)):
+    if not (np.array_equal(-v[::-1], v) and _strictly_increasing(v[len(v) // 2 - 1:])):
         raise ValueError(f"shell {k} is not strictly increasing and closed "
                          f"under negation")
     if v.any() if k == 0 else len(v) % 2:

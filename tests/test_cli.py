@@ -5,7 +5,7 @@ import pytest
 
 import thetainv.catalog as catmod
 from thetainv.catalog import CatalogEntry, get_lattice, lattice_by_name, parse_lattice_file
-from thetainv.cli import main
+from thetainv.cli import _build_parser, main
 from thetainv.errors import LatticeFileError, OddDiagonalError
 from thetainv.verify import check_catalog
 
@@ -292,3 +292,31 @@ def test_cli_verify_failure_exit_1(capsys, monkeypatch):
     assert code == 1
     report = json.loads(out)
     assert report["passed"] is False
+
+
+def test_cli_parser_is_built_once_and_keeps_no_parsed_values(capsys):
+    # one process reuses one parser; each call must parse as a fresh parser
+    # would, with nothing left over from the call before
+    calls = [
+        ("compare", "--lattice-a", "a2", "--lattice-b", "a2", "--degrees", "0",
+         "--degrees", "1,1", "--order", "2", "--no-cache"),
+        ("compute", "--lattice", "a2", "--degrees", "1,1", "--order", "2",
+         "--no-cache", "--format", "csv"),
+        ("verify", "--order-budget", "0"),
+        ("compare", "--lattice-a", "a2", "--lattice-b", "a2", "--order", "2",
+         "--no-cache"),
+    ]
+    outs = []
+    for argv in calls:
+        fresh = vars(_build_parser.__wrapped__().parse_args(argv))
+        assert vars(_build_parser().parse_args(argv)) == fresh
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    assert _build_parser() is _build_parser()
+    assert "degrees=(0)" in outs[0] and "degrees=(1,1)" in outs[0]
+    assert outs[1].splitlines()[0] == "power,coefficient"
+    assert json.loads(outs[2])["passed"] is True
+    # the repeated --degrees of the first compare are gone: only the default
+    assert [line for line in outs[3].splitlines() if line.startswith("degrees=")] == [
+        "degrees=(0): equal through q^2"]

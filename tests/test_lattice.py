@@ -32,6 +32,7 @@ from thetainv.lattice import (
     validate_lattice,
 )
 from thetainv.qseries import sigma
+from thetainv.theta import InvariantRequest, compute
 
 import oracles
 import thetainv.lattice as lattice_module
@@ -119,6 +120,23 @@ def test_level_minimality(name_gram):
     for c in sorted(candidates):
         if c < big_n:
             assert not works(c)
+
+
+def _level_from_rational_inverse(gram2):
+    inv = invert_rational(gram2)
+    m = reduce(lcm, (x.denominator for row in inv for x in row), 1)
+    return m if all((m * inv[i][i]).numerator % 2 == 0 for i in range(len(inv))) else 2 * m
+
+
+@pytest.mark.parametrize("name", ["a2", "d4", "e8", "e8e8", "d16plus", "z1", "z3",
+                                  "skew2", "skew3", "diag246"])
+def test_integer_level_equals_rational_inverse(request, name):
+    lat = (request.getfixturevalue(name) if name.startswith(("skew", "diag"))
+           else lattice_by_name(name))
+    rng = random.Random(f"level-{name}")
+    lats = [lat] + [change_basis(lat, random_unimodular(lat.rank, rng)) for _ in range(5)]
+    for moved in lats:
+        assert moved.level() == _level_from_rational_inverse(moved.gram2)
 
 
 def test_unimodular_invariance_of_disc_and_level(a2, skew3):
@@ -335,6 +353,16 @@ def test_shell_table_requires_sorted_negation_closed_shells(a2, edit):
         ShellTable(a2, 2, shells)
 
 
+def test_shell_table_rejects_a_closed_shell_unsorted_only_in_the_middle(a2):
+    # swapping rows len/2 - 1 and len/2 keeps the shell closed under
+    # negation, so only the order check from row len/2 - 1 on can see it
+    shells = {k: enumerate_shells(a2, 2).shell(k).tolist() for k in range(3)}
+    h = len(shells[1]) // 2
+    shells[1][h - 1], shells[1][h] = shells[1][h], shells[1][h - 1]
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        ShellTable(a2, 2, shells)
+
+
 def test_pair_histogram_with_shell_zero_runs_no_kernel(e8, monkeypatch):
     table = enumerate_shells(e8, 3)
 
@@ -500,6 +528,42 @@ def test_enumeration_in_one_row_chunks_is_identical(monkeypatch, a2, d4, skew3):
         for k in range(5):
             assert got.shell(k).dtype == table.shell(k).dtype
             assert got.shell(k).tolist() == table.shell(k).tolist()
+
+
+@pytest.mark.parametrize("name", ["a2", "z3", "d4"])
+def test_enumeration_with_a_skewed_outermost_coordinate_equals_dfs_oracle(name):
+    # [[1, 0], [1000, 1]] on the last two coordinates: basis vector n-2
+    # becomes e_{n-2} + 1000 e_{n-1}, so the last coordinate, the outermost
+    # level of the search, reaches 1000 in absolute value on shell 1
+    lat = lattice_by_name(name)
+    n = lat.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u[n - 1][n - 2] = 1000
+    skewed = change_basis(lat, u)
+    _assert_equals_oracle(skewed, 4)
+    assert max(abs(v[-1]) for v in enumerate_shells(skewed, 4).shell(1).tolist()) >= 1000
+
+
+@pytest.mark.parametrize("name", ["z3", "diag246"])
+def test_enumeration_with_zero_trailing_coordinates_equals_dfs_oracle(request, name):
+    lat = lattice_by_name(name) if name == "z3" else request.getfixturevalue(name)
+    _assert_equals_oracle(lat, 8)
+    shell = enumerate_shells(lat, 8).shell(4).tolist()
+    assert any(v[-1] == 0 and any(v) for v in shell)
+    assert any(v[-2:] == [0, 0] and any(v) for v in shell)
+
+
+@pytest.mark.parametrize("name", ["e8e8", "d16plus"])
+def test_rank16_shells_and_pair_two_two_series(name):
+    lat = lattice_by_name(name)
+    table = enumerate_shells(lat, 3)
+    assert table.sizes() == {0: 1, 1: 480, 2: 61920, 3: 1050240}
+    v = table.shell(3).astype(np.int64)
+    gram2 = np.array(lat.gram2, dtype=np.int64)
+    assert (((v @ gram2) * v).sum(axis=1) == 6).all()
+    # Theta_{2,2} of an even unimodular rank-16 lattice is 80 Delta^2
+    series = compute(lat, InvariantRequest((2, 2), 3, "auto"), shells=table)
+    assert list(series.coeffs) == [0, 0, 80, -3840]
 
 
 def test_int64_isqrt_is_exact_near_squares():
