@@ -158,11 +158,14 @@ def parse_lattice_file(path: str) -> IntegralLattice:
     gram2 = doc["gram2"]
     if not isinstance(gram2, list) or not all(isinstance(r, list) for r in gram2):
         raise LatticeFileError(f"{path}: 'gram2' must be a matrix (list of rows)")
+    # JSON true and false load as bool, which is a subclass of int
     for row in gram2:
         for x in row:
-            if not isinstance(x, int):
+            if not isinstance(x, int) or isinstance(x, bool):
                 raise LatticeFileError(f"{path}: matrix entries must be integers")
     rank = doc.get("rank")
+    if isinstance(rank, bool):
+        raise LatticeFileError(f"{path}: 'rank' must be an integer")
     if rank is not None and rank != len(gram2):
         raise LatticeFileError(
             f"{path}: declared rank {rank} does not match matrix size {len(gram2)}")

@@ -438,9 +438,36 @@ def _exact_dtype(*factors: np.ndarray) -> type:
     for f in factors:
         if f.size:
             bound *= max(abs(int(f.max())), abs(int(f.min())), 1)
+    return _bound_dtype(bound)
+
+
+def _bound_dtype(bound: int) -> type:
+    """float64 below 2^53, int64 below 2^62, numpy object beyond."""
     if bound < _FLOAT64_LIMIT:
         return np.float64
     return np.int64 if bound < _INT64_LIMIT else object
+
+
+def monomial_sums(x: np.ndarray, weights: np.ndarray,
+                  monomials: Sequence[Sequence[int]]) -> list[int]:
+    """Exact sums over the rows i of weights_i * prod_j x_ij^e_j, one for
+    each exponent tuple e in ``monomials``, as Python ints.
+
+    With ``bound`` the largest product of the largest entries of a
+    monomial's factors, the monomial values are formed in int64 when it is
+    below 2^62 and in Python ints otherwise.  Their dot products with the
+    weights are bounded by rows * max |weight| * bound, which picks their
+    dtype as in ``_exact_dtype``.
+    """
+    top = np.abs(x).max(axis=0, initial=1).tolist()
+    bound = max((prod(t**k for t, k in zip(top, e)) for e in monomials), default=1)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    exps = np.array(monomials, dtype=dtype).reshape(-1, x.shape[1])
+    values = np.ones((len(x), len(exps)), dtype=dtype)
+    for j, col in enumerate(x.T.astype(dtype)):
+        values *= col[:, None] ** exps[:, j]
+    dot = _bound_dtype(len(x) * int(np.abs(weights).max(initial=1)) * bound)
+    return [int(s) for s in weights.astype(dot) @ values.astype(dot)]
 
 
 def _inconsistent(k1: int, k2: int, tmax: int) -> str:
@@ -555,29 +582,32 @@ class ShellTable:
 
     # -- the pairing kernel ------------------------------------------------
 
-    def pairings(self, k1: int, k2: int,
-                 rows: slice = slice(None)) -> Iterator[np.ndarray]:
+    def pairings(self, k1: int, k2: int, rows: slice = slice(None),
+                 cols: slice = slice(None)) -> Iterator[np.ndarray]:
         """Exact blocks of v^T A w for v in ``rows`` of shell k1 (block rows)
-        and w in consecutive chunks of shell k2 (block columns), A = gram2.
+        and w in consecutive chunks of ``cols`` of shell k2 (block columns),
+        A = gram2.
 
         A block has at most about _BLOCK entries.  Its dtype is the one
         ``_exact_dtype`` proves exact: float64 (BLAS) or int64, holding
         integers either way, or numpy object.  The rows and each chunk of
-        shell k2 are cast to it as they are needed, never a whole shell.
+        the columns are cast to it as they are needed, never a whole shell.
         """
-        v, w = self._shells[k1][rows], self._shells[k2]
+        v, w = self._shells[k1][rows], self._shells[k2][cols]
         dtype = _exact_dtype(v, self._gram2, w.T)
         va = v.astype(dtype) @ self._gram2.astype(dtype)
         step = max(1, _BLOCK // max(len(v), 1))
         for start in range(0, len(w), step):
             yield va @ w[start:start + step].T.astype(dtype)
 
-    def _pair_values(self, k1: int, k2: int) -> Iterator[np.ndarray]:
-        """The gram2 pairing blocks as int64, checked against Cauchy-Schwarz:
-        |v^T A w| <= 2 sqrt(k1 k2), so a value outside +-isqrt(4 k1 k2) can
-        only come from shells whose vectors do not have their shell's norm."""
+    def _pair_values(self, k1: int, k2: int,
+                     rows: slice = slice(None)) -> Iterator[np.ndarray]:
+        """The gram2 pairing blocks of ``rows`` of shell k1 against shell k2
+        as int64, checked against Cauchy-Schwarz: |v^T A w| <= 2 sqrt(k1 k2),
+        so a value outside +-isqrt(4 k1 k2) can only come from shells whose
+        vectors do not have their shell's norm."""
         tmax = isqrt(4 * k1 * k2)
-        for block in self.pairings(k1, k2):
+        for block in self.pairings(k1, k2, rows):
             if block.size and (block.min() < -tmax or block.max() > tmax):
                 raise ValueError(_inconsistent(k1, k2, tmax))
             yield block.astype(np.int64, copy=False)
@@ -588,10 +618,12 @@ class ShellTable:
         """Counts of the doubled pairing t = v^T A w over shell k1 x shell k2.
 
         Shell 0 is at most the zero vector, which pairs to 0 with every w.
-        Otherwise the lower half of the smaller-norm shell is the negation of
-        its upper half, so only the upper half is paired, and the counts of
-        -t are added to those of t.  A pairing outside the Cauchy-Schwarz
-        range +-isqrt(4 k1 k2) raises ValueError, as in ``_pair_values``.
+        Otherwise the lower half of each shell is the negation of its upper
+        half U (rows len // 2 on), and negating one vector negates t while
+        negating both keeps it.  So only the quarter cell U_1 x U_2 is
+        paired, and with c its counts the histogram is 2 (c(t) + c(-t)).  A
+        pairing outside the Cauchy-Schwarz range +-isqrt(4 k1 k2) raises
+        ValueError, as in ``_pair_values``.
         """
         key = (min(k1, k2), max(k1, k2))
         hist = self._pair_hists.get(key)
@@ -605,17 +637,18 @@ class ShellTable:
                 size = 2 * tmax + 1
                 counts = np.zeros(size, dtype=np.int64)
                 n1 = len(self._shells[k1])
+                upper = slice(len(self._shells[k2]) // 2, None)
                 try:
                     for start in range(n1 // 2, n1, _TILE_ROWS):
                         tile = slice(start, start + _TILE_ROWS)
-                        for block in self.pairings(k1, k2, tile):
+                        for block in self.pairings(k1, k2, tile, upper):
                             # a t below -tmax makes bincount raise, one above
                             # +tmax lengthens its output so that += raises
                             counts += np.bincount((block.astype(np.int64) + tmax).ravel(),
                                                   minlength=size)
                 except (ValueError, OverflowError):
                     raise ValueError(_inconsistent(k1, k2, tmax)) from None
-                counts = counts + counts[::-1]
+                counts = 2 * (counts + counts[::-1])
                 hist = {t - tmax: c for t, c in enumerate(counts.tolist()) if c}
             self._pair_hists[key] = hist
         return hist
@@ -632,6 +665,9 @@ class ShellTable:
         Two slots read the cached pair histogram.  From three slots on, the
         tuples are counted in chunks of slot-0 vectors: each pairing vector
         is packed into one integer key in mixed radix 2 tmax_ab + 1.
+        Negating every slot keeps every t_ab, so when slot 0 is a shell of
+        positive norm, only its upper half (rows len // 2 on) is paired and
+        every count is doubled.
         """
         if len(comp) == 2:
             return {(t,): c for t, c in self.pair_histogram(*comp).items()}
@@ -642,12 +678,15 @@ class ShellTable:
         slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
         tmaxes = [isqrt(4 * comp[a] * comp[b]) for a, b in slots]
         radices = [2 * t + 1 for t in tmaxes]
-        values = {(a, b): np.concatenate(
-            list(self._pair_values(comp[a], comp[b])), axis=1) for a, b in slots}
+        lo = sizes[0] // 2 if comp[0] else 0
+        mult = 2 if comp[0] else 1
+        values = {(a, b): np.concatenate(list(self._pair_values(
+            comp[a], comp[b], slice(lo if a == 0 else 0, None))), axis=1)
+            for a, b in slots}
         key_dtype = np.int64 if prod(radices) < _INT64_LIMIT else object
         step = max(1, _TUPLE_KEYS // prod(sizes[1:]))
         hist: dict[tuple[int, ...], int] = {}
-        for start in range(0, sizes[0], step):
+        for start in range(0, sizes[0] - lo, step):
             key = np.zeros((), dtype=key_dtype)
             for (a, b), tmax, radix in zip(slots, tmaxes, radices):
                 t = values[a, b][start:start + step] if a == 0 else values[a, b]
@@ -655,7 +694,7 @@ class ShellTable:
                 shape[a], shape[b] = t.shape
                 key = key * radix + (t + tmax).reshape(shape)
             packed, counts = np.unique(key, return_counts=True)
-            for code, c in zip(packed.tolist(), counts.tolist()):
+            for code, c in zip(packed.tolist(), (mult * counts).tolist()):
                 ts = []
                 for tmax, radix in zip(reversed(tmaxes), reversed(radices)):
                     code, digit = divmod(code, radix)

@@ -14,10 +14,15 @@ the same element at v equals the harmonic projection (in x) of
 values (x . v_l), and its sphere average is a universal polynomial in the
 pairwise inner products of the v_l, evaluated here from the Gram data.  The
 pair/triple fast paths below are independent implementations used as oracles
-for this reduction: the pair invariant sums over pair histograms of the
-doubled pairing, and the triple invariant is a sum of traces of products of
-P_k = gram2 M_k, with M_k the moment matrix of shell k, so it pairs no two
-vectors at all.
+for this reduction: the pair invariant combines power sums of the doubled
+pairing over pair histograms, and the triple invariant is a sum of traces of
+products of P_k = gram2 M_k, with M_k the moment matrix of shell k, so it
+pairs no two vectors at all.
+
+Every reduction runs in exact integers: each polynomial is held as integer
+numerators over one common denominator, its monomials are summed over a
+histogram or a shell as integer power sums, and one Fraction is formed per
+shell composition or coefficient, never one per bucket or vector.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, isqrt, lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -38,7 +43,14 @@ from .errors import (
     ResourceLimitError,
 )
 from .harmonic import Poly, pair_poly, projector_coeffs
-from .lattice import IntegralLattice, ShellTable, enumerate_shells
+from .lattice import (
+    IntegralLattice,
+    ShellTable,
+    _exact_dtype,
+    _int_array,
+    enumerate_shells,
+    monomial_sums,
+)
 from .qseries import QSeries
 
 
@@ -105,7 +117,10 @@ def spherical_theta(lattice: IntegralLattice, h: Poly, order: int, *,
 
     Needs rational coordinates: either an explicit embedding (rows = images
     of the basis vectors) or a lattice whose Gram data is diagonal with
-    square halves.
+    square halves.  The embedding is scaled to integers by the lcm D of its
+    denominators, so that each shell's coordinates P_v = D x_v are integer
+    rows; each monomial x^alpha of h is then summed over a shell as the
+    integer power sum of P_v^alpha, divided by D^|alpha| once.
     """
     if h.rank != lattice.rank:
         raise RankMismatchError("polynomial rank does not match the lattice")
@@ -116,14 +131,19 @@ def spherical_theta(lattice: IntegralLattice, h: Poly, order: int, *,
     _check_embedding(lattice, emb)
     n = lattice.rank
     table = _table(lattice, order, shells)
+    den = lcm(*(Fraction(x).denominator for row in emb for x in row))
+    scaled = _int_array([[int(Fraction(x) * den) for x in row] for row in emb], n)
+    exps = list(h.terms)
+    weights = [c / Fraction(den) ** sum(e) for e, c in h.terms.items()]
     coeffs = []
     for k in range(order + 1):
-        total = Fraction(0)
-        for v in table.shell(k).tolist():
-            point = [sum(Fraction(v[i]) * emb[i][j] for i in range(n))
-                     for j in range(n)]
-            total += h.evaluate(point)
-        coeffs.append(total)
+        v = np.asarray(table.shell(k))
+        dtype = _exact_dtype(v, scaled)
+        points = v.astype(dtype) @ scaled.astype(dtype)
+        if dtype is np.float64:
+            points = points.astype(np.int64)
+        sums = monomial_sums(points, np.ones(len(v), dtype=np.int64), exps)
+        coeffs.append(sum((w * s for w, s in zip(weights, sums)), Fraction(0)))
     weight = None
     if h.is_homogeneous() and not h.is_zero():
         weight = Fraction(h.degree()) + Fraction(n, 2)
@@ -183,23 +203,43 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
     """Degree-(m,m) pair invariant, normalized as a plain sum of squared
     spherical theta series over an orthonormal harmonic basis.
 
-    Coefficient of q^k: sum over shell pairs (k1, k2) with k1 + k2 = k of the
-    pair-histogram buckets times pair_term(n, m, k1, k2, t).
+    Coefficient of q^k: the sum of pair_term(n, m, k1, k2, t) over the pair
+    histograms of the shell pairs (k1, k2) with k1 + k2 = k.  With the
+    numerators c_i of pair_poly over its denominator and the power sums
+    p_j = sum cnt t^{2j} of a histogram, a cell contributes
+    sum_i c_i (4 k1 k2)^i p_{m-i} over den 4^m, in Python ints.
     """
     n = lattice.rank
     table = _table(lattice, order, shells)
     sizes = table.sizes()
+    nums, den = _pair_poly_cached(n, m)
     coeffs = []
     for k in range(order + 1):
-        total = Fraction(0)
-        for k1 in range(k + 1):
+        total = 0
+        # the cell (k2, k1) has the histogram of (k1, k2)
+        for k1 in range(k // 2 + 1):
             k2 = k - k1
             if not (sizes[k1] and sizes[k2]):
                 continue
-            for t, cnt in table.pair_histogram(k1, k2).items():
-                total += cnt * pair_term(n, m, k1, k2, t)
-        coeffs.append(total)
+            p = _even_power_sums(table.pair_histogram(k1, k2), m)
+            cell = sum(c * (4 * k1 * k2) ** i * p[m - i] for i, c in enumerate(nums))
+            total += cell if k1 == k2 else 2 * cell
+        coeffs.append(Fraction(total, den * 4**m))
     return _invariant(lattice, (m, m), coeffs)
+
+
+def _even_power_sums(hist: Mapping[int, int], m: int) -> list[int]:
+    """p_j = sum of cnt t^{2j} over the buckets of a pair histogram, j <= m.
+
+    A pair histogram has at most 2 isqrt(4 k1 k2) + 1 buckets, too few for
+    numpy's per-call cost to pay off, so this loops in Python ints."""
+    p = [0] * (m + 1)
+    for t, cnt in hist.items():
+        t2 = t * t
+        for j in range(m + 1):
+            p[j] += cnt
+            cnt *= t2
+    return p
 
 
 # -- triple invariant -------------------------------------------------------
@@ -356,47 +396,56 @@ def _moment_patterns(n: int, exps: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def _composition_poly(n: int, degrees: tuple[int, ...],
-                      norms: tuple[int, ...]) -> Mapping[tuple[int, ...], Fraction]:
-    """Per-tuple value of the collapsed kernel sum as a polynomial in the
-    doubled pairings t_ab = 2 <v_a, v_b>, for vectors with the given norms,
-    as a read-only mapping from exponent tuples to coefficients, since every
-    caller shares the memoised value.
+def _composition_table(n: int, degrees: tuple[int, ...]
+                       ) -> tuple[int, Mapping[tuple[int, ...], tuple]]:
+    """The collapsed kernel sum per tuple, as a polynomial in the doubled
+    pairings t_ab = 2 <v_a, v_b> and the norms of the tuple's vectors, over
+    one common denominator: (den, {pairing exponents: ((norm exponents,
+    numerator), ...)}).
 
     Slot l carries phi_l(x . v) = sum_j (-1)^j r_{j,2m_l} norm^j / (2m_l-2j)!
-    times (x . v)^{2m_l - 2j}; the product is averaged with _moment_patterns
-    and the diagonal s_aa are the known norms.  Off-diagonal s_ab = t_ab / 2,
-    so each monomial coefficient absorbs a power of two.
+    times (x . v)^{2m_l - 2j}; the product is averaged with _moment_patterns,
+    whose diagonal s_aa are the norms.  Off-diagonal s_ab = t_ab / 2, so each
+    monomial coefficient absorbs a power of two.  The norms stay symbolic,
+    so the Fraction work is done once per degree list, not per composition.
     """
+    slots = [[Fraction((-1) ** j) * projector_coeffs(n, 2 * m).coeffs[j]
+              / factorial(2 * m - 2 * j) for j in range(m + 1)] for m in degrees]
+    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+    for js in product(*(range(m + 1) for m in degrees)):
+        coef = prod((slot[j] for slot, j in zip(slots, js)), start=Fraction(1))
+        if not coef:
+            continue
+        exps = tuple(2 * m - 2 * j for m, j in zip(degrees, js))
+        for diag, off, w in _moment_patterns(n, exps):
+            key = (off, tuple(j + d for j, d in zip(js, diag)))
+            terms[key] = terms.get(key, 0) + coef * w / 2 ** sum(off)
+    den = lcm(*(c.denominator for c in terms.values()))
+    table: dict[tuple[int, ...], list] = {}
+    for (off, norm_exps), c in terms.items():
+        if c:
+            table.setdefault(off, []).append((norm_exps, int(c * den)))
+    return den, MappingProxyType({off: tuple(t) for off, t in table.items()})
+
+
+@lru_cache(maxsize=None)
+def _composition_poly(n: int, degrees: tuple[int, ...], norms: tuple[int, ...]
+                      ) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...], int]:
+    """Per-tuple value of the collapsed kernel sum for vectors with the given
+    norms, as integer numerators over one denominator: (constant numerator,
+    ((pairing exponents, numerator) of each non-constant monomial), den).
+    A slot of norm 0 holds the zero vector, whose pairings t_ab vanish, so
+    the monomials in them are dropped.  Immutable, since every caller shares
+    the memoised value."""
+    den, table = _composition_table(n, degrees)
     k = len(degrees)
-    slot_coeffs = []
-    for m, a in zip(degrees, norms):
-        rk = projector_coeffs(n, 2 * m).coeffs
-        slot_coeffs.append([
-            Fraction((-1) ** j) * rk[j] * Fraction(a) ** j / factorial(2 * m - 2 * j)
-            for j in range(m + 1)
-        ])
-    poly: dict[tuple[int, ...], Fraction] = {}
-
-    def descend(l: int, jt: list[int], coef: Fraction):
-        if coef == 0:
-            return
-        if l == k:
-            exps = tuple(2 * degrees[i] - 2 * jt[i] for i in range(k))
-            for diag, off, w in _moment_patterns(n, exps):
-                c = coef * w
-                for a_idx in range(k):
-                    if diag[a_idx]:
-                        c *= Fraction(norms[a_idx]) ** diag[a_idx]
-                c /= Fraction(2) ** sum(off)  # s_ab = t_ab / 2
-                if c:
-                    poly[off] = poly.get(off, Fraction(0)) + c
-            return
-        for j in range(degrees[l] + 1):
-            descend(l + 1, jt + [j], coef * slot_coeffs[l][j])
-
-    descend(0, [], Fraction(1))
-    return MappingProxyType({e: c for e, c in poly.items() if c != 0})
+    zero = [not (norms[i] and norms[j]) for i in range(k) for j in range(i + 1, k)]
+    nums = {off: sum(c * prod(a**e for a, e in zip(norms, norm_exps))
+                     for norm_exps, c in terms)
+            for off, terms in table.items()
+            if not any(e and z for e, z in zip(off, zero))}
+    const = nums.get((0,) * len(zero), 0)
+    return const, tuple((off, c) for off, c in nums.items() if c and any(off)), den
 
 
 def _compositions(total: int, slots: int):
@@ -439,24 +488,17 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
 
     coeffs = [Fraction(0)] * (order + 1)
     for kap, comp in comps:
-        poly = _composition_poly(n, degrees, comp)
-        if not poly:
-            continue
-        const = poly.get((0,) * (k * (k - 1) // 2), Fraction(0))
-        cross = {e: c for e, c in poly.items() if any(e)}
+        const, cross, den = _composition_poly(n, degrees, comp)
         total = const * prod(sizes[c] for c in comp)
         if cross:
-            # bucket the tuples by their vector of doubled pairings
-            for key, cnt in table.tuple_histogram(comp).items():
-                val = Fraction(0)
-                for exps, c in cross.items():
-                    term = c
-                    for t, e in zip(key, exps):
-                        if e:
-                            term *= t**e
-                    val += term
-                total += cnt * val
-        coeffs[kap] += total
+            # bucket the tuples by their vector of doubled pairings, and sum
+            # each monomial over the buckets
+            hist = table.tuple_histogram(comp)
+            keys = np.array(list(hist), dtype=np.int64)
+            counts = np.array(list(hist.values()))
+            sums = monomial_sums(keys, counts, [e for e, _ in cross])
+            total += sum(c * s for (_, c), s in zip(cross, sums))
+        coeffs[kap] += Fraction(total, den)
 
     scale = Fraction(1)
     if request.normalization == "pair":

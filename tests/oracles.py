@@ -1,16 +1,20 @@
 """Pure-Python reference loops for the shell search and the pairing kernel
-in ``thetainv.lattice``.
+in ``thetainv.lattice``, and for the reductions in ``thetainv.theta``.
 
 Each one works on explicit vectors with Python integers, so it shares no
-arithmetic with the numpy code.  The tests require that code to equal these
-exactly.
+arithmetic with the numpy code.  The reduction loops sum their polynomials
+bucket by bucket (or vector by vector) in Fractions, where the library forms
+integer power sums.  The tests require the library to equal these exactly.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
+from math import factorial, isqrt, lcm, prod
 from operator import mul
+
+from thetainv.harmonic import projector_coeffs
+from thetainv.theta import _moment_patterns, pair_term
 
 
 def enumerate_shells(gram2, bound) -> dict[int, list[tuple[int, ...]]]:
@@ -113,3 +117,67 @@ def tuple_histogram(lattice, shells) -> dict[tuple[int, ...], int]:
     return dict(Counter(
         tuple(lattice.inner2(vs[a], vs[b]) for a, b in slots)
         for vs in product(*shells)))
+
+
+def pair_coeffs(n, m, order, hist) -> list[Fraction]:
+    """theta_pair's coefficients, with hist(k1, k2) the pair histogram of
+    shells k1 and k2: one pair_term per bucket."""
+    coeffs = []
+    for k in range(order + 1):
+        total = Fraction(0)
+        for k1 in range(k + 1):
+            for t, cnt in hist(k1, k - k1).items():
+                total += cnt * pair_term(n, m, k1, k - k1, t)
+        coeffs.append(total)
+    return coeffs
+
+
+def composition_poly(n, degrees, norms) -> dict[tuple[int, ...], Fraction]:
+    """theta_general's per-tuple polynomial in the doubled pairings for
+    vectors of the given norms, in Fractions with the norms substituted
+    from the start: {pairing exponents: coefficient}, zero terms dropped.
+
+    Slot l carries sum_j (-1)^j r_{j,2m_l} norm^j / (2m_l-2j)! times
+    (x . v)^{2m_l - 2j}; the product is averaged with _moment_patterns, the
+    diagonal s_aa are the norms and s_ab = t_ab / 2.
+    """
+    slots = [[Fraction((-1) ** j) * projector_coeffs(n, 2 * m).coeffs[j]
+              * Fraction(a) ** j / factorial(2 * m - 2 * j) for j in range(m + 1)]
+             for m, a in zip(degrees, norms)]
+    poly = {}
+    for js in product(*(range(m + 1) for m in degrees)):
+        coef = prod((slot[j] for slot, j in zip(slots, js)), start=Fraction(1))
+        exps = tuple(2 * m - 2 * j for m, j in zip(degrees, js))
+        for diag, off, w in _moment_patterns(n, exps):
+            c = coef * w * prod(Fraction(a) ** d for a, d in zip(norms, diag))
+            poly[off] = poly.get(off, Fraction(0)) + c / Fraction(2) ** sum(off)
+    return {e: c for e, c in poly.items() if c}
+
+
+def general_coeffs(n, degrees, order, hist) -> list[Fraction]:
+    """theta_general's raw ("general") coefficients, with hist(comp) the
+    tuple histogram of the shells comp: the composition polynomial evaluated
+    at every bucket."""
+    coeffs = [Fraction(0)] * (order + 1)
+    for comp in product(range(order + 1), repeat=len(degrees)):
+        if sum(comp) > order:
+            continue
+        poly = composition_poly(n, degrees, comp)
+        for key, cnt in hist(comp).items():
+            coeffs[sum(comp)] += cnt * sum(
+                c * prod(t**e for t, e in zip(key, exps)) for exps, c in poly.items())
+    return coeffs
+
+
+def spherical_coeffs(h, emb, shells) -> list[Fraction]:
+    """spherical_theta's coefficients: h evaluated at the coordinates
+    (rows of ``emb`` weighted by v) of every vector v of each shell."""
+    n = len(emb)
+    coeffs = []
+    for shell in shells:
+        total = Fraction(0)
+        for v in shell:
+            total += h.evaluate([sum(Fraction(v[i]) * emb[i][j] for i in range(n))
+                                 for j in range(n)])
+        coeffs.append(total)
+    return coeffs

@@ -158,6 +158,23 @@ def test_cli_bad_lattice_exit_2(capsys):
     assert "unknown lattice" in err
 
 
+@pytest.mark.parametrize("doc", [
+    '{"gram2": [[2, true], [true, 2]]}',
+    '{"rank": true, "gram2": [[2]]}',
+], ids=["bool-entries", "bool-rank"])
+def test_cli_lattice_file_with_booleans_exit_2(capsys, tmp_path, doc):
+    # JSON true loads as a Python bool, which isinstance(x, int) accepts:
+    # the first file would otherwise run as a2 and the second as z1
+    path = tmp_path / "bools.json"
+    path.write_text(doc)
+    with pytest.raises(LatticeFileError, match="integer"):
+        parse_lattice_file(str(path))
+    code, out, err = run_cli(capsys, "compute", "--lattice", str(path),
+                             "--degrees", "0", "--order", "2", "--no-cache")
+    assert code == 2 and not out
+    assert "integer" in err
+
+
 def test_cli_bad_degrees_exit_2(capsys):
     code, _, err = run_cli(capsys, "compute", "--lattice", "z2",
                            "--degrees", "x,y", "--order", "2", "--no-cache")

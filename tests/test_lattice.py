@@ -27,6 +27,7 @@ from thetainv.lattice import (
     enumerate_shells,
     invert_rational,
     load_shell_table,
+    monomial_sums,
     random_unimodular,
     save_shell_table,
     validate_lattice,
@@ -375,6 +376,62 @@ def test_pair_histogram_with_shell_zero_runs_no_kernel(e8, monkeypatch):
         assert table.pair_histogram(k, 0) == {0: len(table.shell(k))}
     with pytest.raises(AssertionError):
         table.pair_histogram(1, 1)
+
+
+def _record_pairings(monkeypatch):
+    """Patch the kernel to log each call as [k1, k2, rows, columns paired]."""
+    calls = []
+    pairings = ShellTable.pairings
+
+    def recording(self, k1, k2, *args, **kwargs):
+        call = [k1, k2, 0, 0]
+        calls.append(call)
+        for block in pairings(self, k1, k2, *args, **kwargs):
+            call[2] = block.shape[0]
+            call[3] += block.shape[1]
+            yield block
+
+    monkeypatch.setattr(ShellTable, "pairings", recording)
+    return calls
+
+
+def test_kernel_pairs_quarter_cells_and_half_of_slot_zero(e8_shells6, skew3, monkeypatch):
+    # a fresh table, so that no histogram is cached
+    e8 = ShellTable(e8_shells6.lattice, 3, {k: e8_shells6.shell(k) for k in range(4)})
+    calls = _record_pairings(monkeypatch)
+    for a, b in [(1, 1), (1, 2), (2, 3)]:
+        calls.clear()
+        e8.pair_histogram(a, b)
+        paired = sum(rows * cols for _, _, rows, cols in calls)
+        assert paired == (len(e8.shell(a)) // 2) * (len(e8.shell(b)) // 2)
+    table = enumerate_shells(skew3, 2)
+    n1, n2 = len(table.shell(1)), len(table.shell(2))
+    calls.clear()
+    table.tuple_histogram((1, 1, 2))
+    # slot pairs (0, 1), (0, 2) and (1, 2), slot 0 on its upper half
+    assert calls == [[1, 1, n1 // 2, n1], [1, 2, n1 // 2, n2], [1, 2, n1, n2]]
+
+
+def test_monomial_sums_are_exact_in_every_tier():
+    # monomial values up to 2^50 sum in float64, up to 2^61 in int64, and
+    # beyond 2^62, or with weights past the float64 bound, in Python ints
+    cases = [
+        ([[2**25, -3], [-(2**25), 5], [7, 2**10]], [3, 1, 2]),
+        ([[2**30, 1], [-(2**30) + 1, 2]], [2**3, 2**40]),
+        ([[2**31, 3], [2**31 - 1, -3]], [1, -1]),
+        ([[3, 2**40]], [2**30]),
+    ]
+    monomials = [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2), (2, 2), (3, 1)]
+    for rows, weights in cases:
+        want = [sum(w * x**e0 * y**e1 for (x, y), w in zip(rows, weights))
+                for e0, e1 in monomials]
+        for dtype in (np.int64, object):
+            got = monomial_sums(np.array(rows, dtype=dtype),
+                                np.array(weights, dtype=np.int64), monomials)
+            assert got == want
+            assert all(type(g) is int for g in got)
+    assert monomial_sums(np.zeros((0, 2), dtype=np.int64),
+                         np.zeros(0, dtype=np.int64), monomials) == [0] * len(monomials)
 
 
 @pytest.mark.parametrize("cells, name, bound", [

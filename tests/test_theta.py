@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thetainv.lattice as latmod
 import thetainv.theta as thetamod
@@ -120,6 +123,26 @@ def _e8_embedding():
             for i in range(8)]
 
 
+@pytest.mark.parametrize("name", ["z2", "z3", "e8"])
+def test_spherical_theta_equals_the_per_vector_evaluation(request, name):
+    # a non-harmonic h with odd, even and constant monomials, so the series
+    # is not zero; the e8 embedding has denominator 4
+    if name == "e8":
+        lat, emb, order = request.getfixturevalue("e8"), _e8_embedding(), 2
+    else:
+        lat, emb, order = lattice_by_name(name), None, 4
+    n = lat.rank
+    h = Poly(n, {(4,) + (0,) * (n - 1): 3, (1, 3) + (0,) * (n - 2): Fraction(-1, 2),
+                 (0, 1) + (0,) * (n - 2): 5, (0,) * n: Fraction(2, 7)})
+    table = enumerate_shells(lat, order)
+    got = spherical_theta(lat, h, order, embedding=emb, shells=table)
+    want = oracles.spherical_coeffs(
+        h, emb or thetamod.default_embedding(lat),
+        [table.shell(k).tolist() for k in range(order + 1)])
+    assert list(got.coeffs) == want
+    assert any(want[1:])
+
+
 def test_e8_spherical_theta_of_degree_two_harmonics_vanishes(e8, e8_shells6):
     emb = _e8_embedding()
     h1 = harmonic_project(Poly.monomial(8, (2, 0, 0, 0, 0, 0, 0, 0)))
@@ -232,6 +255,45 @@ def test_object_dtype_kernel_matches_int64_results(a2, shift):
     assert theta_triple(skewed, 4, shells=table) == theta_triple(a2, 4)
     req = InvariantRequest((1, 1, 2, 2), 4)
     assert theta_general(skewed, req, shells=table) == theta_general(a2, req)
+
+
+_SHEAR_BASES = {"a2": ((2, 1), (1, 2)), "skew2": ((2, 1), (1, 4)),
+                "skew3": ((2, 1, 0), (1, 4, 1), (0, 1, 6))}
+_SHEAR_ORDER = 4
+_SHEAR_REQUEST = InvariantRequest((1, 1, 2), _SHEAR_ORDER)
+
+
+@lru_cache(maxsize=None)
+def _unsheared(name):
+    lat = validate_lattice(_SHEAR_BASES[name])
+    return theta_pair(lat, 2, _SHEAR_ORDER), theta_general(lat, _SHEAR_REQUEST)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(_SHEAR_BASES)),
+       s=st.integers(0, 40).flatmap(lambda e: st.integers(-2**e, 2**e)))
+# the kernel runs a2 at s = 2^10 in float64, at 2^13 in int64 and at 2^40
+# in Python ints: each tier is hit whatever Hypothesis draws
+@example(name="a2", s=2**10)
+@example(name="a2", s=2**13)
+@example(name="a2", s=2**40)
+def test_sheared_bases_keep_histograms_and_series(name, s):
+    base = validate_lattice(_SHEAR_BASES[name])
+    u = [[int(i == j) for j in range(base.rank)] for i in range(base.rank)]
+    u[0][1] = s
+    lat = change_basis(base, u)
+    table = enumerate_shells(lat, _SHEAR_ORDER)
+    shell = {k: table.shell(k).tolist() for k in range(_SHEAR_ORDER + 1)}
+    for k1 in range(1, _SHEAR_ORDER + 1):
+        for k2 in range(k1, _SHEAR_ORDER + 1):
+            assert table.pair_histogram(k1, k2) == oracles.pair_histogram(
+                lat, shell[k1], shell[k2])
+    for comp in [(1, 1, 2), (2, 1, 1), (0, 1, 2), (1, 2, 1, 0)]:
+        assert table.tuple_histogram(comp) == oracles.tuple_histogram(
+            lat, [shell[c] for c in comp])
+    pair, general = _unsheared(name)
+    assert theta_pair(lat, 2, _SHEAR_ORDER, shells=table) == pair
+    assert theta_general(lat, _SHEAR_REQUEST, shells=table) == general
 
 
 # -- triple form --------------------------------------------------------------------
@@ -378,19 +440,11 @@ def test_general_mixed_degrees_basis_invariant(skew3):
         assert theta_general(moved, InvariantRequest((1, 2), 3)) == base
 
 
-def _general_by_tuple_loop(lat, degrees, order):
-    """theta_general's raw coefficients, summed over every explicit tuple."""
-    table = enumerate_shells(lat, order)
-    coeffs = [Fraction(0)] * (order + 1)
-    for comp in product(range(order + 1), repeat=len(degrees)):
-        if sum(comp) > order:
-            continue
-        poly = _composition_poly(lat.rank, degrees, comp)
-        hist = oracles.tuple_histogram(lat, [table.shell(c).tolist() for c in comp])
-        for key, cnt in hist.items():
-            coeffs[sum(comp)] += cnt * sum(
-                c * prod(t**e for t, e in zip(key, exps)) for exps, c in poly.items())
-    return coeffs
+def _oracle_tuple_histograms(lat, order):
+    """hist(comp) of every explicit tuple, from the pure-Python oracle."""
+    shells = enumerate_shells(lat, order)
+    return lambda comp: oracles.tuple_histogram(
+        lat, [shells.shell(c).tolist() for c in comp])
 
 
 @pytest.mark.parametrize("degrees", [(1, 1, 1, 1), (1, 1, 2, 2)])
@@ -398,7 +452,26 @@ def _general_by_tuple_loop(lat, degrees, order):
 def test_general_four_slots_match_tuple_loop(request, name, degrees):
     lat = request.getfixturevalue(name)
     got = theta_general(lat, InvariantRequest(degrees, 4))
-    assert list(got.coeffs) == _general_by_tuple_loop(lat, degrees, 4)
+    want = oracles.general_coeffs(lat.rank, degrees, 4, _oracle_tuple_histograms(lat, 4))
+    assert list(got.coeffs) == want
+
+
+def test_integer_reductions_equal_the_bucket_by_bucket_fractions(e8, e8_shells6, skew3,
+                                                                 diag246):
+    # the same histograms, reduced bucket by bucket in Fractions
+    for m in (1, 4, 9):
+        got = theta_pair(e8, m, 5, shells=e8_shells6)
+        assert list(got.coeffs) == oracles.pair_coeffs(8, m, 5, e8_shells6.pair_histogram)
+    got = theta_general(e8, InvariantRequest((6, 6), 3), shells=e8_shells6)
+    assert list(got.coeffs) == oracles.general_coeffs(8, (6, 6), 3,
+                                                      e8_shells6.tuple_histogram)
+    assert any(got.coeffs)
+    for lat in (skew3, diag246):
+        table = enumerate_shells(lat, 5)
+        for degrees in [(1, 2, 3), (2, 2, 2), (3, 3)]:
+            got = theta_general(lat, InvariantRequest(degrees, 5), shells=table)
+            assert list(got.coeffs) == oracles.general_coeffs(3, degrees, 5,
+                                                              table.tuple_histogram)
 
 
 def test_request_validation():
@@ -553,6 +626,25 @@ def test_invariant_metadata_character(request, name, want):
         assert invariant_metadata(lat, degrees)["character"] == want
     if lat.rank % 2 == 0:
         assert invariant_metadata(lat, (1, 1))["character"] is None
+
+
+def test_composition_poly_equals_the_fraction_expansion():
+    # the library expands once per degree list with symbolic norms; the
+    # oracle substitutes the norms first, composition by composition.  Both
+    # keep the monomials that can be nonzero: none in a pairing with a
+    # norm-0 slot, which holds the zero vector
+    cases = [(8, (1, 2), (1, 1)), (8, (4, 4), (2, 3)), (3, (1, 1, 2, 2), (0, 1, 2, 1)),
+             (2, (2, 2, 2), (3, 1, 2)), (3, (1, 1, 1), (1, 0, 0)), (4, (3,), (5,))]
+    for n, degrees, norms in cases:
+        const, cross, den = _composition_poly(n, degrees, norms)
+        k = len(degrees)
+        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        want = {e: c for e, c in oracles.composition_poly(n, degrees, norms).items()
+                if all(norms[a] and norms[b] for x, (a, b) in zip(e, pairs) if x)}
+        zero = (0,) * len(pairs)
+        assert Fraction(const, den) == want.get(zero, 0)
+        assert {e: Fraction(c, den) for e, c in cross} == {
+            e: c for e, c in want.items() if e != zero}
 
 
 def test_composition_poly_is_memoised_and_read_only():
