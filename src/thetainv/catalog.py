@@ -164,7 +164,7 @@ def parse_lattice_file(path: str) -> IntegralLattice:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise LatticeFileError(f"{path}: matrix entries must be integers")
     rank = doc.get("rank")
-    if isinstance(rank, bool):
+    if rank is not None and type(rank) is not int:
         raise LatticeFileError(f"{path}: 'rank' must be an integer")
     if rank is not None and rank != len(gram2):
         raise LatticeFileError(

@@ -6,9 +6,12 @@ A lattice of rank n is stored through the symmetric integer matrix
 Squared vector lengths are (1/2) v^T gram2 v and are always integers; the
 doubled pairing v^T gram2 w keeps all pair statistics integral.
 
-Shell enumeration uses an exact LDL^T decomposition over the rationals and
-integer square roots; a float64 square root enters only where integer steps
-then correct it.  Products of integer arrays run in float64 (BLAS) only when
+One fraction-free integer elimination of gram2, run once per lattice and
+cached, gives the positive-definiteness check, the discriminant, the
+adjugate that the level is read from, and the LDL^T decomposition that
+drives the shell search.  The search runs in integers with integer square
+roots; a float64 square root enters only where integer steps then correct
+it.  Products of integer arrays run in float64 (BLAS) only when
 a bound shows that every partial sum is an integer below 2^53, which float64
 represents exactly whatever order the sum is taken in; otherwise in int64
 below 2^62, and in Python integers beyond that.  Each shell is one integer
@@ -27,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,88 +65,59 @@ _CHUNK = 1 << 16
 _SHELL_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
+def _as_int(x, i: int, j: int) -> int:
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"entry ({i},{j}) = {x!r} is not an integer")
+
+
 def _as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """The rows as Python ints; ValueError names the first entry that is
+    not an integer, as 2.5 or "2" are not (2.0 is)."""
+    return tuple(tuple(_as_int(x, i, j) for j, x in enumerate(row))
+                 for i, row in enumerate(rows))
 
 
-def bareiss_minors(a: Sequence[Sequence[int]]) -> list[int]:
-    """Leading principal minors of a square integer matrix via fraction-free
-    elimination (no pivoting; a zero pivot aborts with the minors found so far)."""
-    n = len(a)
-    m = [list(row) for row in a]
-    minors = []
-    prev = 1
-    for k in range(n):
-        minors.append(m[k][k])
-        if m[k][k] == 0:
-            break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return minors
+class _Elimination(NamedTuple):
+    pivots: list[int]
+    rows: list[list[int]]
+    adj: list[list[int]] | None
 
 
-def det_int(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss with row pivoting)."""
-    n = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _eliminate(a: IntMatrix) -> _Elimination:
+    """Fraction-free Gauss-Jordan elimination of [A | I] without pivoting
+    (Bareiss, Math. Comp. 22, 1968), stopped at the first pivot that is not
+    positive.
 
-
-def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(det a, adj a) of a positive-definite integer matrix by fraction-free
-    Gauss-Jordan elimination of [a | I], which ends at [det I | adj a].
-
-    The pivot of step k is the leading principal minor of order k + 1, which
-    is positive, so no pivoting is needed, and each division by the previous
-    pivot is exact (Sylvester's identity)."""
+    The pivot of step k is the leading principal minor D_{k+1} of order
+    k + 1 (D_0 = 1), and each division by the previous pivot is exact
+    (Sylvester's identity).  At step k the pivot row holds r_kj, the minor
+    of rows 0..k and columns 0..k-1, j.  When all n pivots are positive, A
+    is positive definite, the last pivot is det A, the right-hand block
+    ends as adj A, and A = U^T D U with d_k = D_{k+1} / D_k and
+    u_kj = r_kj / D_{k+1}.  ``adj`` is None after a stop.
+    """
     n = len(a)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    pivots: list[int] = []
+    rows: list[list[int]] = []
     prev = 1
     for k in range(n):
         pivot, pivot_row = m[k][k], m[k]
+        pivots.append(pivot)
+        if pivot <= 0:
+            return _Elimination(pivots, rows, None)
+        rows.append(pivot_row[:n])
         for i in range(n):
             if i != k:
                 row = m[i]
                 f = row[k]
                 m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
         prev = pivot
-    return prev, [row[n:] for row in m]
-
-
-def invert_rational(a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact inverse of an integer matrix over the rationals."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return _Elimination(pivots, rows, [row[n:] for row in m])
 
 
 @dataclass(frozen=True)
@@ -171,7 +145,7 @@ class IntegralLattice:
         return q // 2
 
     def discriminant(self) -> int:
-        return self._discriminant
+        return self._elimination.pivots[-1]
 
     def level(self) -> int:
         """Smallest N > 0 with N * gram2^{-1} integral and even on the diagonal."""
@@ -180,14 +154,14 @@ class IntegralLattice:
     # computed once per lattice: cached_property writes the instance
     # __dict__ directly, which a frozen dataclass allows
     @cached_property
-    def _discriminant(self) -> int:
-        return det_int(self.gram2)
+    def _elimination(self) -> _Elimination:
+        return _eliminate(self.gram2)
 
     @cached_property
     def _level(self) -> int:
         # gram2^{-1} = adj / det, so with g = gcd(det, adj) the lcm of its
         # denominators is det / g, and N * gram2^{-1} = adj / g at N = det / g
-        det, adj = adjugate(self.gram2)
+        det, adj = self.discriminant(), self._elimination.adj
         g = gcd(det, *(x for row in adj for x in row))
         diag_even = all(adj[i][i] // g % 2 == 0 for i in range(self.rank))
         return det // g if diag_even else 2 * det // g
@@ -212,12 +186,12 @@ def validate_lattice(gram2: Iterable[Iterable[int]], name: str | None = None) ->
     for i in range(n):
         if a[i][i] % 2 != 0:
             raise OddDiagonalError(f"diagonal entry ({i},{i}) = {a[i][i]} is odd")
-    minors = bareiss_minors(a)
-    for k, mk in enumerate(minors):
-        if mk <= 0:
-            raise NotPositiveDefiniteError(
-                f"leading principal minor of order {k + 1} is {mk}")
-    return IntegralLattice(a, name)
+    lattice = IntegralLattice(a, name)
+    pivots = lattice._elimination.pivots
+    if pivots[-1] <= 0:
+        raise NotPositiveDefiniteError(
+            f"leading principal minor of order {len(pivots)} is {pivots[-1]}")
+    return lattice
 
 
 def change_basis(lattice: IntegralLattice, u: Iterable[Iterable[int]]) -> IntegralLattice:
@@ -226,12 +200,17 @@ def change_basis(lattice: IntegralLattice, u: Iterable[Iterable[int]]) -> Integr
     n = lattice.rank
     if len(um) != n or any(len(row) != n for row in um):
         raise RankMismatchError("basis-change matrix has wrong shape")
-    if det_int(um) not in (1, -1):
-        raise ValueError("basis-change matrix must have determinant +-1")
     a = lattice.gram2
     au = [[sum(a[i][k] * um[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    new = [[sum(um[k][i] * au[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return validate_lattice(new, name=lattice.name)
+    moved = IntegralLattice(
+        tuple(tuple(sum(um[k][i] * au[k][j] for k in range(n)) for j in range(n))
+              for i in range(n)), lattice.name)
+    # U^T A U is symmetric with even diagonal, positive definite exactly when
+    # U is invertible, and of determinant det(U)^2 det A: its elimination
+    # ends at det A > 0 exactly when U is unimodular
+    if moved._elimination.pivots[-1] != lattice.discriminant():
+        raise ValueError("basis-change matrix must have determinant +-1")
+    return moved
 
 
 def random_unimodular(rank: int, rng, steps: int = 12) -> list[list[int]]:
@@ -250,24 +229,6 @@ def random_unimodular(rank: int, rng, steps: int = 12) -> list[list[int]]:
         elif op == 2:
             u[i] = [-x for x in u[i]]
     return u
-
-
-def _ldl(gram2: IntMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """A = U^T D U with U unit upper triangular; returns (diagonal, U rows)."""
-    n = len(gram2)
-    m = [[Fraction(x) for x in row] for row in gram2]
-    d: list[Fraction] = []
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d.append(m[i][i])
-        u[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            u[i][j] = m[i][j] / d[i]
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                m[r][c] -= m[i][r] * m[i][c] / d[i]
-                m[c][r] = m[r][c]
-    return d, u
 
 
 def _isqrt_int64(r: np.ndarray) -> np.ndarray:
@@ -295,17 +256,18 @@ def _narrow(v: np.ndarray) -> np.ndarray:
     return v.astype(object, copy=False)
 
 
-def _enumerate(gram2: IntMatrix, bound: int) -> dict[int, np.ndarray]:
+def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
     """All v with norm <= bound by shell, each shell sorted lexicographically:
     the Fincke-Pohst search run level by level over numpy frontiers, in
     exact integers only.
 
     The quadratic form is written as sum_i d_i (v_i + c_i(v))^2 from the LDL^T
-    decomposition; all comparisons are cleared of denominators up front.  A
-    frontier row holds the coordinates i+1..n-1 chosen so far (the others
-    0) and ``acc``, their part of 2 * big * norm.  Frontier chunks wait on a
-    stack, and no chunk expands to more than _CHUNK rows at once (unless
-    one row alone has more children), so transient memory stays bounded.
+    decomposition that the lattice's cached elimination gives; all
+    comparisons are cleared of denominators up front.  A frontier row holds
+    the coordinates i+1..n-1 chosen so far (the others 0) and ``acc``, their
+    part of 2 * big * norm.  Frontier chunks wait on a stack, and no chunk
+    expands to more than _CHUNK rows at once (unless one row alone has more
+    children), so transient memory stays bounded.
 
     Every shell is closed under v -> -v, so the search finds only half of
     it (Fincke & Pohst, Math. Comp. 44, 1985): a chunk carries the index of
@@ -321,18 +283,18 @@ def _enumerate(gram2: IntMatrix, bound: int) -> dict[int, np.ndarray]:
     stays lexicographic, so the shells, and the cache files that store
     them, are those of a search over whole shells.
     """
-    n = len(gram2)
-    d, u = _ldl(gram2)
+    n = lattice.rank
+    pivots, pivot_rows, _ = lattice._elimination
+    d = [Fraction(p, q) for p, q in zip(pivots, [1, *pivots])]
     dn = [x.numerator for x in d]
     dd = [x.denominator for x in d]
     cden = []
     cnum = []
     for i in range(n):
-        den = 1
-        for j in range(i + 1, n):
-            den = lcm(den, u[i][j].denominator)
+        u = [Fraction(r, pivots[i]) for r in pivot_rows[i][i + 1:]]
+        den = lcm(*(x.denominator for x in u))
         cden.append(den)
-        cnum.append([int(u[i][j] * den) for j in range(i + 1, n)])
+        cnum.append([int(x * den) for x in u])
     big = 1
     for i in range(n):
         big = lcm(big, dd[i] * cden[i] * cden[i])
@@ -732,7 +694,7 @@ def enumerate_shells(lattice: IntegralLattice, bound: int,
         cached = load_shell_table(lattice, bound, cache_dir)
         if cached is not None:
             return cached
-    table = ShellTable(lattice, bound, _enumerate(lattice.gram2, bound))
+    table = ShellTable(lattice, bound, _enumerate(lattice, bound))
     if cache_dir and use_cache:
         save_shell_table(table, cache_dir)
     return table
@@ -783,11 +745,14 @@ def _read_npz(path: str) -> dict[str, np.ndarray] | None:
     """Every array of an .npz file, or None when it is unreadable, is not
     an .npz archive or holds a pickled (object) array."""
     try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            return None
-        with data:
-            return {name: data[name] for name in data.files}
+        # np.load leaves a path it opened open when the archive is bad, but
+        # never closes a file it is handed, so the file is closed here
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                return None
+            with data:
+                return {name: data[name] for name in data.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         return None
 

@@ -1,5 +1,6 @@
-"""Pure-Python reference loops for the shell search and the pairing kernel
-in ``thetainv.lattice``, and for the reductions in ``thetainv.theta``.
+"""Pure-Python reference loops for the shell search, the level and the
+pairing kernel in ``thetainv.lattice``, and for the reductions in
+``thetainv.theta``.
 
 Each one works on explicit vectors with Python integers, so it shares no
 arithmetic with the numpy code.  The reduction loops sum their polynomials
@@ -81,6 +82,26 @@ def enumerate_shells(gram2, bound) -> dict[int, list[tuple[int, ...]]]:
 
     descend(n - 1, 0)
     return {k: sorted(vs) for k, vs in shells.items()}
+
+
+def invert_rational(a) -> list[list[Fraction]]:
+    """Exact inverse of an integer matrix over the rationals, by Gauss-Jordan
+    elimination with row pivoting in Fractions."""
+    n = len(a)
+    aug = [[Fraction(a[i][j]) for j in range(n)]
+           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [x / p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def _times_gram(matrix, vectors):

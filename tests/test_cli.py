@@ -161,10 +161,14 @@ def test_cli_bad_lattice_exit_2(capsys):
 @pytest.mark.parametrize("doc", [
     '{"gram2": [[2, true], [true, 2]]}',
     '{"rank": true, "gram2": [[2]]}',
-], ids=["bool-entries", "bool-rank"])
+    '{"rank": 2.0, "gram2": [[2, 1], [1, 2]]}',
+    '{"rank": "2", "gram2": [[2, 1], [1, 2]]}',
+], ids=["bool-entries", "bool-rank", "float-rank", "string-rank"])
 def test_cli_lattice_file_with_booleans_exit_2(capsys, tmp_path, doc):
     # JSON true loads as a Python bool, which isinstance(x, int) accepts:
-    # the first file would otherwise run as a2 and the second as z1
+    # the first file would otherwise run as a2 and the second as z1; rank
+    # 2.0 equals 2, so the third would run as a2 too, and the fourth must
+    # not be reported as a rank that does not match
     path = tmp_path / "bools.json"
     path.write_text(doc)
     with pytest.raises(LatticeFileError, match="integer"):

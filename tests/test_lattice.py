@@ -1,6 +1,7 @@
 import os
 import pickle
 import random
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import isqrt, lcm
@@ -23,9 +24,7 @@ from thetainv.lattice import (
     ShellTable,
     _isqrt_int64,
     change_basis,
-    det_int,
     enumerate_shells,
-    invert_rational,
     load_shell_table,
     monomial_sums,
     random_unimodular,
@@ -75,14 +74,6 @@ def test_discriminant_values(e8, a2):
     assert e8.discriminant() == 1
 
 
-def test_determinant_against_sympy_oracle():
-    rng = random.Random(5)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert det_int(m) == int(sympy.Matrix(m).det())
-
-
 def test_level_values(e8, a2, d4):
     assert validate_lattice([[2]]).level() == 4
     assert a2.level() == 3
@@ -104,7 +95,7 @@ def test_level_minimality(name_gram):
     lat = validate_lattice(gram, name=name)
     n = lat.rank
     big_n = lat.level()
-    inv = invert_rational(lat.gram2)
+    inv = oracles.invert_rational(lat.gram2)
 
     def works(c):
         scaled = [[c * x for x in row] for row in inv]
@@ -124,7 +115,7 @@ def test_level_minimality(name_gram):
 
 
 def _level_from_rational_inverse(gram2):
-    inv = invert_rational(gram2)
+    inv = oracles.invert_rational(gram2)
     m = reduce(lcm, (x.denominator for row in inv for x in row), 1)
     return m if all((m * inv[i][i]).numerator % 2 == 0 for i in range(len(inv))) else 2 * m
 
@@ -153,6 +144,113 @@ def test_unimodular_invariance_of_disc_and_level(a2, skew3):
 def test_change_basis_rejects_non_unimodular(a2):
     with pytest.raises(ValueError):
         change_basis(a2, [[2, 0], [0, 1]])
+
+
+def test_non_integer_entries_are_rejected(a2):
+    # int(2.5) is 2, so truncation would return a2 for the first matrix and
+    # leave a2 unchanged under the second
+    with pytest.raises(ValueError, match=r"entry \(0,0\) = 2.5 is not an integer"):
+        validate_lattice([[2.5, 1], [1, 2]])
+    with pytest.raises(ValueError, match=r"entry \(0,1\) = 0.5 is not an integer"):
+        change_basis(a2, [[1, 0.5], [0, 1]])
+    with pytest.raises(ValueError, match=r"entry \(1,0\) = '1' is not an integer"):
+        validate_lattice([[2, 1], ["1", 2]])
+    assert validate_lattice([[2.0, 1], [1, 2]]).gram2 == a2.gram2
+
+
+# -- the elimination, against sympy and the Fraction oracles ---------------------
+
+@st.composite
+def _symmetric_even(draw, dominant):
+    """A symmetric integer matrix of rank 1-5 with even diagonal; with
+    ``dominant`` each diagonal entry exceeds its row's off-diagonal sum,
+    which makes the matrix positive definite."""
+    n = draw(st.integers(1, 5))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = a[j][i] = draw(st.integers(-3, 3))
+    for i in range(n):
+        off = sum(abs(x) for j, x in enumerate(a[i]) if j != i)
+        low = off // 2 + 1 if dominant else -1
+        a[i][i] = 2 * draw(st.integers(low, low + 3))
+    return a
+
+
+@settings(max_examples=30, deadline=None)
+@given(_symmetric_even(dominant=True))
+def test_elimination_facts_against_sympy_and_oracles(gram2):
+    lat = validate_lattice(gram2)
+    n = lat.rank
+    assert lat.discriminant() == int(sympy.Matrix(gram2).det())
+    assert lat.level() == _level_from_rational_inverse(gram2)
+    # A = U^T D U with d_k = D_{k+1} / D_k and u_kj = r_kj / D_{k+1}
+    pivots, rows, _ = lat._elimination
+    d = [Fraction(p, q) for p, q in zip(pivots, [1, *pivots])]
+    u = [[Fraction(rows[i][j], pivots[i]) if j >= i else 0 for j in range(n)]
+         for i in range(n)]
+    assert all(u[i][i] == 1 for i in range(n))
+    assert [[sum(u[k][i] * d[k] * u[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == gram2
+    table = enumerate_shells(lat, 3)
+    expected = oracles.enumerate_shells(gram2, 3)
+    for k in range(4):
+        assert table.shell(k).tolist() == [list(v) for v in expected[k]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_symmetric_even(dominant=False))
+def test_first_non_positive_leading_minor_is_named(gram2):
+    minors = [int(sympy.Matrix(gram2)[:k, :k].det()) for k in range(1, len(gram2) + 1)]
+    bad = next((k for k, m in enumerate(minors, 1) if m <= 0), None)
+    if bad is None:
+        assert validate_lattice(gram2).discriminant() == minors[-1]
+    else:
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            validate_lattice(gram2)
+        assert str(info.value) == (
+            f"leading principal minor of order {bad} is {minors[bad - 1]}")
+
+
+@st.composite
+def _integer_matrix(draw, n):
+    """L R with L unit lower triangular and R upper triangular, whose
+    diagonal is +-1 but for one entry from 0, +-1, +-2: det is 0, +-1 or +-2."""
+    det = draw(st.sampled_from((0, 1, -1, 2, -2)))
+    at = draw(st.integers(0, n - 1))
+    low = [[1 if i == j else draw(st.integers(-2, 2)) if j < i else 0
+            for j in range(n)] for i in range(n)]
+    up = [[(det if i == at else draw(st.sampled_from((1, -1)))) if j == i
+           else draw(st.integers(-2, 2)) if j > i else 0
+           for j in range(n)] for i in range(n)]
+    return [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_symmetric_even(dominant=True).flatmap(
+    lambda g: st.tuples(st.just(g), _integer_matrix(len(g)))))
+def test_change_basis_raises_exactly_off_unimodular(args):
+    gram2, u = args
+    lat = validate_lattice(gram2)
+    if abs(int(sympy.Matrix(u).det())) != 1:
+        with pytest.raises(ValueError, match="determinant"):
+            change_basis(lat, u)
+    else:
+        moved = change_basis(lat, u)
+        assert moved.discriminant() == lat.discriminant()
+        assert moved.level() == lat.level()
+
+
+def test_one_elimination_per_lattice(monkeypatch):
+    calls = []
+    eliminate = lattice_module._eliminate
+    monkeypatch.setattr(lattice_module, "_eliminate",
+                        lambda a: calls.append(a) or eliminate(a))
+    lat = validate_lattice([[2, 1, 0], [1, 4, 1], [0, 1, 6]])
+    assert (lat.discriminant(), lat.level()) == (40, 80)
+    assert enumerate_shells(lat, 3).sizes() == {0: 1, 1: 2, 2: 4, 3: 2}
+    assert len(calls) == 1
 
 
 # -- pairing -------------------------------------------------------------------
