@@ -10,12 +10,12 @@ Usage: python scripts/e8_identities.py [--order K]
 
 import argparse
 import time
-from fractions import Fraction
 
 from thetainv.catalog import lattice_by_name
 from thetainv.lattice import enumerate_shells
 from thetainv.qseries import delta_series, eisenstein, format_rational
 from thetainv.theta import theta_pair
+from thetainv.verify import E8_PAIR_CONSTANTS
 
 
 def main():
@@ -39,20 +39,18 @@ def main():
         print(f" {m} | {format_rational(val)}")
 
     k = args.order
+    d2 = delta_series(k) ** 2
     identities = [
-        ("3/896 * Delta^2", 4,
-         Fraction(3, 896) * delta_series(k) ** 2),
-        ("7/658944 * G8 * Delta^2", 6,
-         Fraction(7, 658944) * (eisenstein(8, k) * delta_series(k) ** 2)),
-        ("9/1064960 * G6^2 * Delta^2", 7,
-         Fraction(9, 1064960) * (eisenstein(6, k) ** 2 * delta_series(k) ** 2)),
-        ("1/96509952 * G8^2 * Delta^2", 8,
-         Fraction(1, 96509952) * (eisenstein(8, k) ** 2 * delta_series(k) ** 2)),
-        ("11/3429236736000 * G10^2 * Delta^2", 9,
-         Fraction(11, 3429236736000) * (eisenstein(10, k) ** 2 * delta_series(k) ** 2)),
+        (4, "Delta^2", d2),
+        (6, "G8 * Delta^2", eisenstein(8, k) * d2),
+        (7, "G6^2 * Delta^2", eisenstein(6, k) ** 2 * d2),
+        (8, "G8^2 * Delta^2", eisenstein(8, k) ** 2 * d2),
+        (9, "G10^2 * Delta^2", eisenstein(10, k) ** 2 * d2),
     ]
     print(f"\nidentity checks through q^{k}:")
-    for label, m, rhs in identities:
+    for m, form, series in identities:
+        const = E8_PAIR_CONSTANTS[m]
+        label, rhs = f"{format_rational(const)} * {form}", const * series
         lhs = theta_pair(e8, m, k, shells=shells)
         status = "ok" if lhs == rhs else "MISMATCH"
         print(f"  degree-({m},{m}) invariant == {label}: {status}")

@@ -206,7 +206,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ThetaInvError, ValueError) as exc:
+    except (ThetaInvError, ValueError, OSError) as exc:
+        # OSError: an unusable --cache-dir, such as a path to a regular file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

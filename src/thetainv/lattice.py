@@ -668,7 +668,9 @@ class ShellTable:
     def moment_matrix(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Sum of v v^T over the shell of norm k (coordinate outer products),
         summed over row chunks in the dtype that is exact for the whole sum,
-        as Python ints."""
+        as Python ints.  v v^T is even in v and the rows before len // 2
+        negate those after it, so the upper half (rows len // 2 on) is summed
+        and doubled; shell 0's one row is the zero vector, which adds 0."""
         cached = self._moments.get(k)
         if cached is None:
             v = self._shells[k]
@@ -676,10 +678,10 @@ class ShellTable:
             dtype = _exact_dtype(v.T, v)
             total = np.zeros((n, n), dtype=dtype)
             step = max(1, _BLOCK // n)
-            for start in range(0, len(v), step):
+            for start in range(len(v) // 2, len(v), step):
                 chunk = v[start:start + step].astype(dtype)
                 total += chunk.T @ chunk
-            cached = tuple(tuple(int(x) for x in row) for row in total.tolist())
+            cached = tuple(tuple(2 * int(x) for x in row) for row in total.tolist())
             self._moments[k] = cached
         return cached
 

@@ -19,6 +19,8 @@ pairing over pair histograms, and the triple invariant is a sum of traces of
 products of P_k = gram2 M_k, with M_k the moment matrix of shell k, so it
 pairs no two vectors at all.
 
+Every route sums each shell composition once per reordering of its slots of
+equal degree, times the number of such reorderings (_cells).
 Every reduction runs in exact integers: each polynomial is held as integer
 numerators over one common denominator, its monomials are summed over a
 histogram or a shell as integer power sums, and one Fraction is formed per
@@ -27,10 +29,11 @@ shell composition or coefficient, never one per bucket or vector.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, groupby, product
 from math import factorial, isqrt, lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -69,6 +72,22 @@ def _invariant(lattice: IntegralLattice, degrees: Sequence[int],
     meta = invariant_metadata(lattice, degrees)
     return QSeries(len(coeffs) - 1, coeffs, weight=meta["weight"],
                    level=meta["level"])
+
+
+def _cells(sizes: Mapping[int, int], order: int, degrees: Sequence[int]):
+    """(k, comp, mult) for each composition comp of k <= order into nonempty
+    shells, one per slot, with comp non-decreasing within each run of equal
+    (non-decreasing) degrees and mult its number of distinct reorderings
+    within the runs.  Every summand is symmetric in slots of equal degree."""
+    shells = [s for s in range(order + 1) if sizes[s]]
+    runs = [len(list(run)) for _, run in groupby(degrees)]
+    for parts in product(*(combinations_with_replacement(shells, r) for r in runs)):
+        comp = sum(parts, ())
+        if sum(comp) <= order:
+            # the distinct orderings of each run's multiset of shells
+            mult = prod(factorial(len(p)) // prod(map(factorial, Counter(p).values()))
+                        for p in parts)
+            yield sum(comp), comp, mult
 
 
 def theta_series(lattice: IntegralLattice, order: int, *,
@@ -213,19 +232,12 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
     table = _table(lattice, order, shells)
     sizes = table.sizes()
     nums, den = _pair_poly_cached(n, m)
-    coeffs = []
-    for k in range(order + 1):
-        total = 0
-        # the cell (k2, k1) has the histogram of (k1, k2)
-        for k1 in range(k // 2 + 1):
-            k2 = k - k1
-            if not (sizes[k1] and sizes[k2]):
-                continue
-            p = _even_power_sums(table.pair_histogram(k1, k2), m)
-            cell = sum(c * (4 * k1 * k2) ** i * p[m - i] for i, c in enumerate(nums))
-            total += cell if k1 == k2 else 2 * cell
-        coeffs.append(Fraction(total, den * 4**m))
-    return _invariant(lattice, (m, m), coeffs)
+    totals = [0] * (order + 1)
+    for k, (k1, k2), mult in _cells(sizes, order, (m, m)):
+        p = _even_power_sums(table.pair_histogram(k1, k2), m)
+        totals[k] += mult * sum(c * (4 * k1 * k2) ** i * p[m - i]
+                                for i, c in enumerate(nums))
+    return _invariant(lattice, (m, m), [Fraction(t, den * 4**m) for t in totals])
 
 
 def _even_power_sums(hist: Mapping[int, int], m: int) -> list[int]:
@@ -290,17 +302,11 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
                                 + c * n3 * np.trace(pa @ pb)), 4)
                 + Fraction(n * n * np.trace(pa @ pb @ pc), 8))
 
-    # each cell a <= b <= c stands for its distinct orderings
-    coeffs = []
-    for k in range(order + 1):
-        total = Fraction(0)
-        for a in range(1, k // 3 + 1):
-            for b in range(a, (k - a) // 2 + 1):
-                c = k - a - b
-                if a in p and b in p and c in p:
-                    total += len(set(permutations((a, b, c)))) * cell(a, b, c)
-        coeffs.append(n * total)
-    return _invariant(lattice, (1, 1, 1), coeffs)
+    totals = [Fraction(0)] * (order + 1)
+    for k, comp, mult in _cells(sizes, order, (1, 1, 1)):
+        if all(c in p for c in comp):
+            totals[k] += mult * cell(*comp)
+    return _invariant(lattice, (1, 1, 1), [n * t for t in totals])
 
 
 # -- general invariant ------------------------------------------------------
@@ -448,46 +454,31 @@ def _composition_poly(n: int, degrees: tuple[int, ...], norms: tuple[int, ...]
     return const, tuple((off, c) for off, c in nums.items() if c and any(off)), den
 
 
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
                   shells: ShellTable | None = None) -> QSeries:
     """General invariant for an arbitrary non-decreasing degree list.
 
+    Each composition is reduced once per reordering of its equal-degree
+    slots (_cells); max_tuples bounds the ordered tuples, sum mult prod |S_c|.
     The raw normalization is the plain orthonormal-basis sum; "pair" and
     "triple" rescale to the conventions used by the explicit identities
     (prod_{j<2m} (n+2j) and n^4 (n+2)(n+4) respectively).
     """
     degrees = request.degrees
-    k = len(degrees)
     n = lattice.rank
     order = request.order
     table = _table(lattice, order, shells)
     sizes = table.sizes()
 
-    comps: list[tuple[int, tuple[int, ...]]] = []
-    budget = 0
-    for kap in range(order + 1):
-        for comp in _compositions(kap, k):
-            cnt = prod(sizes[c] for c in comp)
-            if cnt == 0:
-                continue
-            budget += cnt
-            comps.append((kap, comp))
+    cells = list(_cells(sizes, order, degrees))
+    budget = sum(mult * prod(sizes[c] for c in comp) for _, comp, mult in cells)
     if budget > request.max_tuples:
         raise ResourceLimitError(
             f"invariant needs {budget} lattice tuples, over the budget of "
             f"{request.max_tuples}")
 
     coeffs = [Fraction(0)] * (order + 1)
-    for kap, comp in comps:
+    for kap, comp, mult in cells:
         const, cross, den = _composition_poly(n, degrees, comp)
         total = const * prod(sizes[c] for c in comp)
         if cross:
@@ -498,7 +489,7 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
             counts = np.array(list(hist.values()))
             sums = monomial_sums(keys, counts, [e for e, _ in cross])
             total += sum(c * s for (_, c), s in zip(cross, sums))
-        coeffs[kap] += Fraction(total, den)
+        coeffs[kap] += Fraction(mult * total, den)
 
     scale = Fraction(1)
     if request.normalization == "pair":

@@ -547,6 +547,8 @@ def check_basis_invariance(budget: int, seed: int,
 
 def run_verification(budget: int = DEFAULT_BUDGET,
                      seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    if budget < 0:
+        raise ValueError("order budget must be >= 0")
     results: list[CheckResult] = []
     e8 = catalog()["e8"].lattice
     e8_bound = 2 if budget < 2 else min(6, max(budget, 2))

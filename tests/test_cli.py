@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -289,6 +292,32 @@ def test_cli_verify_budget_zero_passes(capsys):
     assert "binomial-delta" in names and "e8-pair-q2-table" in names
     skipped = {c["name"] for c in report["checks"] if c["skipped"]}
     assert "basis-invariance" in skipped
+
+
+def test_cli_verify_negative_budget_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--order-budget", "-3",
+                             "--format", "text")
+    assert code == 2 and not out
+    assert "order budget must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--lattice", "a2", "--degrees", "1,1", "--order", "2"),
+    ("compare", "--lattice-a", "a2", "--lattice-b", "z2", "--order", "2")])
+def test_cli_unusable_cache_dir_exit_2(tmp_path, argv):
+    # a regular file where the cache directory should be: the error is
+    # reported as bad input, not as a traceback with exit 1
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetainv.cli", *argv, "--cache-dir", str(blocker)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert blocker.read_text() == ""
 
 
 def test_cli_verify_text_format(capsys):

@@ -1,7 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from math import prod
 
 import pytest
@@ -454,6 +455,58 @@ def test_general_four_slots_match_tuple_loop(request, name, degrees):
     got = theta_general(lat, InvariantRequest(degrees, 4))
     want = oracles.general_coeffs(lat.rank, degrees, 4, _oracle_tuple_histograms(lat, 4))
     assert list(got.coeffs) == want
+
+
+@pytest.mark.parametrize("degrees", [(1, 2), (1, 1, 2), (1, 2, 2), (2, 2, 2)])
+@pytest.mark.parametrize("name", ["skew2", "skew3", "diag246"])
+def test_general_equals_the_ordered_composition_oracle_across_bases(request, name,
+                                                                    degrees):
+    # the oracle walks every ordered composition; theta_general one per
+    # reordering of its equal-degree slots
+    base = request.getfixturevalue(name)
+    rng = random.Random(sum(degrees) * 31 + len(name))
+    for lat in (base, change_basis(base, random_unimodular(base.rank, rng))):
+        got = theta_general(lat, InvariantRequest(degrees, 4))
+        want = oracles.general_coeffs(lat.rank, degrees, 4,
+                                      _oracle_tuple_histograms(lat, 4))
+        assert list(got.coeffs) == want
+
+
+def _canonical(degrees, comp):
+    """comp sorted within each run of equal degrees."""
+    out, i = [], 0
+    for _, run in groupby(degrees):
+        r = len(list(run))
+        out += sorted(comp[i:i + r])
+        i += r
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(degrees=st.lists(st.integers(0, 3), min_size=1, max_size=4).map(sorted),
+       sizes=st.lists(st.integers(0, 2), min_size=7, max_size=7),
+       order=st.integers(0, 6))
+@example(degrees=[1, 1, 1, 1], sizes=[1, 2, 0, 2, 2, 2, 2], order=4)
+def test_cells_cover_each_ordered_composition_once(degrees, sizes, order):
+    sizes = dict(enumerate(sizes))
+    cells = list(thetamod._cells(sizes, order, degrees))
+    got = Counter()
+    for k, comp, mult in cells:
+        assert k == sum(comp) <= order and all(sizes[c] for c in comp)
+        assert comp == _canonical(degrees, comp)
+        got[comp] += mult
+    assert len({comp for _, comp, _ in cells}) == len(cells)
+    ordered = [comp for comp in product(range(order + 1), repeat=len(degrees))
+               if sum(comp) <= order and all(sizes[c] for c in comp)]
+    assert got == Counter(_canonical(degrees, comp) for comp in ordered)
+    assert sum(mult for _, _, mult in cells) == len(ordered)
+
+
+def test_general_budget_counts_ordered_tuples(e8, e8_shells6):
+    # ordered tuples by composition: (0,0,0), 3 x (0,0,1), 3 x (0,0,2), 3 x (0,1,1),
+    # 3 x (0,0,3), 6 x (0,1,2) and (1,1,1) over shells of 1, 240, 2160, 6720
+    with pytest.raises(ResourceLimitError, match="needs 17134561 lattice tuples"):
+        theta_general(e8, InvariantRequest((1, 1, 1), 3), shells=e8_shells6)
 
 
 def test_integer_reductions_equal_the_bucket_by_bucket_fractions(e8, e8_shells6, skew3,
