@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .catalog import get_lattice
 from .errors import ResourceLimitError, ThetaInvError
-from .lattice import IntegralLattice
+from .lattice import IntegralLattice, enumerate_shells
 from .qseries import QSeries, format_rational
 from .theta import InvariantRequest, compute, invariant_metadata
 from .verify import DEFAULT_BUDGET, DEFAULT_SEED, report_dict, run_verification
@@ -110,11 +110,14 @@ def cmd_compare(args) -> int:
             f"{lat_b.label()} has rank {lat_b.rank}")
     requests = [_request(args, d) for d in (args.degrees or ["0"])]
     cache = _resolve_cache(args)
+    # one shell table per lattice, shared by every request with its orbit data
+    table_a, table_b = (enumerate_shells(lat, args.order, cache_dir=cache)
+                        for lat in (lat_a, lat_b))
     lines = [f"# compare {lat_a.label()} vs {lat_b.label()} order={args.order}"]
     separated = []
     for request in requests:
-        sa = compute(lat_a, request, cache_dir=cache)
-        sb = compute(lat_b, request, cache_dir=cache)
+        sa = compute(lat_a, request, shells=table_a)
+        sb = compute(lat_b, request, shells=table_b)
         tag = ",".join(map(str, request.degrees))
         diff = next((k for k in range(args.order + 1)
                      if sa.coeff(k) != sb.coeff(k)), None)

@@ -16,6 +16,14 @@ a bound shows that every partial sum is an integer below 2^53, which float64
 represents exactly whatever order the sum is taken in; otherwise in int64
 below 2^62, and in Python integers beyond that.  Each shell is one integer
 numpy array, and the disk cache stores it as such in an ``.npz`` file.
+
+Every pair or tuple statistic depends only on the Gram matrix of each
+tuple, so slot 0 of a histogram runs over one vector per orbit of a group
+H of isometries, weighted by the orbit size.  H is generated by -I and
+the reflections in the roots (the vectors of norm 1), whose orbits come
+from the dominant vectors and the orders of the parabolic subgroups
+(``ShellTable.orbits``); without roots H is {+-I}, whose orbits are the
+pairs +-v.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import zipfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm, prod
+from math import factorial, gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -57,6 +65,10 @@ _BLOCK = 1 << 16
 # rows of shell k1 per pair-histogram tile: each tile casts shell k2 again,
 # which costs rank / _TILE_ROWS of the tile's own work
 _TILE_ROWS = 1 << 10
+# a histogram cell reads the orbits of its slot-0 shell when its work under
+# H = {+-I} is at least this many pairs, one pairing block: below that,
+# building the orbit data costs more than it saves
+_ORBIT_PAIRS = _BLOCK
 # packed tuple keys per np.unique call of tuple_histogram
 _TUPLE_KEYS = 4_000_000
 # frontier rows the shell search expands at once
@@ -432,6 +444,98 @@ def monomial_sums(x: np.ndarray, weights: np.ndarray,
     return [int(s) for s in weights.astype(dot) @ values.astype(dot)]
 
 
+def _pairing_blocks(v: np.ndarray, gram2: np.ndarray,
+                    w: np.ndarray) -> Iterator[np.ndarray]:
+    """Exact blocks of v^T A w for the rows v of ``v`` (block rows) and the
+    rows w of consecutive chunks of ``w`` (block columns), A = gram2.
+
+    A block has at most about _BLOCK entries.  Its dtype is the one
+    ``_exact_dtype`` proves exact: float64 (BLAS) or int64, holding
+    integers either way, or numpy object.  The rows and each chunk of ``w``
+    are cast to it as they are needed, never a whole shell.
+    """
+    dtype = _exact_dtype(v, gram2, w.T)
+    va = v.astype(dtype) @ gram2.astype(dtype)
+    step = max(1, _BLOCK // max(len(v), 1))
+    for start in range(0, len(w), step):
+        yield va @ w[start:start + step].T.astype(dtype)
+
+
+def _checked(blocks: Iterable[np.ndarray], k1: int, k2: int) -> Iterator[np.ndarray]:
+    """Pairing blocks of vectors of norms k1 and k2 as int64, checked
+    against Cauchy-Schwarz: |v^T A w| <= 2 sqrt(k1 k2), so a value outside
+    +-isqrt(4 k1 k2) can only come from vectors without those norms."""
+    tmax = isqrt(4 * k1 * k2)
+    for block in blocks:
+        if block.size and (block.min() < -tmax or block.max() > tmax):
+            raise ValueError(_inconsistent(k1, k2, tmax))
+        yield block.astype(np.int64, copy=False)
+
+
+# |W| of the exceptional types (Humphreys, Reflection Groups and Coxeter
+# Groups, Sect. 2.11); A_l has (l + 1)! and D_l 2^(l-1) l!
+_E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
+
+
+def _arm(nbrs: list[set[int]], branch: int, node: int) -> int:
+    """Nodes on the path that leaves ``branch`` through ``node``."""
+    length, prev = 1, branch
+    while nbrs[node] - {prev}:
+        (nxt,) = nbrs[node] - {prev}
+        prev, node, length = node, nxt, length + 1
+    return length
+
+
+def _ade_types(adj: np.ndarray) -> list[tuple[str, int]]:
+    """(letter, rank) of each connected component of a simply-laced Dynkin
+    graph given by its boolean adjacency matrix.  A component is a path
+    (A_l), or a tree whose one node of degree 3 has arms of 1, 1 and l - 3
+    nodes (D_l) or of 1, 2 and l - 4 <= 4 nodes (E_l); ValueError for any
+    other graph, which no finite root system has."""
+    nbrs = [set(np.flatnonzero(row).tolist()) for row in adj]
+    types: list[tuple[str, int]] = []
+    seen: set[int] = set()
+    for start in range(len(adj)):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            new = nbrs[stack.pop()] - comp
+            comp |= new
+            stack += new
+        seen |= comp
+        size = len(comp)
+        degrees = sorted(len(nbrs[i]) for i in comp)
+        if sum(degrees) == 2 * (size - 1) and degrees[-1] <= 2:
+            types.append(("A", size))
+            continue
+        if sum(degrees) == 2 * (size - 1) and degrees[-1] == 3 and degrees[-2] <= 2:
+            (branch,) = (i for i in comp if len(nbrs[i]) == 3)
+            arms = sorted(_arm(nbrs, branch, j) for j in nbrs[branch])
+            if arms[:2] == [1, 1]:
+                types.append(("D", size))
+                continue
+            if arms[:2] == [1, 2] and arms[2] <= 4:
+                types.append(("E", size))
+                continue
+        raise ValueError("the roots of the shell table form no finite root "
+                         "system: the shell table is inconsistent")
+    return types
+
+
+def _weyl_order(types: Iterable[tuple[str, int]]) -> int:
+    return prod(factorial(l + 1) if t == "A" else
+                2 ** (l - 1) * factorial(l) if t == "D" else _E_ORDERS[l]
+                for t, l in types)
+
+
+class _Roots(NamedTuple):
+    simple: np.ndarray      # row indices of the simple roots in shell 1
+    adjacency: np.ndarray   # their Dynkin graph
+    order: int              # |W|
+    minus_one: bool         # whether -I lies in W
+
+
 def _inconsistent(k1: int, k2: int, tmax: int) -> str:
     return (f"a pairing of shells {k1} and {k2} exceeds +-{tmax}: "
             f"the shell table is inconsistent")
@@ -506,11 +610,12 @@ class ShellTable:
     Each shell is one integer array in the narrowest dtype that holds it
     (``_narrow``).  The constructor requires every shell to be strictly
     increasing and closed under negation (``_check_shell``): the search and
-    the cache store them sorted, and the pair histograms pair only the upper
+    the cache store them sorted, and the histograms pair only the upper
     half of a shell.  Immutable after construction apart from the caches of
-    pair histograms and moment matrices, which are deterministic functions
-    of the shells.  Every pairing goes through one kernel, ``pairings``,
-    which casts the stored arrays chunk by chunk to its exact dtype.
+    pair histograms, moment matrices and orbit data, which are deterministic
+    functions of the shells.  Every pairing goes through one kernel,
+    ``_pairing_blocks``, which casts the stored arrays chunk by chunk to its
+    exact dtype; ``pairings`` feeds it rows of the stored shells.
     """
 
     def __init__(self, lattice: IntegralLattice, bound: int,
@@ -524,6 +629,8 @@ class ShellTable:
         self._gram2 = _int_array(lattice.gram2, lattice.rank)
         self._pair_hists: dict[tuple[int, int], dict[int, int]] = {}
         self._moments: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._parabolic_orders: dict[bytes, int] = {}
 
     def shell(self, k: int) -> Shell:
         """The vectors of norm k, one per row; ``.tolist()`` gives them as
@@ -544,35 +651,172 @@ class ShellTable:
 
     # -- the pairing kernel ------------------------------------------------
 
-    def pairings(self, k1: int, k2: int, rows: slice = slice(None),
-                 cols: slice = slice(None)) -> Iterator[np.ndarray]:
+    def pairings(self, k1: int, k2: int, rows: slice | np.ndarray = slice(None),
+                 cols: slice | np.ndarray = slice(None)) -> Iterator[np.ndarray]:
         """Exact blocks of v^T A w for v in ``rows`` of shell k1 (block rows)
         and w in consecutive chunks of ``cols`` of shell k2 (block columns),
-        A = gram2.
+        A = gram2; ``rows`` and ``cols`` are slices or arrays of row
+        indices.  The blocks are those of ``_pairing_blocks``."""
+        return _pairing_blocks(self._shells[k1][rows], self._gram2,
+                               self._shells[k2][cols])
 
-        A block has at most about _BLOCK entries.  Its dtype is the one
-        ``_exact_dtype`` proves exact: float64 (BLAS) or int64, holding
-        integers either way, or numpy object.  The rows and each chunk of
-        the columns are cast to it as they are needed, never a whole shell.
+    def _pair_matrix(self, k1: int, k2: int, rows: slice | np.ndarray,
+                     cols: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """The pairings of ``rows`` of shell k1 with ``cols`` of shell k2 as
+        one int64 matrix, range-checked by ``_checked``."""
+        return np.concatenate(list(_checked(self.pairings(k1, k2, rows, cols), k1, k2)),
+                              axis=1)
+
+    # -- orbits of slot 0 ----------------------------------------------------
+
+    @cached_property
+    def _roots(self) -> _Roots:
+        """The root system of shell 1 and its Weyl group W.
+
+        Every vector r of shell 1 has r^T A r = 2, so x -> x - (x^T A r) r is
+        an isometry of the lattice: the reflection in r.  Lexicographic order
+        is compatible with addition, so the upper half U_1 of shell 1 is a
+        positive system.  A positive root is simple exactly when no smaller
+        positive root pairs to 1 with it (their difference would be a
+        positive root), and the simple roots pair to 0 or -1 with each other:
+        the edges of the Dynkin graph (Humphreys, Sect. 1.3).  -I lies in W
+        exactly when the simple roots span the space and every component
+        has type A_1, D_l with l even, E_7 or E_8 (Bourbaki, Lie Groups and
+        Lie Algebras, Ch. VI, Plates I and IV-VII).
         """
-        v, w = self._shells[k1][rows], self._shells[k2][cols]
-        dtype = _exact_dtype(v, self._gram2, w.T)
-        va = v.astype(dtype) @ self._gram2.astype(dtype)
-        step = max(1, _BLOCK // max(len(v), 1))
-        for start in range(0, len(w), step):
-            yield va @ w[start:start + step].T.astype(dtype)
+        n1 = len(self._shells[1])
+        upper = np.arange(n1 // 2, n1)
+        pairs = self._pair_matrix(1, 1, upper, upper)
+        simple = ~np.tril(pairs == 1, -1).any(axis=1)
+        off = pairs[np.ix_(simple, simple)] - 2 * np.eye(simple.sum(), dtype=np.int64)
+        if not np.isin(off, (0, -1)).all():
+            raise ValueError("the simple roots pair outside {0, -1}: the shell "
+                             "table is inconsistent")
+        types = _ade_types(off == -1)
+        minus_one = len(off) == self.lattice.rank and all(
+            l == 1 if t == "A" else l % 2 == 0 if t == "D" else l > 6 for t, l in types)
+        return _Roots(upper[simple], off == -1, _weyl_order(types), minus_one)
 
-    def _pair_values(self, k1: int, k2: int,
-                     rows: slice = slice(None)) -> Iterator[np.ndarray]:
-        """The gram2 pairing blocks of ``rows`` of shell k1 against shell k2
-        as int64, checked against Cauchy-Schwarz: |v^T A w| <= 2 sqrt(k1 k2),
-        so a value outside +-isqrt(4 k1 k2) can only come from shells whose
-        vectors do not have their shell's norm."""
-        tmax = isqrt(4 * k1 * k2)
-        for block in self.pairings(k1, k2, rows):
-            if block.size and (block.min() < -tmax or block.max() > tmax):
-                raise ValueError(_inconsistent(k1, k2, tmax))
-            yield block.astype(np.int64, copy=False)
+    def _parabolic_order(self, subset: np.ndarray) -> int:
+        """|W_J| for the simple roots J that the boolean ``subset`` picks."""
+        key = subset.tobytes()
+        order = self._parabolic_orders.get(key)
+        if order is None:
+            adj = self._roots.adjacency[np.ix_(subset, subset)]
+            order = self._parabolic_orders[key] = _weyl_order(_ade_types(adj))
+        return order
+
+    def _dominant(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """One row index of shell k per orbit of W, with the orbit sizes.
+
+        Every orbit holds exactly one dominant vector d, one that pairs
+        nonnegatively with every simple root, and its stabiliser is W_J for
+        the simple roots J orthogonal to d (Humphreys, Thm. 1.12), so the
+        orbit has |W| / |W_J| vectors.  ValueError unless the sizes add up
+        to the shell's length.
+        """
+        roots = self._roots
+        # the pairings with the simple roots block by block, keeping only the
+        # dominant columns: which rows they are, and which roots they are
+        # orthogonal to
+        rows = [np.zeros(0, dtype=np.intp)]
+        orthogonal = [np.zeros((0, len(roots.simple)), dtype=bool)]
+        start = 0
+        for block in _checked(self.pairings(1, k, roots.simple), 1, k):
+            dominant = (block >= 0).all(axis=0)
+            rows.append(start + np.flatnonzero(dominant))
+            orthogonal.append((block[:, dominant] == 0).T)
+            start += block.shape[1]
+        rows = np.concatenate(rows)
+        kinds, inverse = np.unique(np.concatenate(orthogonal), axis=0, return_inverse=True)
+        sizes = [roots.order // self._parabolic_order(j) for j in kinds]
+        counts = np.bincount(inverse.reshape(-1), minlength=len(kinds)).tolist()
+        total = sum(map(mul, sizes, counts))
+        if total != len(self._shells[k]):
+            raise ValueError(f"the orbits of shell {k} hold {total} vectors, not "
+                             f"{len(self._shells[k])}: the shell table is inconsistent")
+        return rows, np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
+
+    def _opposite(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """For the dominant rows ``rows`` of shell k, the position in
+        ``rows`` of the dominant vector in the orbit of -d, for each d.
+
+        -d is reflected in a simple root it pairs negatively with until it
+        is dominant, which takes at most one step per positive root.
+        """
+        simple = self._shells[1][self._roots.simple].astype(np.int64)
+        dominant = self._shells[k][rows]
+        # each step ends on a vector of shell k, which int64 holds, so the
+        # int64 arithmetic is exact modulo 2^64 and hence exact
+        x = -dominant.astype(np.int64)
+        for _ in range(len(self._shells[1]) // 2 + 1):
+            p = np.concatenate(list(_checked(_pairing_blocks(x, self._gram2, simple), k, 1)),
+                               axis=1)
+            neg = p < 0
+            todo = np.flatnonzero(neg.any(axis=1))
+            if not len(todo):
+                break
+            j = neg[todo].argmax(axis=1)
+            x[todo] -= p[todo, j, None] * simple[j]
+        order = np.lexsort(x.T[::-1])
+        if len(todo) or not np.array_equal(x[order], dominant):
+            raise ValueError(f"the dominant vectors of shell {k} are not closed "
+                             f"under d -> dom(-d): the shell table is inconsistent")
+        partner = np.empty(len(rows), dtype=np.intp)
+        partner[order] = np.arange(len(rows))
+        return partner
+
+    def orbits(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """One row index of shell k >= 1 per orbit of H = <W, -I>, W the
+        reflection group of the roots, in increasing order, with the orbit
+        sizes as integer weights; built once per shell.
+
+        The orbit of a dominant d under H is that of W merged with that of
+        dom(-d), the dominant vector of the orbit of -d.  Where -I lies in W
+        they are the same; otherwise the later row of the two represents
+        both, with twice the weight.  A lattice without roots therefore gets
+        the upper half of the shell, rows len // 2 on, with weight 2, which
+        is H = {+-I}.  So does a table with shells of object dtype.
+        """
+        cached = self._orbits.get(k)
+        if cached is None:
+            n = len(self._shells[k])
+            if self._shells[k].dtype == object or self._shells[1].dtype == object \
+                    or not len(self._shells[1]):
+                cached = np.arange(n // 2, n), np.full(n - n // 2, 2, dtype=np.int64)
+            else:
+                rows, sizes = self._dominant(k)
+                if not self._roots.minus_one:
+                    partner = self._opposite(k, rows)
+                    here = np.arange(len(rows))
+                    keep = partner <= here
+                    rows, sizes = rows[keep], np.where(partner == here, sizes, 2 * sizes)[keep]
+                cached = rows, sizes
+            self._orbits[k] = cached
+        return cached
+
+    def slot_zero(self, k: int, partners: int) -> list[tuple[int, np.ndarray]]:
+        """Slot 0 of a histogram over shell k: its row indices grouped by
+        their integer weight, as (weight, rows) in increasing weight.
+        ``partners`` is the number of vectors each slot-0 vector is paired
+        with.
+
+        Every summand depends only on the Gram matrix of its tuple, and an
+        isometry permutes each shell, so the sum over slot 0 is the weighted
+        sum over one vector per orbit of any group of isometries.  Shell 0
+        is its zero row with weight 1.  A cell whose work under H = {+-I},
+        the upper half times ``partners``, is at least _ORBIT_PAIRS reads
+        ``orbits``; a smaller one keeps the upper half with weight 2.
+        """
+        n = len(self._shells[k])
+        if not k:
+            return [(1, np.arange(n))]
+        if n // 2 * partners < _ORBIT_PAIRS:
+            return [(2, np.arange(n // 2, n))]
+        rows, weights = self.orbits(k)
+        # return_counts keeps np.unique off the path that imports numpy.ma
+        return [(w, rows[weights == w])
+                for w in np.unique(weights, return_counts=True)[0].tolist()]
 
     # -- pair statistics ---------------------------------------------------
 
@@ -580,12 +824,15 @@ class ShellTable:
         """Counts of the doubled pairing t = v^T A w over shell k1 x shell k2.
 
         Shell 0 is at most the zero vector, which pairs to 0 with every w.
-        Otherwise the lower half of each shell is the negation of its upper
-        half U (rows len // 2 on), and negating one vector negates t while
-        negating both keeps it.  So only the quarter cell U_1 x U_2 is
-        paired, and with c its counts the histogram is 2 (c(t) + c(-t)).  A
+        Otherwise, with k1 <= k2, slot 0 runs over the rows of ``slot_zero``
+        and slot 1 over the upper half U_2 of its shell (rows len // 2 on):
+        the lower half negates U_2, and negating w negates t.  With c_r the
+        counts of representative r against U_2 and w_r its weight, the
+        histogram is the sum of w_r (c_r(t) + c_r(-t)).  Under H = {+-I}
+        that is the quarter cell U_1 x U_2 with weight 2; under the root
+        reflections of e8 it is one vector of shell 1 against U_2.  A
         pairing outside the Cauchy-Schwarz range +-isqrt(4 k1 k2) raises
-        ValueError, as in ``_pair_values``.
+        ValueError, as in ``_checked``.
         """
         key = (min(k1, k2), max(k1, k2))
         hist = self._pair_hists.get(key)
@@ -598,19 +845,22 @@ class ShellTable:
                 tmax = isqrt(4 * k1 * k2)
                 size = 2 * tmax + 1
                 counts = np.zeros(size, dtype=np.int64)
-                n1 = len(self._shells[k1])
-                upper = slice(len(self._shells[k2]) // 2, None)
+                n2 = len(self._shells[k2])
+                upper = slice(n2 // 2, None)
+                groups = self.slot_zero(k1, n2 // 2)
                 try:
-                    for start in range(n1 // 2, n1, _TILE_ROWS):
-                        tile = slice(start, start + _TILE_ROWS)
-                        for block in self.pairings(k1, k2, tile, upper):
-                            # a t below -tmax makes bincount raise, one above
-                            # +tmax lengthens its output so that += raises
-                            counts += np.bincount((block.astype(np.int64) + tmax).ravel(),
-                                                  minlength=size)
+                    for w, group in groups:
+                        for start in range(0, len(group), _TILE_ROWS):
+                            tile = group[start:start + _TILE_ROWS]
+                            for block in self.pairings(k1, k2, tile, upper):
+                                # a t below -tmax makes bincount raise, one
+                                # above +tmax lengthens its output so that
+                                # += raises
+                                counts += w * np.bincount(
+                                    (block.astype(np.int64) + tmax).ravel(), minlength=size)
                 except (ValueError, OverflowError):
                     raise ValueError(_inconsistent(k1, k2, tmax)) from None
-                counts = 2 * (counts + counts[::-1])
+                counts += counts[::-1]
                 hist = {t - tmax: c for t, c in enumerate(counts.tolist()) if c}
             self._pair_hists[key] = hist
         return hist
@@ -619,51 +869,62 @@ class ShellTable:
         for k1, k2 in cells:
             self.pair_histogram(k1, k2)
 
-    def tuple_histogram(self, comp: Sequence[int]) -> dict[tuple[int, ...], int]:
+    def tuple_histogram(self, comp: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Counts of the pairing vectors (t_ab for slot pairs a < b, in
         lexicographic order) over all tuples of vectors from the shells
-        ``comp``, with t_ab = v_a^T A v_b.
+        ``comp``, with t_ab = v_a^T A v_b: (keys, counts), one int64 row of
+        keys per distinct pairing vector and its int64 count.
 
-        Two slots read the cached pair histogram.  From three slots on, the
-        tuples are counted in chunks of slot-0 vectors: each pairing vector
-        is packed into one integer key in mixed radix 2 tmax_ab + 1.
-        Negating every slot keeps every t_ab, so when slot 0 is a shell of
-        positive norm, only its upper half (rows len // 2 on) is paired and
-        every count is doubled.
+        Two slots read the cached pair histogram.  From three slots on,
+        slot 0 runs over the rows of ``slot_zero`` and the other slots over
+        their whole shells.  The tuples are counted in chunks of slot-0
+        rows of one weight: each pairing vector is packed into one integer
+        key in mixed radix 2 tmax_ab + 1, and each count is multiplied by
+        the weight.
         """
-        if len(comp) == 2:
-            return {(t,): c for t, c in self.pair_histogram(*comp).items()}
-        sizes = [len(self._shells[c]) for c in comp]
-        if not all(sizes):
-            return {}
         k = len(comp)
         slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        if k == 2:
+            hist = self.pair_histogram(*comp)
+            return (np.array(list(hist), dtype=np.int64).reshape(-1, 1),
+                    np.array(list(hist.values()), dtype=np.int64))
+        sizes = [len(self._shells[c]) for c in comp]
+        if not all(sizes):
+            return np.zeros((0, len(slots)), dtype=np.int64), np.zeros(0, dtype=np.int64)
         tmaxes = [isqrt(4 * comp[a] * comp[b]) for a, b in slots]
         radices = [2 * t + 1 for t in tmaxes]
-        lo = sizes[0] // 2 if comp[0] else 0
-        mult = 2 if comp[0] else 1
-        values = {(a, b): np.concatenate(list(self._pair_values(
-            comp[a], comp[b], slice(lo if a == 0 else 0, None))), axis=1)
-            for a, b in slots}
         key_dtype = np.int64 if prod(radices) < _INT64_LIMIT else object
         step = max(1, _TUPLE_KEYS // prod(sizes[1:]))
-        hist: dict[tuple[int, ...], int] = {}
-        for start in range(0, sizes[0] - lo, step):
-            key = np.zeros((), dtype=key_dtype)
-            for (a, b), tmax, radix in zip(slots, tmaxes, radices):
-                t = values[a, b][start:start + step] if a == 0 else values[a, b]
-                shape = [1] * k
-                shape[a], shape[b] = t.shape
-                key = key * radix + (t + tmax).reshape(shape)
-            packed, counts = np.unique(key, return_counts=True)
-            for code, c in zip(packed.tolist(), (mult * counts).tolist()):
-                ts = []
-                for tmax, radix in zip(reversed(tmaxes), reversed(radices)):
-                    code, digit = divmod(code, radix)
-                    ts.append(digit - tmax)
-                ts = tuple(reversed(ts))
-                hist[ts] = hist.get(ts, 0) + c
-        return hist
+        values: dict[tuple[int, int], np.ndarray] = {}
+        packed, counts = [], []
+        for w, group in self.slot_zero(comp[0], prod(sizes[1:])):
+            # slot 0's pairings for this group; the others once
+            for a, b in slots:
+                if a == 0 or (a, b) not in values:
+                    values[a, b] = self._pair_matrix(comp[a], comp[b],
+                                                     group if a == 0 else slice(None))
+            for start in range(0, len(group), step):
+                chunk = slice(start, start + step)
+                key = np.zeros((len(group[chunk]),) + (1,) * (k - 1), dtype=key_dtype)
+                for (a, b), tmax, radix in zip(slots, tmaxes, radices):
+                    t = values[a, b][chunk] if a == 0 else values[a, b]
+                    shape = [1] * k
+                    shape[a], shape[b] = t.shape
+                    key = key * radix + (t + tmax).reshape(shape)
+                codes, c = np.unique(key, return_counts=True)
+                packed.append(codes)
+                counts.append(w * c)
+        codes, total = np.concatenate(packed), np.concatenate(counts)
+        if len(packed) > 1:
+            codes, inverse = np.unique(codes, return_inverse=True)
+            merged = np.zeros(len(codes), dtype=np.int64)
+            np.add.at(merged, inverse.reshape(-1), total)
+            total = merged
+        keys = np.empty((len(codes), len(slots)), dtype=np.int64)
+        for j in reversed(range(len(slots))):
+            keys[:, j] = codes % radices[j] - tmaxes[j]
+            codes = codes // radices[j]
+        return keys, total
 
     def moment_matrix(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Sum of v v^T over the shell of norm k (coordinate outer products),

@@ -484,9 +484,7 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
         if cross:
             # bucket the tuples by their vector of doubled pairings, and sum
             # each monomial over the buckets
-            hist = table.tuple_histogram(comp)
-            keys = np.array(list(hist), dtype=np.int64)
-            counts = np.array(list(hist.values()))
+            keys, counts = table.tuple_histogram(comp)
             sums = monomial_sums(keys, counts, [e for e, _ in cross])
             total += sum(c * s for (_, c), s in zip(cross, sums))
         coeffs[kap] += Fraction(mult * total, den)

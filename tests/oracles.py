@@ -140,6 +140,16 @@ def tuple_histogram(lattice, shells) -> dict[tuple[int, ...], int]:
         for vs in product(*shells)))
 
 
+def as_dict(hist) -> dict[tuple[int, ...], int]:
+    """A library tuple histogram, (keys, counts) arrays, as the dict that
+    ``tuple_histogram`` returns; its keys must be distinct and its counts
+    positive."""
+    keys, counts = hist
+    got = dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+    assert len(got) == len(keys) and all(c > 0 for c in got.values())
+    return got
+
+
 def pair_coeffs(n, m, order, hist) -> list[Fraction]:
     """theta_pair's coefficients, with hist(k1, k2) the pair histogram of
     shells k1 and k2: one pair_term per bucket."""

@@ -246,6 +246,30 @@ def test_cli_compare_rank_mismatch_exit_2(capsys):
     assert "rank mismatch" in err
 
 
+def test_cli_compare_shares_one_shell_table_per_lattice(capsys, tmp_path, monkeypatch):
+    import thetainv.cli as climod
+    import thetainv.lattice as latmod
+    import thetainv.theta as thetamod
+    calls = []
+
+    def counting(lattice, bound, *args, **kwargs):
+        calls.append((lattice.label(), bound))
+        return latmod.enumerate_shells(lattice, bound, *args, **kwargs)
+
+    monkeypatch.setattr(climod, "enumerate_shells", counting)
+    monkeypatch.setattr(thetamod, "enumerate_shells", counting)
+    for cache in (["--no-cache"], ["--cache-dir", str(tmp_path)]):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "compare", "--lattice-a", "d4",
+                               "--lattice-b", "z4", "--degrees", "0",
+                               "--degrees", "3,3", "--degrees", "1,1,2",
+                               "--order", "3", *cache)
+        assert code == 0
+        assert calls == [("d4", 3), ("z4", 3)]
+        assert "degrees=(0): differ at q^1 (24 vs 8)" in out
+        assert "degrees=(3,3): " in out and "degrees=(1,1,2): " in out
+
+
 def test_cli_compare_isospectral_pair(capsys):
     # the two rank-16 catalog lattices share the theta prefix and the
     # degree-(1,1) invariant (both vanish identically), so nothing separates

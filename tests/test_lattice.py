@@ -409,7 +409,7 @@ def test_bilinear_sum_and_tuple_histogram_equal_oracles(skew3, diag246, a2):
         table = enumerate_shells(lat, 4)
         for comp in [(1, 2), (0, 1, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1), (0, 1, 1, 2)]:
             want = oracles.tuple_histogram(lat, [table.shell(c).tolist() for c in comp])
-            assert table.tuple_histogram(comp) == want
+            assert oracles.as_dict(table.tuple_histogram(comp)) == want
 
 
 def test_inconsistent_shells_raise_instead_of_miscounting(a2):
@@ -494,20 +494,156 @@ def _record_pairings(monkeypatch):
 
 
 def test_kernel_pairs_quarter_cells_and_half_of_slot_zero(e8_shells6, skew3, monkeypatch):
-    # a fresh table, so that no histogram is cached
+    # a fresh table, so that no histogram and no orbit data is cached
     e8 = ShellTable(e8_shells6.lattice, 3, {k: e8_shells6.shell(k) for k in range(4)})
     calls = _record_pairings(monkeypatch)
-    for a, b in [(1, 1), (1, 2), (2, 3)]:
+    # (1,1) pairs 120 x 120 < _BLOCK under H = {+-I}: it keeps its quarter
+    # cell U_1 x U_1 and builds no orbit data
+    e8.pair_histogram(1, 1)
+    assert sum(rows * cols for _, _, rows, cols in calls) == 120 * 120
+    assert not e8._orbits
+    for a, b in [(1, 2), (2, 3)]:
+        # shells 1 and 2 of e8 are one orbit each under the root reflections,
+        # so their cells pair one representative against U_b
+        e8.orbits(a)
         calls.clear()
         e8.pair_histogram(a, b)
-        paired = sum(rows * cols for _, _, rows, cols in calls)
-        assert paired == (len(e8.shell(a)) // 2) * (len(e8.shell(b)) // 2)
+        assert calls == [[a, b, 1, len(e8.shell(b)) // 2]]
     table = enumerate_shells(skew3, 2)
     n1, n2 = len(table.shell(1)), len(table.shell(2))
     calls.clear()
     table.tuple_histogram((1, 1, 2))
     # slot pairs (0, 1), (0, 2) and (1, 2), slot 0 on its upper half
     assert calls == [[1, 1, n1 // 2, n1], [1, 2, n1 // 2, n2], [1, 2, n1, n2]]
+
+
+# -- orbits of slot 0 under the root reflections ------------------------------------
+
+def _orbit_sizes(table, k):
+    rows, weights = table.orbits(k)
+    assert (np.diff(rows) > 0).all() and (weights > 0).all()
+    assert weights.sum() == len(table.shell(k))
+    return sorted(weights.tolist())
+
+
+def test_orbits_of_e8_d4_and_e8e8(e8_shells6, d4):
+    # E8: W(E8) = Aut(E8) is transitive on shells 1, 2, 3 and 5, and shell 4
+    # holds the 240 doubled roots apart from the other 17280 vectors
+    assert [_orbit_sizes(e8_shells6, k) for k in range(1, 6)] == [
+        [240], [2160], [6720], [240, 17280], [30240]]
+    d4_table = enumerate_shells(d4, 5)
+    assert [len(_orbit_sizes(d4_table, k)) for k in range(1, 6)] == [1, 3, 1, 1, 3]
+    # the swap of the two E8 factors is not a reflection
+    e8e8 = enumerate_shells(lattice_by_name("e8e8"), 1)
+    assert _orbit_sizes(e8e8, 1) == [240, 240]
+    assert e8e8._roots.order == 696729600**2 and e8e8._roots.minus_one
+
+
+def test_a2_shell_three_merges_the_orbits_of_d_and_minus_d(a2):
+    # -I is not in W(A2) = S3: shell 3 (+-(1,1), +-(1,-2), +-(2,-1) in
+    # root coordinates) is two W-orbits of 3, swapped by -I
+    table = enumerate_shells(a2, 3)
+    assert not table._roots.minus_one
+    dominant, sizes = table._dominant(3)
+    assert sizes.tolist() == [3, 3]
+    rows, weights = table.orbits(3)
+    assert rows.tolist() == [dominant[-1]] and weights.tolist() == [6]
+
+
+def test_rootless_forms_keep_the_upper_half():
+    table = enumerate_shells(validate_lattice([[4, 1], [1, 4]]), 6)
+    assert not len(table.shell(1))
+    for k in range(1, 7):
+        n = len(table.shell(k))
+        rows, weights = table.orbits(k)
+        assert rows.tolist() == list(range(n // 2, n)) and set(weights.tolist()) <= {2}
+
+
+def test_a_wrong_coxeter_order_fails_the_size_check(e8, monkeypatch):
+    monkeypatch.setitem(lattice_module._E_ORDERS, 8, 2 * 696729600)
+    table = enumerate_shells(e8, 2)
+    with pytest.raises(ValueError, match="orbits of shell 1 hold 480 vectors, not 240"):
+        table.orbits(1)
+    with pytest.raises(ValueError, match="orbits of shell 1 hold 480 vectors"):
+        table.pair_histogram(1, 2)
+
+
+_ORBIT_BLOCKS = {"a2": [[2, 1], [1, 2]], "d4": lattice_by_name("d4").gram2,
+                 "z1": [[2]], "rootless": [[4, 1], [1, 4]]}
+# the Cartan matrix of E6, whose Weyl group does not hold -I
+_E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+       [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+
+
+def _block_sum(grams):
+    n = sum(len(g) for g in grams)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[at + i][at:at + len(g)] = row
+        at += len(g)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(names=st.lists(st.sampled_from(sorted(_ORBIT_BLOCKS)), min_size=1, max_size=3)
+       .filter(lambda names: sum(len(_ORBIT_BLOCKS[x]) for x in names) <= 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_orbit_histograms_on_block_sums_equal_the_oracles(names, seed):
+    base = validate_lattice(_block_sum([_ORBIT_BLOCKS[x] for x in names]))
+    lat = change_basis(base, random_unimodular(base.rank, random.Random(seed)))
+    table = enumerate_shells(lat, 3)
+    shell = {k: table.shell(k).tolist() for k in range(4)}
+    for k in range(1, 4):
+        _orbit_sizes(table, k)
+    with pytest.MonkeyPatch.context() as mp:
+        # every cell reads the orbits, and tuple keys merge over many chunks
+        mp.setattr(lattice_module, "_ORBIT_PAIRS", 1)
+        mp.setattr(lattice_module, "_TUPLE_KEYS", 64)
+        for k1 in range(1, 4):
+            for k2 in range(k1, 4):
+                assert table.pair_histogram(k1, k2) == oracles.pair_histogram(
+                    lat, shell[k1], shell[k2])
+        for comp in [(1, 1, 1), (2, 1, 1), (3, 1, 0)]:
+            assert oracles.as_dict(table.tuple_histogram(comp)) == oracles.tuple_histogram(
+                lat, [shell[c] for c in comp])
+
+
+def _half_shell_orbits(table, k):
+    """The orbits of H = {+-I}: the upper half of shell k with weight 2."""
+    n = len(table.shell(k))
+    return np.arange(n // 2, n), np.full(n - n // 2, 2)
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("e8", 5), ("d4", 5), ("a2", 6), ("z2", 4), ("z3", 3), ("e8e8", 2), ("d16plus", 2),
+    ("skew2", 5), ("skew3", 4), ("diag246", 4), ("rootless", 6), ("e6", 8)])
+def test_orbit_histograms_equal_the_half_shell_kernel(request, name, bound):
+    if name in ("skew2", "skew3", "diag246"):
+        base = request.getfixturevalue(name)
+    elif name in ("rootless", "e6"):
+        base = validate_lattice(_E6 if name == "e6" else _ORBIT_BLOCKS[name])
+    else:
+        base = lattice_by_name(name)
+    rng = random.Random(bound * 97 + len(name))
+    cells = [(k1, k2) for k1 in range(1, bound + 1) for k2 in range(k1, bound + 1 - k1)]
+    # the half-shell tuple histograms of rank 8 and 16 take seconds
+    comps = [(1, 1, 1), (1, 2, 1), (2, 1, 1)] if base.rank <= 4 else []
+    for lat in (base, change_basis(base, random_unimodular(base.rank, rng))):
+        shells = dict(enumerate_shells(lat, bound)._shells)
+        with pytest.MonkeyPatch.context() as mp:
+            # every cell reads the orbits
+            mp.setattr(lattice_module, "_ORBIT_PAIRS", 1)
+            table = ShellTable(lat, bound, shells)
+            got = [table.pair_histogram(*c) for c in cells]
+            got_tuples = [oracles.as_dict(table.tuple_histogram(c)) for c in comps]
+        with pytest.MonkeyPatch.context() as mp:
+            # H = {+-I} in every cell
+            mp.setattr(ShellTable, "orbits", _half_shell_orbits)
+            half = ShellTable(lat, bound, shells)
+            assert got == [half.pair_histogram(*c) for c in cells]
+            assert got_tuples == [oracles.as_dict(half.tuple_histogram(c)) for c in comps]
 
 
 def test_monomial_sums_are_exact_in_every_tier():
