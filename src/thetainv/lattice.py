@@ -21,9 +21,9 @@ Every pair or tuple statistic depends only on the Gram matrix of each
 tuple, so slot 0 of a histogram runs over one vector per orbit of a group
 H of isometries, weighted by the orbit size.  H is generated by -I and
 the reflections in the roots (the vectors of norm 1), whose orbits come
-from the dominant vectors and the orders of the parabolic subgroups
-(``ShellTable.orbits``); without roots H is {+-I}, whose orbits are the
-pairs +-v.
+from the dominant vectors and the orders of the parabolic subgroups, each
+a product over the heights of its positive roots (``ShellTable.orbits``);
+without roots H is {+-I}, whose orbits are the pairs +-v.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import zipfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -472,66 +472,18 @@ def _checked(blocks: Iterable[np.ndarray], k1: int, k2: int) -> Iterator[np.ndar
         yield block.astype(np.int64, copy=False)
 
 
-# |W| of the exceptional types (Humphreys, Reflection Groups and Coxeter
-# Groups, Sect. 2.11); A_l has (l + 1)! and D_l 2^(l-1) l!
-_E_ORDERS = {6: 51840, 7: 2903040, 8: 696729600}
-
-
-def _arm(nbrs: list[set[int]], branch: int, node: int) -> int:
-    """Nodes on the path that leaves ``branch`` through ``node``."""
-    length, prev = 1, branch
-    while nbrs[node] - {prev}:
-        (nxt,) = nbrs[node] - {prev}
-        prev, node, length = node, nxt, length + 1
-    return length
-
-
-def _ade_types(adj: np.ndarray) -> list[tuple[str, int]]:
-    """(letter, rank) of each connected component of a simply-laced Dynkin
-    graph given by its boolean adjacency matrix.  A component is a path
-    (A_l), or a tree whose one node of degree 3 has arms of 1, 1 and l - 3
-    nodes (D_l) or of 1, 2 and l - 4 <= 4 nodes (E_l); ValueError for any
-    other graph, which no finite root system has."""
-    nbrs = [set(np.flatnonzero(row).tolist()) for row in adj]
-    types: list[tuple[str, int]] = []
-    seen: set[int] = set()
-    for start in range(len(adj)):
-        if start in seen:
-            continue
-        comp, stack = {start}, [start]
-        while stack:
-            new = nbrs[stack.pop()] - comp
-            comp |= new
-            stack += new
-        seen |= comp
-        size = len(comp)
-        degrees = sorted(len(nbrs[i]) for i in comp)
-        if sum(degrees) == 2 * (size - 1) and degrees[-1] <= 2:
-            types.append(("A", size))
-            continue
-        if sum(degrees) == 2 * (size - 1) and degrees[-1] == 3 and degrees[-2] <= 2:
-            (branch,) = (i for i in comp if len(nbrs[i]) == 3)
-            arms = sorted(_arm(nbrs, branch, j) for j in nbrs[branch])
-            if arms[:2] == [1, 1]:
-                types.append(("D", size))
-                continue
-            if arms[:2] == [1, 2] and arms[2] <= 4:
-                types.append(("E", size))
-                continue
-        raise ValueError("the roots of the shell table form no finite root "
-                         "system: the shell table is inconsistent")
-    return types
-
-
-def _weyl_order(types: Iterable[tuple[str, int]]) -> int:
-    return prod(factorial(l + 1) if t == "A" else
-                2 ** (l - 1) * factorial(l) if t == "D" else _E_ORDERS[l]
-                for t, l in types)
+def _reflection_order(heights: np.ndarray) -> int:
+    """|W| of a finite reflection group from the heights of its positive
+    roots: the product of (ht + 1) / ht over them (I. G. Macdonald, "The
+    Poincare series of a Coxeter group", Math. Ann. 199, 1972), in Python
+    ints."""
+    heights = heights.tolist()
+    return prod(h + 1 for h in heights) // prod(heights)
 
 
 class _Roots(NamedTuple):
     simple: np.ndarray      # row indices of the simple roots in shell 1
-    adjacency: np.ndarray   # their Dynkin graph
+    coeffs: np.ndarray      # each positive root in the simple roots, one per column
     order: int              # |W|
     minus_one: bool         # whether -I lies in W
 
@@ -565,8 +517,10 @@ class Shell(np.ndarray):
 
 
 def _as_shell(rows, n: int) -> np.ndarray:
-    """Rows of one shell as a read-only (len, n) array of a stored dtype."""
-    v = _narrow(rows if isinstance(rows, np.ndarray) else _int_array(rows, n)).view()
+    """Rows of one shell as a plain read-only (len, n) ndarray of a stored
+    dtype, whatever ndarray subclass (such as ``Shell``) ``rows`` is."""
+    rows = np.asarray(rows) if isinstance(rows, np.ndarray) else _int_array(rows, n)
+    v = _narrow(rows).view()
     v.flags.writeable = False
     return v
 
@@ -630,7 +584,6 @@ class ShellTable:
         self._pair_hists: dict[tuple[int, int], dict[int, int]] = {}
         self._moments: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._parabolic_orders: dict[bytes, int] = {}
 
     def shell(self, k: int) -> Shell:
         """The vectors of norm k, one per row; ``.tolist()`` gives them as
@@ -678,33 +631,36 @@ class ShellTable:
         is compatible with addition, so the upper half U_1 of shell 1 is a
         positive system.  A positive root is simple exactly when no smaller
         positive root pairs to 1 with it (their difference would be a
-        positive root), and the simple roots pair to 0 or -1 with each other:
-        the edges of the Dynkin graph (Humphreys, Sect. 1.3).  -I lies in W
-        exactly when the simple roots span the space and every component
-        has type A_1, D_l with l even, E_7 or E_8 (Bourbaki, Lie Groups and
-        Lie Algebras, Ch. VI, Plates I and IV-VII).
+        positive root), and the simple roots pair to 0 or -1 with each other
+        (Humphreys, Sect. 1.3).  Their Cartan matrix is positive definite, so
+        one float64 solve writes each positive root in the simple roots;
+        rounded, the coefficients must be nonnegative integers that give the
+        root back exactly.  A root's height, the sum of its coefficients,
+        gives |W| (``_reflection_order``).  -I lies in W exactly when the
+        simple roots span the space and every exponent of W is odd; the
+        exponents are the partition dual to the number of positive roots of
+        each height (Kostant; Humphreys, Ch. 3).
         """
         n1 = len(self._shells[1])
         upper = np.arange(n1 // 2, n1)
         pairs = self._pair_matrix(1, 1, upper, upper)
         simple = ~np.tril(pairs == 1, -1).any(axis=1)
-        off = pairs[np.ix_(simple, simple)] - 2 * np.eye(simple.sum(), dtype=np.int64)
-        if not np.isin(off, (0, -1)).all():
+        cartan = pairs[np.ix_(simple, simple)]
+        if not np.isin(cartan - 2 * np.eye(len(cartan), dtype=np.int64), (0, -1)).all():
             raise ValueError("the simple roots pair outside {0, -1}: the shell "
                              "table is inconsistent")
-        types = _ade_types(off == -1)
-        minus_one = len(off) == self.lattice.rank and all(
-            l == 1 if t == "A" else l % 2 == 0 if t == "D" else l > 6 for t, l in types)
-        return _Roots(upper[simple], off == -1, _weyl_order(types), minus_one)
-
-    def _parabolic_order(self, subset: np.ndarray) -> int:
-        """|W_J| for the simple roots J that the boolean ``subset`` picks."""
-        key = subset.tobytes()
-        order = self._parabolic_orders.get(key)
-        if order is None:
-            adj = self._roots.adjacency[np.ix_(subset, subset)]
-            order = self._parabolic_orders[key] = _weyl_order(_ade_types(adj))
-        return order
+        # a Cartan matrix has a small inverse and the pairings lie in +-2
+        coeffs = np.rint(np.linalg.solve(cartan, pairs[simple])).astype(np.int64)
+        base = self._shells[1][upper[simple]]
+        dtype = _exact_dtype(coeffs.T, base)
+        if (coeffs < 0).any() or not np.array_equal(
+                coeffs.T.astype(dtype) @ base.astype(dtype), self._shells[1][upper]):
+            raise ValueError("the positive roots are not nonnegative integer combinations "
+                             "of the simple roots: the shell table is inconsistent")
+        heights = coeffs.sum(axis=0)
+        exponents = (np.bincount(heights)[1:, None] > np.arange(len(cartan))).sum(axis=0)
+        minus_one = len(cartan) == self.lattice.rank and bool((exponents % 2).all())
+        return _Roots(upper[simple], coeffs, _reflection_order(heights), minus_one)
 
     def _dominant(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """One row index of shell k per orbit of W, with the orbit sizes.
@@ -712,8 +668,10 @@ class ShellTable:
         Every orbit holds exactly one dominant vector d, one that pairs
         nonnegatively with every simple root, and its stabiliser is W_J for
         the simple roots J orthogonal to d (Humphreys, Thm. 1.12), so the
-        orbit has |W| / |W_J| vectors.  ValueError unless the sizes add up
-        to the shell's length.
+        orbit has |W| / |W_J| vectors.  A positive root pairs with d as the
+        sum of the nonnegative c_i <a_i, d>, which is 0 exactly when its
+        support lies in J, so W_J is the reflection group of those roots.
+        ValueError unless the sizes add up to the shell's length.
         """
         roots = self._roots
         # the pairings with the simple roots block by block, keeping only the
@@ -729,7 +687,9 @@ class ShellTable:
             start += block.shape[1]
         rows = np.concatenate(rows)
         kinds, inverse = np.unique(np.concatenate(orthogonal), axis=0, return_inverse=True)
-        sizes = [roots.order // self._parabolic_order(j) for j in kinds]
+        heights = roots.coeffs.sum(axis=0)
+        outside = (roots.coeffs > 0) & ~kinds[:, :, None]
+        sizes = [roots.order // _reflection_order(heights[~o.any(axis=0)]) for o in outside]
         counts = np.bincount(inverse.reshape(-1), minlength=len(kinds)).tolist()
         total = sum(map(mul, sizes, counts))
         if total != len(self._shells[k]):

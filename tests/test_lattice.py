@@ -21,6 +21,7 @@ from thetainv.errors import (
     RankMismatchError,
 )
 from thetainv.lattice import (
+    Shell,
     ShellTable,
     _isqrt_int64,
     change_basis,
@@ -560,7 +561,11 @@ def test_rootless_forms_keep_the_upper_half():
 
 
 def test_a_wrong_coxeter_order_fails_the_size_check(e8, monkeypatch):
-    monkeypatch.setitem(lattice_module._E_ORDERS, 8, 2 * 696729600)
+    # |W(E8)|, the product over all 120 positive roots, doubled; the orders
+    # of the parabolic subgroups, products over fewer roots, are kept
+    order = lattice_module._reflection_order
+    monkeypatch.setattr(lattice_module, "_reflection_order",
+                        lambda heights: order(heights) * (2 if len(heights) == 120 else 1))
     table = enumerate_shells(e8, 2)
     with pytest.raises(ValueError, match="orbits of shell 1 hold 480 vectors, not 240"):
         table.orbits(1)
@@ -570,9 +575,6 @@ def test_a_wrong_coxeter_order_fails_the_size_check(e8, monkeypatch):
 
 _ORBIT_BLOCKS = {"a2": [[2, 1], [1, 2]], "d4": lattice_by_name("d4").gram2,
                  "z1": [[2]], "rootless": [[4, 1], [1, 4]]}
-# the Cartan matrix of E6, whose Weyl group does not hold -I
-_E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
-       [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
 
 
 def _block_sum(grams):
@@ -584,6 +586,71 @@ def _block_sum(grams):
             out[at + i][at:at + len(g)] = row
         at += len(g)
     return out
+
+
+def _cartan(rank, edges):
+    """The Cartan matrix of a simply-laced Dynkin graph on nodes 0..rank-1."""
+    out = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        out[i][j] = out[j][i] = -1
+    return out
+
+
+def _type_a(rank):
+    return _cartan(rank, [(i, i + 1) for i in range(rank - 1)])
+
+
+def _type_d(rank):
+    # a path of rank - 1 nodes and one more node on its second-to-last
+    return _cartan(rank, [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)])
+
+
+def _type_e(rank):
+    # Bourbaki's numbering less one: the path 0, 2, 3, ..., rank - 1 and node 1 on node 3
+    return _cartan(rank, [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, rank - 1)])
+
+
+# |W| (Humphreys, Reflection Groups and Coxeter Groups, Sect. 2.11) and
+# whether -I lies in W (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
+# Plates I and IV-VII), written out for each type
+_WEYL_GROUPS = {
+    "A1": (_type_a(1), 2, True), "A2": (_type_a(2), 6, False),
+    "A3": (_type_a(3), 24, False), "A4": (_type_a(4), 120, False),
+    "A5": (_type_a(5), 720, False), "D4": (_type_d(4), 192, True),
+    "D5": (_type_d(5), 1920, False), "D6": (_type_d(6), 23040, True),
+    "E6": (_type_e(6), 51840, False), "E7": (_type_e(7), 2903040, True),
+    "E8": (_type_e(8), 696729600, True),
+    "A2+A1": (_block_sum([_type_a(2), _type_a(1)]), 12, False),
+    "E8+E8": (_block_sum([_type_e(8), _type_e(8)]), 696729600**2, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WEYL_GROUPS))
+def test_weyl_group_orders_and_minus_one_from_root_heights(name):
+    cartan, order, minus_one = _WEYL_GROUPS[name]
+    base = validate_lattice(cartan)
+    rng = random.Random(len(cartan))
+    for lat in (base, change_basis(base, random_unimodular(base.rank, rng))):
+        roots = enumerate_shells(lat, 1)._roots
+        assert len(roots.simple) == base.rank
+        assert (roots.order, roots.minus_one) == (order, minus_one)
+
+
+@pytest.mark.parametrize("gram2, shell1, match", [
+    # a2 without +-(1,-1): (0,1) is the one simple root, and (1,0), which
+    # pairs to 1 with it, is no integer multiple of it
+    ([[2, 1], [1, 2]], [(-1, 0), (0, -1), (0, 1), (1, 0)],
+     "not nonnegative integer combinations"),
+    # z2 with +-(1,1), of norm 2, in shell 1: it pairs to 4 with itself,
+    # outside the range +-2 that the kernel checks for shell 1
+    ([[2, 0], [0, 2]], [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)],
+     "exceeds"),
+], ids=["a2-without-a-root", "z2-with-a-norm-2-vector"])
+def test_inconsistent_root_systems_raise(gram2, shell1, match):
+    lat = validate_lattice(gram2)
+    table = ShellTable(lat, 1, {0: [(0, 0)], 1: shell1})
+    with pytest.raises(ValueError, match=f"{match}.*inconsistent"):
+        table.orbits(1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -623,7 +690,7 @@ def test_orbit_histograms_equal_the_half_shell_kernel(request, name, bound):
     if name in ("skew2", "skew3", "diag246"):
         base = request.getfixturevalue(name)
     elif name in ("rootless", "e6"):
-        base = validate_lattice(_E6 if name == "e6" else _ORBIT_BLOCKS[name])
+        base = validate_lattice(_type_e(6) if name == "e6" else _ORBIT_BLOCKS[name])
     else:
         base = lattice_by_name(name)
     rng = random.Random(bound * 97 + len(name))
@@ -871,6 +938,13 @@ def test_shells_are_stored_narrow_sorted_and_read_only(e8_shells6):
         assert v.tolist() == sorted(v.tolist())
         with pytest.raises(ValueError):
             v[0, 0] = 0
+
+
+def test_tables_built_from_shell_views_store_plain_arrays(a2):
+    table = enumerate_shells(a2, 3)
+    copy = ShellTable(a2, 3, {k: table.shell(k) for k in range(4)})
+    assert {type(v) for v in copy._shells.values()} == {np.ndarray}
+    assert type(copy.shell(1)) is Shell
 
 
 def test_shell_iterates_as_python_int_tuples(e8_shells6, monkeypatch):
