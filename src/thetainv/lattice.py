@@ -526,12 +526,20 @@ def _as_shell(rows, n: int) -> np.ndarray:
 
 
 def _strictly_increasing(v: np.ndarray) -> bool:
-    """Whether the rows of v are in strictly increasing lexicographic order."""
-    a, b = v[:-1], v[1:]
-    differ = a != b
-    first = differ.argmax(axis=1)
-    rows = np.arange(len(first))
-    return bool(differ[rows, first].all() and (a[rows, first] < b[rows, first]).all())
+    """Whether the rows of v are in strictly increasing lexicographic order.
+
+    A row of fixed-width integers orders as the bytes of its entries, each
+    written big-endian with its sign bit flipped, so each row is compared
+    as one byte string, in one numpy pass (numpy ignores trailing NUL
+    bytes, which changes no comparison of strings of one length).  Rows of
+    Python ints (numpy object) compare as lists."""
+    if v.dtype == object:
+        rows = v.tolist()
+        return all(a < b for a, b in zip(rows, rows[1:]))
+    size = v.dtype.itemsize
+    flipped = v.view(f"u{size}") ^ np.array(1 << (8 * size - 1), dtype=f"u{size}")
+    keys = np.ascontiguousarray(flipped, dtype=f">u{size}").view(f"S{size * v.shape[1]}")
+    return bool((keys[1:] > keys[:-1]).all())
 
 
 def _check_shell(k: int, v: np.ndarray) -> None:
@@ -545,11 +553,15 @@ def _check_shell(k: int, v: np.ndarray) -> None:
     exactly when its length is odd, and its upper half, rows len // 2 on,
     is then the vectors whose first nonzero coordinate is positive.
 
-    Closure is checked first.  Negation reverses lexicographic order, so on
+    Closure is checked first, on the rows before len - len // 2 against
+    the upper half read backwards: negation is an involution, so the rest
+    of the equality follows.  Negation reverses lexicographic order, so on
     a closed shell the rows before len // 2 - 1 mirror those after it, and
     the order needs checking only from row len // 2 - 1 on.
     """
-    if not (np.array_equal(-v[::-1], v) and _strictly_increasing(v[len(v) // 2 - 1:])):
+    half = len(v) // 2
+    if not (np.array_equal(-v[half:][::-1], v[:len(v) - half])
+            and _strictly_increasing(v[half - 1:])):
         raise ValueError(f"shell {k} is not strictly increasing and closed "
                          f"under negation")
     if v.any() if k == 0 else len(v) % 2:
@@ -632,10 +644,15 @@ class ShellTable:
         positive system.  A positive root is simple exactly when no smaller
         positive root pairs to 1 with it (their difference would be a
         positive root), and the simple roots pair to 0 or -1 with each other
-        (Humphreys, Sect. 1.3).  Their Cartan matrix is positive definite, so
-        one float64 solve writes each positive root in the simple roots;
-        rounded, the coefficients must be nonnegative integers that give the
-        root back exactly.  A root's height, the sum of its coefficients,
+        (Humphreys, Sect. 1.3).  That needs no check: ``_pair_matrix``
+        rejects a pairing outside +-2, so the positive-definite even form
+        gives every root r^T A r = 2; two distinct positive roots pair to
+        +-2 only if they are equal or opposite (Cauchy-Schwarz), and two
+        simple roots never pair to 1, since the later one would then not be
+        simple.  Their Cartan matrix is positive definite, so one float64
+        solve writes each positive root in the simple roots; rounded, the
+        coefficients must be nonnegative integers that give the root back
+        exactly.  A root's height, the sum of its coefficients,
         gives |W| (``_reflection_order``).  -I lies in W exactly when the
         simple roots span the space and every exponent of W is odd; the
         exponents are the partition dual to the number of positive roots of
@@ -646,9 +663,6 @@ class ShellTable:
         pairs = self._pair_matrix(1, 1, upper, upper)
         simple = ~np.tril(pairs == 1, -1).any(axis=1)
         cartan = pairs[np.ix_(simple, simple)]
-        if not np.isin(cartan - 2 * np.eye(len(cartan), dtype=np.int64), (0, -1)).all():
-            raise ValueError("the simple roots pair outside {0, -1}: the shell "
-                             "table is inconsistent")
         # a Cartan matrix has a small inverse and the pairings lie in +-2
         coeffs = np.rint(np.linalg.solve(cartan, pairs[simple])).astype(np.int64)
         base = self._shells[1][upper[simple]]
@@ -985,18 +999,20 @@ def _is_int(a: np.ndarray, shape: tuple[int, ...]) -> bool:
 
 
 def _trusted_shell(v: np.ndarray, k: int, gram2: np.ndarray) -> bool:
-    """Every vector has norm k, and the shell lies in the symmetric range of
-    its dtype, where the writer stores it.  The norms are checked over row
-    chunks cast to their exact dtype.  Order and closure under negation are
-    the ``ShellTable`` constructor's checks."""
+    """Every row of v has norm k, and v lies in the symmetric range of its
+    dtype, where the writer stores a shell.  The norms are checked over row
+    chunks cast to their exact dtype, each row's sum taken as a product
+    with a vector of ones (BLAS in float64).  ``load_shell_table`` passes
+    the upper half of each shell only."""
     if v.size and v.min() == np.iinfo(v.dtype).min:
         return False
     dtype = _exact_dtype(v, gram2, v.T)  # the diagonal of the pairing block
     a = gram2.astype(dtype)
+    ones = np.ones(len(gram2), dtype=dtype)
     step = max(1, _BLOCK // len(gram2))
     for start in range(0, len(v), step):
         c = v[start:start + step].astype(dtype)
-        if not (((c @ a) * c).sum(axis=1) == 2 * k).all():
+        if not (((c @ a) * c) @ ones == 2 * k).all():
             return False
     return True
 
@@ -1004,7 +1020,15 @@ def _trusted_shell(v: np.ndarray, k: int, gram2: np.ndarray) -> bool:
 def load_shell_table(lattice: IntegralLattice, bound: int,
                      cache_dir: str) -> ShellTable | None:
     """The cached table of the lattice up to ``bound``, or None when there is
-    none or the file cannot be trusted (then the caller recomputes)."""
+    none or the file cannot be trusted (then the caller recomputes).
+
+    Each shell is checked once.  The ``ShellTable`` constructor first
+    narrows it (``_narrow``), which widens an entry at the minimum of its
+    file dtype instead of letting its negation wrap, then checks order,
+    closure under negation and the zero rule (``_check_shell``).  A closed
+    shell's rows before len // 2 are the negations of rows from len // 2
+    on, with the same norms, so ``_trusted_shell`` checks the range and
+    the norms of that upper half only."""
     path = _cache_path(lattice.gram2, bound, cache_dir)
     if not os.path.exists(path):
         return None
@@ -1019,10 +1043,13 @@ def load_shell_table(lattice: IntegralLattice, bound: int,
             and doc["gram2"].tolist() == [list(r) for r in lattice.gram2]):
         return None
     shells = {k: doc[f"shell_{k}"] for k in range(bound + 1)}
-    for k, v in shells.items():
-        if not _is_int(v, (*v.shape[:1], n)) or not _trusted_shell(v, k, doc["gram2"]):
-            return None
+    if not all(_is_int(v, (*v.shape[:1], n)) for v in shells.values()):
+        return None
     try:
-        return ShellTable(lattice, bound, shells)
+        table = ShellTable(lattice, bound, shells)
     except ValueError:
         return None
+    if not all(_trusted_shell(v[len(v) // 2:], k, table._gram2)
+               for k, v in table._shells.items()):
+        return None
+    return table

@@ -1,6 +1,7 @@
 import os
 import pickle
 import random
+import tempfile
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -443,7 +444,10 @@ def test_inconsistent_shells_raise_instead_of_miscounting(a2):
     lambda shells: shells[1].reverse(),
     lambda shells: shells[1].insert(3, (0, 0)),
     lambda shells: shells[0].extend([(0, 1)]),
-], ids=["not-negation-closed", "unsorted", "zero-in-shell-1", "nonzero-in-shell-0"])
+    # the middle pair twice: closed under negation, sorted but not strictly
+    lambda shells: shells[1].__setitem__(slice(3, 3), shells[1][2:4]),
+], ids=["not-negation-closed", "unsorted", "zero-in-shell-1", "nonzero-in-shell-0",
+        "repeated-pair"])
 def test_shell_table_requires_sorted_negation_closed_shells(a2, edit):
     good = enumerate_shells(a2, 2)
     shells = {k: good.shell(k).tolist() for k in range(3)}
@@ -461,6 +465,21 @@ def test_shell_table_rejects_a_closed_shell_unsorted_only_in_the_middle(a2):
     shells[1][h - 1], shells[1][h] = shells[1][h], shells[1][h - 1]
     with pytest.raises(ValueError, match="not strictly increasing"):
         ShellTable(a2, 2, shells)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows, h: rows.__setitem__(slice(h - 1, h + 1), rows[h:h - 2:-1]),
+    lambda rows, h: rows.__setitem__(slice(h, h), rows[h - 1:h + 1]),
+], ids=["middle-pair-swapped", "middle-pair-repeated"])
+def test_object_dtype_shells_are_checked_for_order(a2, edit):
+    # in the 2^62 basis shell 3 holds Python ints, and its rows compare as
+    # lists; both edits keep it closed under negation
+    skewed = change_basis(a2, [[1, 2**62], [0, 1]])
+    shells = {k: enumerate_shells(skewed, 3).shell(k).tolist() for k in range(4)}
+    assert ShellTable(skewed, 3, shells).shell(3).dtype == object
+    edit(shells[3], len(shells[3]) // 2)
+    with pytest.raises(ValueError, match="shell 3 is not strictly increasing"):
+        ShellTable(skewed, 3, shells)
 
 
 def test_pair_histogram_with_shell_zero_runs_no_kernel(e8, monkeypatch):
@@ -1022,6 +1041,27 @@ def _drop_negation(doc):
     doc["shell_3"] = doc["shell_3"][1:]
 
 
+def _scale_rows(name, rows):
+    def edit(doc):
+        v = doc[name].astype(np.int64)
+        v[rows(len(v))] *= 7
+        doc[name] = v
+    return edit
+
+
+def _middle_pair(n):
+    # rows len // 2 - 1 and len // 2, the last row before the upper half and
+    # the first in it, are a vector and its negation: a norm check that began
+    # one row after len // 2 would miss them on shell 1, which stays sorted
+    return [n // 2 - 1, n // 2]
+
+
+def _last_row(n):
+    # the last row alone (a2 has no vector of norm 2): still sorted, no
+    # longer closed under negation
+    return [n - 1]
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: [doc.pop(f"shell_{k}") for k in range(4)],
     lambda doc: doc.pop("shell_2"),
@@ -1030,8 +1070,12 @@ def _drop_negation(doc):
     _scale_first_root,
     _repeat_row,
     _drop_negation,
+    _scale_rows("shell_1", _middle_pair),
+    _scale_rows("shell_3", _middle_pair),
+    _scale_rows("shell_3", _last_row),
 ], ids=["no-shells", "missing-shell", "float", "wrong-rank", "scaled-vector",
-        "repeated-row", "not-negation-closed"])
+        "repeated-row", "not-negation-closed", "scaled-middle-pair-1",
+        "scaled-middle-pair-3", "scaled-upper-row-only"])
 def test_shell_cache_rejects_untrustworthy_content(tmp_path, a2, edit):
     cache = str(tmp_path)
     table = enumerate_shells(a2, 3, cache_dir=cache)
@@ -1043,6 +1087,48 @@ def test_shell_cache_rejects_untrustworthy_content(tmp_path, a2, edit):
     assert load_shell_table(a2, 3, cache) is not None
 
 
+def test_cache_load_checks_the_norms_of_the_upper_halves_only(tmp_path, e8, monkeypatch):
+    cache = str(tmp_path)
+    save_shell_table(enumerate_shells(e8, 3), cache)
+    trusted, seen = lattice_module._trusted_shell, []
+
+    def record(v, k, gram2):
+        seen.append(len(v))
+        return trusted(v, k, gram2)
+
+    monkeypatch.setattr(lattice_module, "_trusted_shell", record)
+    assert load_shell_table(e8, 3, cache) is not None
+    assert seen == [1, 120, 1080, 3360]
+    assert sum(seen) == 4561
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(-2, 2), min_size=n * n, max_size=n * n))),
+       st.integers(0, 2**32 - 1), st.data())
+def test_shell_cache_round_trip_and_scaled_pairs_on_random_lattices(args, seed, data):
+    n, entries = args
+    base = validate_lattice(_gram_from_seed(entries, n))
+    lat = change_basis(base, random_unimodular(n, random.Random(seed)))
+    # the shell of the longest basis vector is the last, so one shell above 0
+    # is nonempty
+    bound = max(base.norm(row) for row in np.eye(n, dtype=int).tolist())
+    table = enumerate_shells(lat, bound)
+    with tempfile.TemporaryDirectory() as cache:
+        path = save_shell_table(table, cache)
+        again = load_shell_table(lat, bound, cache)
+        assert again is not None
+        for k in range(bound + 1):
+            assert again.shell(k).dtype == table.shell(k).dtype
+            assert again.shell(k).tolist() == table.shell(k).tolist()
+        k = data.draw(st.sampled_from([k for k in range(1, bound + 1) if table.sizes()[k]]))
+        size = table.sizes()[k]
+        i = data.draw(st.integers(0, size // 2 - 1))
+        _edit_cached_doc(path, _scale_rows(f"shell_{k}", lambda _: [i, size - 1 - i]))
+        assert load_shell_table(lat, bound, cache) is None
+
+
 def test_cached_shell_at_its_dtype_minimum_is_untrusted():
     # -(-128) wraps to -128 in int8, so [[-128]] would pass the norm, order
     # and negation checks as the norm-16384 shell of Z (gram2 [[2]])
@@ -1051,6 +1137,21 @@ def test_cached_shell_at_its_dtype_minimum_is_untrusted():
                                          16384, gram2)
     assert not lattice_module._trusted_shell(np.array([[-128]], dtype=np.int8),
                                              16384, gram2)
+
+
+def test_cached_pair_that_wraps_at_the_dtype_minimum_is_untrusted(tmp_path):
+    # Z^2 on the basis b1 = e1 + 128 e2, b2 = e2, where e1 = b1 - 128 b2.  In
+    # int8 -(1, -128) wraps to (-1, -128), so the shell 1 written below is
+    # sorted and closed under the wrapped negation, and its upper half (0, 1),
+    # (1, -128) has norm 1; only (-1, -128), of norm 65537, does not
+    lat = change_basis(validate_lattice([[2, 0], [0, 2]]), [[1, 0], [128, 1]])
+    cache = str(tmp_path)
+    table = enumerate_shells(lat, 1)
+    assert table.shell(1).tolist() == [[-1, 128], [0, -1], [0, 1], [1, -128]]
+    wrapped = np.array([[-1, -128], [0, -1], [0, 1], [1, -128]], dtype=np.int8)
+    _edit_cached_doc(save_shell_table(table, cache),
+                     lambda doc: doc.__setitem__("shell_1", wrapped))
+    assert load_shell_table(lat, 1, cache) is None
 
 
 _UNPICKLED = []
