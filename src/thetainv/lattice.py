@@ -22,8 +22,9 @@ tuple, so slot 0 of a histogram runs over one vector per orbit of a group
 H of isometries, weighted by the orbit size.  H is generated by -I and
 the reflections in the roots (the vectors of norm 1), whose orbits come
 from the dominant vectors and the orders of the parabolic subgroups, each
-a product over the heights of its positive roots (``ShellTable.orbits``);
-without roots H is {+-I}, whose orbits are the pairs +-v.
+a product over the heights of its positive roots, their pairings with
+the Weyl vector (``ShellTable.orbits``); without roots H is {+-I}, whose
+orbits are the pairs +-v.
 """
 
 from __future__ import annotations
@@ -483,7 +484,7 @@ def _reflection_order(heights: np.ndarray) -> int:
 
 class _Roots(NamedTuple):
     simple: np.ndarray      # row indices of the simple roots in shell 1
-    coeffs: np.ndarray      # each positive root in the simple roots, one per column
+    heights: np.ndarray     # the height of each positive root, rows len // 2 on
     order: int              # |W|
     minus_one: bool         # whether -I lies in W
 
@@ -544,7 +545,8 @@ def _strictly_increasing(v: np.ndarray) -> bool:
 
 def _check_shell(k: int, v: np.ndarray) -> None:
     """Raise ValueError unless the stored shell k is strictly increasing and
-    closed under negation, and holds the zero vector exactly when k is 0.
+    closed under negation, and holds the zero vector exactly when k is 0,
+    as its only vector.
 
     A stored shell is in the symmetric range of its dtype, so negating it
     never overflows, and a strictly increasing shell has no repeated rows;
@@ -564,7 +566,7 @@ def _check_shell(k: int, v: np.ndarray) -> None:
             and _strictly_increasing(v[half - 1:])):
         raise ValueError(f"shell {k} is not strictly increasing and closed "
                          f"under negation")
-    if v.any() if k == 0 else len(v) % 2:
+    if (len(v) != 1 or v.any()) if k == 0 else len(v) % 2:
         raise ValueError(f"shell {k}: the zero vector must be the only vector "
                          f"of shell 0 and of no other shell")
 
@@ -639,42 +641,29 @@ class ShellTable:
         """The root system of shell 1 and its Weyl group W.
 
         Every vector r of shell 1 has r^T A r = 2, so x -> x - (x^T A r) r is
-        an isometry of the lattice: the reflection in r.  Lexicographic order
-        is compatible with addition, so the upper half U_1 of shell 1 is a
-        positive system.  A positive root is simple exactly when no smaller
-        positive root pairs to 1 with it (their difference would be a
-        positive root), and the simple roots pair to 0 or -1 with each other
-        (Humphreys, Sect. 1.3).  That needs no check: ``_pair_matrix``
-        rejects a pairing outside +-2, so the positive-definite even form
-        gives every root r^T A r = 2; two distinct positive roots pair to
-        +-2 only if they are equal or opposite (Cauchy-Schwarz), and two
-        simple roots never pair to 1, since the later one would then not be
-        simple.  Their Cartan matrix is positive definite, so one float64
-        solve writes each positive root in the simple roots; rounded, the
-        coefficients must be nonnegative integers that give the root back
-        exactly.  A root's height, the sum of its coefficients,
-        gives |W| (``_reflection_order``).  -I lies in W exactly when the
-        simple roots span the space and every exponent of W is odd; the
-        exponents are the partition dual to the number of positive roots of
-        each height (Kostant; Humphreys, Ch. 3).
+        an isometry of the lattice: the reflection in r, whose coroot is r
+        itself.  Lexicographic order is compatible with addition, so the
+        upper half U_1 of shell 1 is a positive system.  The sum of U_1, twice
+        the Weyl vector rho, pairs with every positive root to twice its height
+        (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Sect. 1.10, Prop. 29),
+        so the heights are the halved row sums of the pairing matrix of U_1,
+        and the simple roots are the roots of height 1.  ValueError unless
+        every row sum is even and at least 2.  The heights give |W|
+        (``_reflection_order``).  -I lies in W exactly when the simple roots
+        span the space and every exponent of W is odd; the exponents are the
+        partition dual to the number of positive roots of each height
+        (Kostant; Humphreys, Ch. 3).
         """
-        n1 = len(self._shells[1])
-        upper = np.arange(n1 // 2, n1)
-        pairs = self._pair_matrix(1, 1, upper, upper)
-        simple = ~np.tril(pairs == 1, -1).any(axis=1)
-        cartan = pairs[np.ix_(simple, simple)]
-        # a Cartan matrix has a small inverse and the pairings lie in +-2
-        coeffs = np.rint(np.linalg.solve(cartan, pairs[simple])).astype(np.int64)
-        base = self._shells[1][upper[simple]]
-        dtype = _exact_dtype(coeffs.T, base)
-        if (coeffs < 0).any() or not np.array_equal(
-                coeffs.T.astype(dtype) @ base.astype(dtype), self._shells[1][upper]):
-            raise ValueError("the positive roots are not nonnegative integer combinations "
-                             "of the simple roots: the shell table is inconsistent")
-        heights = coeffs.sum(axis=0)
-        exponents = (np.bincount(heights)[1:, None] > np.arange(len(cartan))).sum(axis=0)
-        minus_one = len(cartan) == self.lattice.rank and bool((exponents % 2).all())
-        return _Roots(upper[simple], coeffs, _reflection_order(heights), minus_one)
+        upper = slice(len(self._shells[1]) // 2, None)
+        twice = self._pair_matrix(1, 1, upper, upper).sum(axis=1)
+        if (twice % 2).any() or (twice < 2).any():
+            raise ValueError("the positive roots do not pair with 2 rho to positive even "
+                             "numbers: the shell table is inconsistent")
+        heights = twice // 2
+        simple = np.flatnonzero(heights == 1)
+        exponents = (np.bincount(heights)[1:, None] > np.arange(len(simple))).sum(axis=0)
+        minus_one = len(simple) == self.lattice.rank and bool((exponents % 2).all())
+        return _Roots(upper.start + simple, heights, _reflection_order(heights), minus_one)
 
     def _dominant(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """One row index of shell k per orbit of W, with the orbit sizes.
@@ -682,10 +671,12 @@ class ShellTable:
         Every orbit holds exactly one dominant vector d, one that pairs
         nonnegatively with every simple root, and its stabiliser is W_J for
         the simple roots J orthogonal to d (Humphreys, Thm. 1.12), so the
-        orbit has |W| / |W_J| vectors.  A positive root pairs with d as the
-        sum of the nonnegative c_i <a_i, d>, which is 0 exactly when its
-        support lies in J, so W_J is the reflection group of those roots.
-        ValueError unless the sizes add up to the shell's length.
+        orbit has |W| / |W_J| vectors.  A positive root, a nonnegative
+        combination of simple roots, pairs with d as a sum of nonnegative
+        terms, so it is orthogonal to d exactly when it is supported in J:
+        the positive roots of W_J, whose heights there are their heights in
+        W.  So |W_J| is read from the positive roots orthogonal to one d of
+        each J.  ValueError unless the sizes add up to the shell's length.
         """
         roots = self._roots
         # the pairings with the simple roots block by block, keeping only the
@@ -700,11 +691,12 @@ class ShellTable:
             orthogonal.append((block[:, dominant] == 0).T)
             start += block.shape[1]
         rows = np.concatenate(rows)
-        kinds, inverse = np.unique(np.concatenate(orthogonal), axis=0, return_inverse=True)
-        heights = roots.coeffs.sum(axis=0)
-        outside = (roots.coeffs > 0) & ~kinds[:, :, None]
-        sizes = [roots.order // _reflection_order(heights[~o.any(axis=0)]) for o in outside]
-        counts = np.bincount(inverse.reshape(-1), minlength=len(kinds)).tolist()
+        _, first, inverse = np.unique(np.concatenate(orthogonal), axis=0,
+                                      return_index=True, return_inverse=True)
+        upper = slice(len(self._shells[1]) // 2, None)
+        pairs = self._pair_matrix(k, 1, rows[first], upper)
+        sizes = [roots.order // _reflection_order(roots.heights[p == 0]) for p in pairs]
+        counts = np.bincount(inverse.reshape(-1), minlength=len(first)).tolist()
         total = sum(map(mul, sizes, counts))
         if total != len(self._shells[k]):
             raise ValueError(f"the orbits of shell {k} hold {total} vectors, not "

@@ -1,6 +1,6 @@
-"""Pure-Python reference loops for the shell search, the level and the
-pairing kernel in ``thetainv.lattice``, and for the reductions in
-``thetainv.theta``.
+"""Pure-Python reference loops for the shell search, the level, the root
+data and the pairing kernel in ``thetainv.lattice``, and for the
+reductions in ``thetainv.theta``.
 
 Each one works on explicit vectors with Python integers, so it shares no
 arithmetic with the numpy code.  The reduction loops sum their polynomials
@@ -102,6 +102,33 @@ def invert_rational(a) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def root_data(gram2, shell1) -> tuple[list[int], list[list[int]]]:
+    """The simple roots of the sorted shell 1, as row indices, and each
+    positive root (rows len // 2 on, in order) in the simple roots, as its
+    list of coefficients.
+
+    A positive root is simple exactly when no smaller positive root pairs
+    to 1 with it (their difference would be a positive root; Humphreys,
+    Introduction to Lie Algebras, Sect. 10.1).  The coefficients solve the
+    Cartan matrix of the simple roots exactly in Fractions; they must be
+    nonnegative integers that give every positive root back.
+    """
+    half = len(shell1) // 2
+    positive = [tuple(v) for v in shell1[half:]]
+    rows = _times_gram(gram2, positive)
+    pairs = [[sum(map(mul, v, aw)) for aw in rows] for v in positive]
+    simple = [i for i in range(len(positive)) if 1 not in pairs[i][:i]]
+    inverse = invert_rational([[pairs[i][j] for j in simple] for i in simple])
+    coeffs = []
+    for b in range(len(positive)):
+        c = [sum(x * pairs[j][b] for x, j in zip(row, simple)) for row in inverse]
+        assert all(x.denominator == 1 and x >= 0 for x in c)
+        assert all(sum(int(x) * positive[j][i] for x, j in zip(c, simple)) == positive[b][i]
+                   for i in range(len(gram2)))
+        coeffs.append([int(x) for x in c])
+    return [half + i for i in simple], coeffs
 
 
 def _times_gram(matrix, vectors):

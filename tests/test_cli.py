@@ -305,6 +305,19 @@ def test_cli_recomputes_over_an_edited_shell_cache(capsys, tmp_path):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "q^2\t3/896" in out.splitlines()
+    # an empty shell 0 in a d4 file: trusting it would count no vector of
+    # norm 0 in the theta series
+    argv = ("compute", "--lattice", "d4", "--degrees", "0", "--order", "3",
+            "--cache-dir", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    (path,) = set(tmp_path.glob("shells-*.npz")) - {path}
+    with np.load(path) as npz:
+        doc = dict(npz)
+    doc["shell_0"] = doc["shell_0"][:0]
+    np.savez(path, **doc)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1:] == ["q^0\t1", "q^1\t24", "q^2\t24", "q^3\t96"]
 
 
 def test_cli_verify_budget_zero_passes(capsys):

@@ -3,15 +3,15 @@ import pickle
 import random
 import tempfile
 from fractions import Fraction
-from functools import reduce
-from itertools import product
-from math import isqrt, lcm
+from functools import cache, reduce
+from itertools import combinations, product
+from math import factorial, isqrt, lcm
 from operator import mul
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetainv.catalog import lattice_by_name
@@ -446,8 +446,9 @@ def test_inconsistent_shells_raise_instead_of_miscounting(a2):
     lambda shells: shells[0].extend([(0, 1)]),
     # the middle pair twice: closed under negation, sorted but not strictly
     lambda shells: shells[1].__setitem__(slice(3, 3), shells[1][2:4]),
+    lambda shells: shells.pop(0),
 ], ids=["not-negation-closed", "unsorted", "zero-in-shell-1", "nonzero-in-shell-0",
-        "repeated-pair"])
+        "repeated-pair", "missing-shell-0"])
 def test_shell_table_requires_sorted_negation_closed_shells(a2, edit):
     good = enumerate_shells(a2, 2)
     shells = {k: good.shell(k).tolist() for k in range(3)}
@@ -631,7 +632,8 @@ def _type_e(rank):
 
 # |W| (Humphreys, Reflection Groups and Coxeter Groups, Sect. 2.11) and
 # whether -I lies in W (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
-# Plates I and IV-VII), written out for each type
+# Plates I and IV-VII), written out for each type; the roots of d16plus
+# are those of D16
 _WEYL_GROUPS = {
     "A1": (_type_a(1), 2, True), "A2": (_type_a(2), 6, False),
     "A3": (_type_a(3), 24, False), "A4": (_type_a(4), 120, False),
@@ -641,25 +643,30 @@ _WEYL_GROUPS = {
     "E8": (_type_e(8), 696729600, True),
     "A2+A1": (_block_sum([_type_a(2), _type_a(1)]), 12, False),
     "E8+E8": (_block_sum([_type_e(8), _type_e(8)]), 696729600**2, True),
+    "D16": (lattice_by_name("d16plus").gram2, 2**15 * factorial(16), True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_WEYL_GROUPS))
 def test_weyl_group_orders_and_minus_one_from_root_heights(name):
-    cartan, order, minus_one = _WEYL_GROUPS[name]
-    base = validate_lattice(cartan)
-    rng = random.Random(len(cartan))
+    gram2, order, minus_one = _WEYL_GROUPS[name]
+    base = validate_lattice(gram2)
+    rng = random.Random(len(gram2))
     for lat in (base, change_basis(base, random_unimodular(base.rank, rng))):
-        roots = enumerate_shells(lat, 1)._roots
+        table = enumerate_shells(lat, 1)
+        roots = table._roots
+        simple, coeffs = oracles.root_data(lat.gram2, table.shell(1).tolist())
+        assert roots.simple.tolist() == simple
+        assert roots.heights.tolist() == [sum(c) for c in coeffs]
         assert len(roots.simple) == base.rank
         assert (roots.order, roots.minus_one) == (order, minus_one)
 
 
 @pytest.mark.parametrize("gram2, shell1, match", [
-    # a2 without +-(1,-1): (0,1) is the one simple root, and (1,0), which
-    # pairs to 1 with it, is no integer multiple of it
+    # a2 without +-(1,-1): (0,1) and (1,0) pair to 1, so each pairs to 3
+    # with their sum, 2 rho, which is twice no height
     ([[2, 1], [1, 2]], [(-1, 0), (0, -1), (0, 1), (1, 0)],
-     "not nonnegative integer combinations"),
+     "positive even numbers"),
     # z2 with +-(1,1), of norm 2, in shell 1: it pairs to 4 with itself,
     # outside the range +-2 that the kernel checks for shell 1
     ([[2, 0], [0, 2]], [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)],
@@ -669,6 +676,35 @@ def test_inconsistent_root_systems_raise(gram2, shell1, match):
     lat = validate_lattice(gram2)
     table = ShellTable(lat, 1, {0: [(0, 0)], 1: shell1})
     with pytest.raises(ValueError, match=f"{match}.*inconsistent"):
+        table.orbits(1)
+
+
+@cache
+def _root_table(name):
+    return enumerate_shells(lattice_by_name(name), 1)
+
+
+# pairs i of the upper half of shell 1, which a2, d4 and e8 hold 3, 12 and
+# 120 of: each alone, and every two on d4
+_ROOT_DROPS = ([(name, (i,)) for name, n in [("a2", 3), ("d4", 12), ("e8", 120)]
+                for i in range(n)]
+               + [("d4", pair) for pair in combinations(range(12), 2)])
+
+
+@pytest.mark.parametrize("name, drops", _ROOT_DROPS,
+                         ids=[f"{name}-{'-'.join(map(str, drops))}"
+                              for name, drops in _ROOT_DROPS])
+def test_shell_one_without_some_root_pairs_is_rejected(name, drops):
+    # the pairings with 2 rho are then not all positive and even, or the
+    # orbit sizes do not add up to the shell
+    good = _root_table(name)
+    shell1 = good.shell(1)
+    half = len(shell1) // 2
+    keep = np.ones(len(shell1), dtype=bool)
+    for i in drops:
+        keep[[half + i, half - 1 - i]] = False
+    table = ShellTable(good.lattice, 1, {0: good.shell(0), 1: shell1[keep]})
+    with pytest.raises(ValueError, match="inconsistent"):
         table.orbits(1)
 
 
@@ -853,6 +889,69 @@ def test_moment_matrix_entries_are_python_ints(e8_shells6, a2):
         for k in range(5):
             assert all(type(x) is int for row in table.moment_matrix(k) for x in row)
     assert tiers == {np.float64, np.int64, object}
+
+
+@st.composite
+def _small_form_and_shear(draw):
+    """A diagonally dominant gram2 B of rank 2-3 with entries of at most 10,
+    and a unit upper triangular U with entries below 2^29.  U^T B U keeps
+    B's first diagonal entry and its Gram-Schmidt lengths, hence its small
+    shells, while its other entries reach about 2^58 and the coordinates of
+    its shells grow too."""
+    n = draw(st.integers(2, 3))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = b[j][i] = draw(st.integers(-2, 2))
+    for i in range(n):
+        off = sum(abs(x) for j, x in enumerate(b[i]) if j != i)
+        b[i][i] = 2 * (off // 2 + 1 + draw(st.integers(0, 1)))
+    u = [[1 if i == j else draw(st.integers(-2**28, 2**28)) if j > i else 0
+          for j in range(n)] for i in range(n)]
+    return b, u
+
+
+def test_large_gram_entries_in_every_dtype_tier_equal_the_oracles():
+    seen = set()
+    cells = [(k1, k2) for k1 in range(4) for k2 in range(k1, 4)]
+
+    # a2 in the bases e_1, e_2 + s e_1 for s = 2^13 and 2^28, whose cells
+    # run in float64 and int64, and in int64 and object
+    @settings(max_examples=30, deadline=None)
+    @given(_small_form_and_shear(), st.integers(0, 2**32 - 1))
+    @example(([[2, 1], [1, 2]], [[1, 2**13], [0, 1]]), 0)
+    @example(([[2, 1], [1, 2]], [[1, 2**28], [0, 1]]), 0)
+    def check(form_and_shear, seed):
+        b, u = form_and_shear
+        small = validate_lattice(b)
+        # the seeded basis change mixes the small form before the shear, which
+        # keeps the Gram-Schmidt lengths, and so the search, small
+        mixed = change_basis(small, random_unimodular(small.rank, random.Random(seed)))
+        for lat in (change_basis(small, u), change_basis(mixed, u)):
+            table = enumerate_shells(lat, 3)
+            want = oracles.enumerate_shells(lat.gram2, 3)
+            shell = {k: table.shell(k).tolist() for k in range(4)}
+            assert shell == {k: [list(v) for v in want[k]] for k in range(4)}
+            seen.update(_tiers(table, cells)[0])
+
+            def pair_hist(k1, k2):
+                return oracles.pair_histogram(lat, shell[k1], shell[k2])
+
+            def tuple_hist(comp):
+                return oracles.tuple_histogram(lat, [shell[c] for c in comp])
+
+            for k1, k2 in cells:
+                assert table.pair_histogram(k1, k2) == pair_hist(k1, k2)
+            assert oracles.as_dict(table.tuple_histogram((1, 1, 1))) == tuple_hist((1, 1, 1))
+            for m in (1, 2):
+                got = compute(lat, InvariantRequest((m, m), 3, "pair"), shells=table)
+                assert list(got.coeffs) == oracles.pair_coeffs(lat.rank, m, 3, pair_hist)
+            got = compute(lat, InvariantRequest((1, 1, 1), 3), shells=table)
+            assert list(got.coeffs) == oracles.general_coeffs(lat.rank, (1, 1, 1), 3,
+                                                              tuple_hist)
+
+    check()
+    assert seen == {np.float64, np.int64, object}
 
 
 def test_moment_matrix(a2):
@@ -1073,9 +1172,10 @@ def _last_row(n):
     _scale_rows("shell_1", _middle_pair),
     _scale_rows("shell_3", _middle_pair),
     _scale_rows("shell_3", _last_row),
+    lambda doc: doc.__setitem__("shell_0", doc["shell_0"][:0]),
 ], ids=["no-shells", "missing-shell", "float", "wrong-rank", "scaled-vector",
         "repeated-row", "not-negation-closed", "scaled-middle-pair-1",
-        "scaled-middle-pair-3", "scaled-upper-row-only"])
+        "scaled-middle-pair-3", "scaled-upper-row-only", "empty-shell-0"])
 def test_shell_cache_rejects_untrustworthy_content(tmp_path, a2, edit):
     cache = str(tmp_path)
     table = enumerate_shells(a2, 3, cache_dir=cache)
