@@ -1,7 +1,8 @@
 """Command-line front end: invariant computation, lattice comparison and the
 identity verifier.
 
-Exit codes: 0 ok, 1 verification failure, 2 bad input, 3 resource limit.
+Exit codes: 0 ok, 1 verification failure, 2 bad input, 3 resource limit (a
+budget, or memory run out).
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ThetaInvError, ValueError, OSError) as exc:
         # OSError: an unusable --cache-dir, such as a path to a regular file

@@ -19,12 +19,13 @@ numpy array, and the disk cache stores it as such in an ``.npz`` file.
 
 Every pair or tuple statistic depends only on the Gram matrix of each
 tuple, so slot 0 of a histogram runs over one vector per orbit of a group
-H of isometries, weighted by the orbit size.  H is generated by -I and
-the reflections in the roots (the vectors of norm 1), whose orbits come
-from the dominant vectors and the orders of the parabolic subgroups, each
-a product over the heights of its positive roots, their pairings with
-the Weyl vector (``ShellTable.orbits``); without roots H is {+-I}, whose
-orbits are the pairs +-v.
+of isometries, weighted by the orbit size.  On a table with roots (the
+vectors of norm 1) that group is W, generated by the reflections in them,
+whose orbits come from the dominant vectors and the orders of the
+parabolic subgroups, each a product over the heights of its positive
+roots, their pairings with the Weyl vector (``ShellTable.orbits``).
+Small cells and tables without roots use {+-I}, whose orbits are the
+pairs +-v (``ShellTable.slot_zero``).
 """
 
 from __future__ import annotations
@@ -453,12 +454,13 @@ def _pairing_blocks(v: np.ndarray, gram2: np.ndarray,
     A block has at most about _BLOCK entries.  Its dtype is the one
     ``_exact_dtype`` proves exact: float64 (BLAS) or int64, holding
     integers either way, or numpy object.  The rows and each chunk of ``w``
-    are cast to it as they are needed, never a whole shell.
+    are cast to it as they are needed, never a whole shell.  An empty ``w``
+    gives one block without columns.
     """
     dtype = _exact_dtype(v, gram2, w.T)
     va = v.astype(dtype) @ gram2.astype(dtype)
     step = max(1, _BLOCK // max(len(v), 1))
-    for start in range(0, len(w), step):
+    for start in range(0, len(w) or 1, step):
         yield va @ w[start:start + step].T.astype(dtype)
 
 
@@ -486,7 +488,6 @@ class _Roots(NamedTuple):
     simple: np.ndarray      # row indices of the simple roots in shell 1
     heights: np.ndarray     # the height of each positive root, rows len // 2 on
     order: int              # |W|
-    minus_one: bool         # whether -I lies in W
 
 
 def _inconsistent(k1: int, k2: int, tmax: int) -> str:
@@ -649,10 +650,7 @@ class ShellTable:
         so the heights are the halved row sums of the pairing matrix of U_1,
         and the simple roots are the roots of height 1.  ValueError unless
         every row sum is even and at least 2.  The heights give |W|
-        (``_reflection_order``).  -I lies in W exactly when the simple roots
-        span the space and every exponent of W is odd; the exponents are the
-        partition dual to the number of positive roots of each height
-        (Kostant; Humphreys, Ch. 3).
+        (``_reflection_order``).
         """
         upper = slice(len(self._shells[1]) // 2, None)
         twice = self._pair_matrix(1, 1, upper, upper).sum(axis=1)
@@ -661,12 +659,13 @@ class ShellTable:
                              "numbers: the shell table is inconsistent")
         heights = twice // 2
         simple = np.flatnonzero(heights == 1)
-        exponents = (np.bincount(heights)[1:, None] > np.arange(len(simple))).sum(axis=0)
-        minus_one = len(simple) == self.lattice.rank and bool((exponents % 2).all())
-        return _Roots(upper.start + simple, heights, _reflection_order(heights), minus_one)
+        return _Roots(upper.start + simple, heights, _reflection_order(heights))
 
-    def _dominant(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """One row index of shell k per orbit of W, with the orbit sizes.
+    def orbits(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """One row index of shell k >= 1 per orbit of W, the reflection group
+        of the roots, in increasing order, with the orbit sizes as integer
+        weights; built once per shell.  Without roots W is {I}, and every
+        row is its own orbit.
 
         Every orbit holds exactly one dominant vector d, one that pairs
         nonnegatively with every simple root, and its stabiliser is W_J for
@@ -678,86 +677,32 @@ class ShellTable:
         W.  So |W_J| is read from the positive roots orthogonal to one d of
         each J.  ValueError unless the sizes add up to the shell's length.
         """
-        roots = self._roots
-        # the pairings with the simple roots block by block, keeping only the
-        # dominant columns: which rows they are, and which roots they are
-        # orthogonal to
-        rows = [np.zeros(0, dtype=np.intp)]
-        orthogonal = [np.zeros((0, len(roots.simple)), dtype=bool)]
-        start = 0
-        for block in _checked(self.pairings(1, k, roots.simple), 1, k):
-            dominant = (block >= 0).all(axis=0)
-            rows.append(start + np.flatnonzero(dominant))
-            orthogonal.append((block[:, dominant] == 0).T)
-            start += block.shape[1]
-        rows = np.concatenate(rows)
-        _, first, inverse = np.unique(np.concatenate(orthogonal), axis=0,
-                                      return_index=True, return_inverse=True)
-        upper = slice(len(self._shells[1]) // 2, None)
-        pairs = self._pair_matrix(k, 1, rows[first], upper)
-        sizes = [roots.order // _reflection_order(roots.heights[p == 0]) for p in pairs]
-        counts = np.bincount(inverse.reshape(-1), minlength=len(first)).tolist()
-        total = sum(map(mul, sizes, counts))
-        if total != len(self._shells[k]):
-            raise ValueError(f"the orbits of shell {k} hold {total} vectors, not "
-                             f"{len(self._shells[k])}: the shell table is inconsistent")
-        return rows, np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
-
-    def _opposite(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """For the dominant rows ``rows`` of shell k, the position in
-        ``rows`` of the dominant vector in the orbit of -d, for each d.
-
-        -d is reflected in a simple root it pairs negatively with until it
-        is dominant, which takes at most one step per positive root.
-        """
-        simple = self._shells[1][self._roots.simple].astype(np.int64)
-        dominant = self._shells[k][rows]
-        # each step ends on a vector of shell k, which int64 holds, so the
-        # int64 arithmetic is exact modulo 2^64 and hence exact
-        x = -dominant.astype(np.int64)
-        for _ in range(len(self._shells[1]) // 2 + 1):
-            p = np.concatenate(list(_checked(_pairing_blocks(x, self._gram2, simple), k, 1)),
-                               axis=1)
-            neg = p < 0
-            todo = np.flatnonzero(neg.any(axis=1))
-            if not len(todo):
-                break
-            j = neg[todo].argmax(axis=1)
-            x[todo] -= p[todo, j, None] * simple[j]
-        order = np.lexsort(x.T[::-1])
-        if len(todo) or not np.array_equal(x[order], dominant):
-            raise ValueError(f"the dominant vectors of shell {k} are not closed "
-                             f"under d -> dom(-d): the shell table is inconsistent")
-        partner = np.empty(len(rows), dtype=np.intp)
-        partner[order] = np.arange(len(rows))
-        return partner
-
-    def orbits(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """One row index of shell k >= 1 per orbit of H = <W, -I>, W the
-        reflection group of the roots, in increasing order, with the orbit
-        sizes as integer weights; built once per shell.
-
-        The orbit of a dominant d under H is that of W merged with that of
-        dom(-d), the dominant vector of the orbit of -d.  Where -I lies in W
-        they are the same; otherwise the later row of the two represents
-        both, with twice the weight.  A lattice without roots therefore gets
-        the upper half of the shell, rows len // 2 on, with weight 2, which
-        is H = {+-I}.  So does a table with shells of object dtype.
-        """
         cached = self._orbits.get(k)
         if cached is None:
-            n = len(self._shells[k])
-            if self._shells[k].dtype == object or self._shells[1].dtype == object \
-                    or not len(self._shells[1]):
-                cached = np.arange(n // 2, n), np.full(n - n // 2, 2, dtype=np.int64)
-            else:
-                rows, sizes = self._dominant(k)
-                if not self._roots.minus_one:
-                    partner = self._opposite(k, rows)
-                    here = np.arange(len(rows))
-                    keep = partner <= here
-                    rows, sizes = rows[keep], np.where(partner == here, sizes, 2 * sizes)[keep]
-                cached = rows, sizes
+            roots = self._roots
+            # the pairings with the simple roots block by block, keeping only
+            # the dominant columns: which rows they are, and which roots they
+            # are orthogonal to
+            rows = [np.zeros(0, dtype=np.intp)]
+            orthogonal = [np.zeros((0, len(roots.simple)), dtype=bool)]
+            start = 0
+            for block in _checked(self.pairings(1, k, roots.simple), 1, k):
+                dominant = (block >= 0).all(axis=0)
+                rows.append(start + np.flatnonzero(dominant))
+                orthogonal.append((block[:, dominant] == 0).T)
+                start += block.shape[1]
+            rows = np.concatenate(rows)
+            _, first, inverse = np.unique(np.concatenate(orthogonal), axis=0,
+                                          return_index=True, return_inverse=True)
+            upper = slice(len(self._shells[1]) // 2, None)
+            pairs = self._pair_matrix(k, 1, rows[first], upper)
+            sizes = [roots.order // _reflection_order(roots.heights[p == 0]) for p in pairs]
+            counts = np.bincount(inverse.reshape(-1), minlength=len(first)).tolist()
+            total = sum(map(mul, sizes, counts))
+            if total != len(self._shells[k]):
+                raise ValueError(f"the orbits of shell {k} hold {total} vectors, not "
+                                 f"{len(self._shells[k])}: the shell table is inconsistent")
+            cached = rows, np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
             self._orbits[k] = cached
         return cached
 
@@ -772,12 +717,13 @@ class ShellTable:
         sum over one vector per orbit of any group of isometries.  Shell 0
         is its zero row with weight 1.  A cell whose work under H = {+-I},
         the upper half times ``partners``, is at least _ORBIT_PAIRS reads
-        ``orbits``; a smaller one keeps the upper half with weight 2.
+        the W-orbits (``orbits``) when the table has roots.  Otherwise slot
+        0 is the orbits of H: the upper half, rows len // 2 on, with weight 2.
         """
         n = len(self._shells[k])
         if not k:
             return [(1, np.arange(n))]
-        if n // 2 * partners < _ORBIT_PAIRS:
+        if n // 2 * partners < _ORBIT_PAIRS or not len(self._shells[1]):
             return [(2, np.arange(n // 2, n))]
         rows, weights = self.orbits(k)
         # return_counts keeps np.unique off the path that imports numpy.ma

@@ -222,6 +222,23 @@ def test_cli_resource_limit_exit_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--lattice", "a2", "--degrees", "1,1"),
+    ("compare", "--lattice-a", "a2", "--lattice-b", "z2")])
+def test_cli_memory_error_exit_3(capsys, monkeypatch, argv):
+    # an enumeration that runs out of memory is a resource limit, reported
+    # without a traceback; the patch allocates nothing
+    import thetainv.lattice as latmod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(latmod, "_enumerate", exhausted)
+    code, out, err = run_cli(capsys, *argv, "--order", "2", "--no-cache")
+    assert code == 3 and not out
+    assert err == "error: out of memory\n"
+
+
 def test_cli_compare_self_equal(capsys):
     code, out, _ = run_cli(capsys, "compare", "--lattice-a", "a2",
                            "--lattice-b", "a2", "--degrees", "0",

@@ -557,18 +557,38 @@ def test_orbits_of_e8_d4_and_e8e8(e8_shells6, d4):
     # the swap of the two E8 factors is not a reflection
     e8e8 = enumerate_shells(lattice_by_name("e8e8"), 1)
     assert _orbit_sizes(e8e8, 1) == [240, 240]
-    assert e8e8._roots.order == 696729600**2 and e8e8._roots.minus_one
+    assert e8e8._roots.order == 696729600**2
 
 
-def test_a2_shell_three_merges_the_orbits_of_d_and_minus_d(a2):
+def test_orbits_of_w_alone_where_minus_one_is_not_in_w(a2):
     # -I is not in W(A2) = S3: shell 3 (+-(1,1), +-(1,-2), +-(2,-1) in
     # root coordinates) is two W-orbits of 3, swapped by -I
-    table = enumerate_shells(a2, 3)
-    assert not table._roots.minus_one
-    dominant, sizes = table._dominant(3)
-    assert sizes.tolist() == [3, 3]
-    rows, weights = table.orbits(3)
-    assert rows.tolist() == [dominant[-1]] and weights.tolist() == [6]
+    assert _orbit_sizes(enumerate_shells(a2, 3), 3) == [3, 3]
+    # nor in W(E6): shell 4 is the 72 doubled roots and two orbits of 432
+    assert _orbit_sizes(enumerate_shells(validate_lattice(_type_e(6)), 4), 4) == [
+        72, 432, 432]
+
+
+def test_object_dtype_tables_read_w_orbits(a2, e8):
+    skewed = change_basis(a2, [[1, 2**62], [0, 1]])
+    table = enumerate_shells(skewed, 3)
+    assert table.shell(3).dtype == object
+    assert [_orbit_sizes(table, k) for k in (1, 3)] == [[6], [3, 3]]
+    u = [[int(i == j) for j in range(8)] for i in range(8)]
+    u[0][7] = 2**70
+    sheared = enumerate_shells(change_basis(e8, u), 3)
+    assert sheared.shell(1).dtype == object
+    assert [_orbit_sizes(sheared, k) for k in range(1, 4)] == [[240], [2160], [6720]]
+    shell = {k: table.shell(k).tolist() for k in range(4)}
+    with pytest.MonkeyPatch.context() as mp:
+        # every cell reads the orbits
+        mp.setattr(lattice_module, "_ORBIT_PAIRS", 1)
+        for k1 in range(1, 4):
+            for k2 in range(k1, 4 - k1):
+                assert table.pair_histogram(k1, k2) == oracles.pair_histogram(
+                    skewed, shell[k1], shell[k2])
+        assert oracles.as_dict(table.tuple_histogram((1, 1, 1))) == oracles.tuple_histogram(
+            skewed, [shell[1]] * 3)
 
 
 def test_rootless_forms_keep_the_upper_half():
@@ -576,8 +596,11 @@ def test_rootless_forms_keep_the_upper_half():
     assert not len(table.shell(1))
     for k in range(1, 7):
         n = len(table.shell(k))
-        rows, weights = table.orbits(k)
-        assert rows.tolist() == list(range(n // 2, n)) and set(weights.tolist()) <= {2}
+        # enough partners that a table with roots would read its W-orbits
+        [(weight, rows)] = table.slot_zero(k, lattice_module._ORBIT_PAIRS)
+        assert weight == 2 and rows.tolist() == list(range(n // 2, n))
+        # W is {I}, whose orbits are single vectors
+        assert _orbit_sizes(table, k) == [1] * n
 
 
 def test_a_wrong_coxeter_order_fails_the_size_check(e8, monkeypatch):
@@ -630,26 +653,22 @@ def _type_e(rank):
     return _cartan(rank, [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, rank - 1)])
 
 
-# |W| (Humphreys, Reflection Groups and Coxeter Groups, Sect. 2.11) and
-# whether -I lies in W (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
-# Plates I and IV-VII), written out for each type; the roots of d16plus
-# are those of D16
+# |W| (Humphreys, Reflection Groups and Coxeter Groups, Sect. 2.11) for
+# each type; the roots of d16plus are those of D16
 _WEYL_GROUPS = {
-    "A1": (_type_a(1), 2, True), "A2": (_type_a(2), 6, False),
-    "A3": (_type_a(3), 24, False), "A4": (_type_a(4), 120, False),
-    "A5": (_type_a(5), 720, False), "D4": (_type_d(4), 192, True),
-    "D5": (_type_d(5), 1920, False), "D6": (_type_d(6), 23040, True),
-    "E6": (_type_e(6), 51840, False), "E7": (_type_e(7), 2903040, True),
-    "E8": (_type_e(8), 696729600, True),
-    "A2+A1": (_block_sum([_type_a(2), _type_a(1)]), 12, False),
-    "E8+E8": (_block_sum([_type_e(8), _type_e(8)]), 696729600**2, True),
-    "D16": (lattice_by_name("d16plus").gram2, 2**15 * factorial(16), True),
+    "A1": (_type_a(1), 2), "A2": (_type_a(2), 6), "A3": (_type_a(3), 24),
+    "A4": (_type_a(4), 120), "A5": (_type_a(5), 720), "D4": (_type_d(4), 192),
+    "D5": (_type_d(5), 1920), "D6": (_type_d(6), 23040), "E6": (_type_e(6), 51840),
+    "E7": (_type_e(7), 2903040), "E8": (_type_e(8), 696729600),
+    "A2+A1": (_block_sum([_type_a(2), _type_a(1)]), 12),
+    "E8+E8": (_block_sum([_type_e(8), _type_e(8)]), 696729600**2),
+    "D16": (lattice_by_name("d16plus").gram2, 2**15 * factorial(16)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_WEYL_GROUPS))
 def test_weyl_group_orders_and_minus_one_from_root_heights(name):
-    gram2, order, minus_one = _WEYL_GROUPS[name]
+    gram2, order = _WEYL_GROUPS[name]
     base = validate_lattice(gram2)
     rng = random.Random(len(gram2))
     for lat in (base, change_basis(base, random_unimodular(base.rank, rng))):
@@ -659,7 +678,7 @@ def test_weyl_group_orders_and_minus_one_from_root_heights(name):
         assert roots.simple.tolist() == simple
         assert roots.heights.tolist() == [sum(c) for c in coeffs]
         assert len(roots.simple) == base.rank
-        assert (roots.order, roots.minus_one) == (order, minus_one)
+        assert roots.order == order
 
 
 @pytest.mark.parametrize("gram2, shell1, match", [
