@@ -163,14 +163,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=4,
                        help="truncation order K (coefficients of q^0..q^K)")
         p.add_argument("--normalization", default="auto",
-                       choices=("auto", "pair", "triple", "general"))
+                       choices=("auto", "pair", "triple", "general"),
+                       help="only rescales the series, whose route the "
+                            "degrees choose: pair needs m,m, triple 1,1,1, "
+                            "and auto takes the one the degrees allow")
         p.add_argument("--cache-dir", default=None,
                        help=f"shell cache directory (default ${CACHE_ENV} "
                             f"or ~/.cache/thetainv)")
         p.add_argument("--no-cache", action="store_true",
                        help="recompute shells, do not read or write the cache")
-        p.add_argument("--max-tuples", type=int, default=2_000_000,
-                       help="budget for the general invariant tuple count")
+        p.add_argument("--max-tuples", type=int,
+                       default=InvariantRequest.max_tuples,
+                       help="tuple budget of the general route, which serves "
+                            "every degree list but 0, m,m and 1,1,1")
 
     p_compute = sub.add_parser("compute", help="compute one invariant")
     p_compute.add_argument("--lattice", required=True,

@@ -13,8 +13,8 @@ the same element at v equals the harmonic projection (in x) of
 (x . v)^{2m} / (2m)!.  The resulting integrand is a polynomial in the pair
 values (x . v_l), and its sphere average is a universal polynomial in the
 pairwise inner products of the v_l, evaluated here from the Gram data.  The
-pair/triple fast paths below are independent implementations used as oracles
-for this reduction: the pair invariant combines power sums of the doubled
+pair/triple routes below serve (m, m) and (1, 1, 1), with this reduction as
+their oracle: the pair invariant combines power sums of the doubled
 pairing over pair histograms, and the triple invariant is a sum of traces of
 products of P_k = gram2 M_k, with M_k the moment matrix of shell k, so it
 pairs no two vectors at all.
@@ -314,13 +314,27 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
 _NORMALIZATIONS = ("general", "pair", "triple")
 
 
+def _route(degrees: tuple[int, ...]) -> str:
+    """The route of a degree list, named by its native normalization."""
+    if len(degrees) == 2 and degrees[0] == degrees[1]:
+        return "pair"
+    return "triple" if degrees == (1, 1, 1) else "general"
+
+
+def _scale(n: int, degrees: Sequence[int], normalization: str) -> int:
+    """The factor from the general normalization to the named one, in rank n."""
+    if normalization == "pair":
+        return prod(n + 2 * j for j in range(2 * degrees[0]))
+    return n**4 * (n + 2) * (n + 4) if normalization == "triple" else 1
+
+
 @dataclass(frozen=True)
 class InvariantRequest:
     """Degrees, truncation order and normalization of a requested invariant.
 
-    normalization="auto" resolves to "pair" for degrees (m, m), "triple" for
-    (1, 1, 1) and "general" otherwise: the conventions under which the
-    explicit identities hold.
+    The normalization only rescales: "pair" and "triple", the conventions of
+    the explicit identities, need the degrees of their route (_route), to
+    which "auto" resolves.  max_tuples bounds the general route only.
     """
 
     degrees: tuple[int, ...]
@@ -331,10 +345,7 @@ class InvariantRequest:
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
         if self.normalization == "auto":
-            d = self.degrees
-            object.__setattr__(self, "normalization", (
-                "pair" if len(d) == 2 and d[0] == d[1]
-                else "triple" if d == (1, 1, 1) else "general"))
+            object.__setattr__(self, "normalization", _route(self.degrees))
         if len(self.degrees) < 1:
             raise ValueError("at least one degree is required")
         if any(m < 0 for m in self.degrees):
@@ -348,11 +359,9 @@ class InvariantRequest:
         if self.normalization not in _NORMALIZATIONS:
             raise ValueError(
                 f"normalization must be 'auto' or one of {_NORMALIZATIONS}")
-        if self.normalization == "pair" and (
-                len(self.degrees) != 2 or self.degrees[0] != self.degrees[1]):
-            raise ValueError("pair normalization needs degrees (m, m)")
-        if self.normalization == "triple" and self.degrees != (1, 1, 1):
-            raise ValueError("triple normalization needs degrees (1, 1, 1)")
+        if self.normalization not in ("general", _route(self.degrees)):
+            shape = "(m, m)" if self.normalization == "pair" else "(1, 1, 1)"
+            raise ValueError(f"{self.normalization} normalization needs degrees {shape}")
 
 
 @lru_cache(maxsize=None)
@@ -456,13 +465,14 @@ def _composition_poly(n: int, degrees: tuple[int, ...], norms: tuple[int, ...]
 
 def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
                   shells: ShellTable | None = None) -> QSeries:
-    """General invariant for an arbitrary non-decreasing degree list.
+    """General invariant for any non-decreasing degree list: the reference
+    route, and compute's for all lists but (0,), (m, m) and (1, 1, 1).
 
     Each composition is reduced once per reordering of its equal-degree
     slots (_cells); max_tuples bounds the ordered tuples, sum mult prod |S_c|.
     The raw normalization is the plain orthonormal-basis sum; "pair" and
-    "triple" rescale to the conventions used by the explicit identities
-    (prod_{j<2m} (n+2j) and n^4 (n+2)(n+4) respectively).
+    "triple" multiply it by _scale, to the conventions used by the explicit
+    identities.
     """
     degrees = request.degrees
     n = lattice.rank
@@ -489,33 +499,33 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
             total += sum(c * s for (_, c), s in zip(cross, sums))
         coeffs[kap] += Fraction(mult * total, den)
 
-    scale = Fraction(1)
-    if request.normalization == "pair":
-        scale = Fraction(prod(n + 2 * j for j in range(2 * degrees[0])))
-    elif request.normalization == "triple":
-        scale = Fraction(n**4 * (n + 2) * (n + 4))
+    scale = _scale(n, degrees, request.normalization)
     return _invariant(lattice, degrees, [scale * c for c in coeffs])
 
 
 def compute(lattice: IntegralLattice, request: InvariantRequest, *,
             shells: ShellTable | None = None,
             cache_dir: str | None = None) -> QSeries:
-    """The invariant a request names, through its fastest route: vector
-    counts for degrees (0,), the pair histograms or the triple contraction
-    under their normalizations, and the general reduction otherwise.
+    """The invariant a request names, through the route its degrees choose
+    (_route): vector counts for (0,), pair histograms for (m, m), the triple
+    contraction for (1, 1, 1) and the general reduction otherwise.  The
+    normalization only rescales (_scale); max_tuples bounds the last route.
 
     Without ``shells`` the table is enumerated, through the shell cache in
     ``cache_dir`` when one is given.
     """
     if shells is None:
         shells = enumerate_shells(lattice, request.order, cache_dir=cache_dir)
-    if request.degrees == (0,):
-        return theta_series(lattice, request.order, shells=shells)
-    if request.normalization == "pair":
-        return theta_pair(lattice, request.degrees[0], request.order, shells=shells)
-    if request.normalization == "triple":
-        return theta_triple(lattice, request.order, shells=shells)
-    return theta_general(lattice, request, shells=shells)
+    degrees, order, route = request.degrees, request.order, _route(request.degrees)
+    if degrees == (0,):
+        return theta_series(lattice, order, shells=shells)
+    if route == "general":
+        return theta_general(lattice, request, shells=shells)
+    series = (theta_pair(lattice, degrees[0], order, shells=shells) if route == "pair"
+              else theta_triple(lattice, order, shells=shells))
+    n = lattice.rank
+    return series.scale(Fraction(_scale(n, degrees, request.normalization),
+                                 _scale(n, degrees, route)))
 
 
 # -- integrality report -----------------------------------------------------

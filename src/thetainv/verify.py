@@ -37,7 +37,7 @@ from .lattice import (
     random_unimodular,
     validate_lattice,
 )
-from .qseries import delta_series, eisenstein
+from .qseries import QSeries, delta_series, eisenstein
 from .theta import (
     InvariantRequest,
     compute,
@@ -89,6 +89,19 @@ E8_PAIR_CONSTANTS = {
     8: Fraction(1, 96509952),
     9: Fraction(11, 3429236736000),
 }
+
+# The nonzero E8 pair invariants: the (m,m) one is E8_PAIR_CONSTANTS[m] times
+# Delta^2 and the Eisenstein series G_w of these weights, as labelled.
+E8_PAIR_FORMS = {4: ("Delta^2", ()), 6: ("G8 * Delta^2", (8,)),
+                 7: ("G6^2 * Delta^2", (6, 6)), 8: ("G8^2 * Delta^2", (8, 8)),
+                 9: ("G10^2 * Delta^2", (10, 10))}
+
+
+def e8_pair_form(m: int, order: int) -> QSeries:
+    """The closed form of the degree-(m,m) invariant of E8 through q^order."""
+    forms = [eisenstein(w, order) for w in E8_PAIR_FORMS[m][1]]
+    return E8_PAIR_CONSTANTS[m] * prod(forms, start=delta_series(order) ** 2)
+
 
 # Rank-2 / rank-3 lattices with nonzero pair and triple invariants (the
 # highly symmetric catalog lattices make several invariants vanish
@@ -147,7 +160,7 @@ def check_pair_identities(budget: int, e8_shells) -> list[CheckResult]:
 
     k4 = min(5, budget)
     lhs = theta_pair(e8, 4, k4, shells=e8_shells)
-    rhs = E8_PAIR_CONSTANTS[4] * (delta_series(k4) ** 2)
+    rhs = e8_pair_form(4, k4)
     results.append(CheckResult(
         "e8-pair-m4", lhs == rhs,
         f"degree-(4,4) invariant equals {E8_PAIR_CONSTANTS[4]} * Delta^2 "
@@ -155,7 +168,7 @@ def check_pair_identities(budget: int, e8_shells) -> list[CheckResult]:
 
     k6 = min(4, budget)
     lhs = theta_pair(e8, 6, k6, shells=e8_shells)
-    rhs = E8_PAIR_CONSTANTS[6] * (eisenstein(8, k6) * delta_series(k6) ** 2)
+    rhs = e8_pair_form(6, k6)
     results.append(CheckResult(
         "e8-pair-m6", lhs == rhs,
         f"degree-(6,6) invariant equals {E8_PAIR_CONSTANTS[6]} * G8 Delta^2 "
@@ -163,10 +176,8 @@ def check_pair_identities(budget: int, e8_shells) -> list[CheckResult]:
 
     k9 = min(3, budget)
     bad = []
-    for m, ew in ((7, 6), (8, 8), (9, 10)):
-        lhs = theta_pair(e8, m, k9, shells=e8_shells)
-        rhs = E8_PAIR_CONSTANTS[m] * (eisenstein(ew, k9) ** 2 * delta_series(k9) ** 2)
-        if lhs != rhs:
+    for m in (7, 8, 9):
+        if theta_pair(e8, m, k9, shells=e8_shells) != e8_pair_form(m, k9):
             bad.append(f"m={m}")
     results.append(CheckResult(
         "e8-pair-m789", not bad,
@@ -520,20 +531,23 @@ def check_basis_invariance(budget: int, seed: int,
     rng = random.Random(seed)
     order = min(4, budget)
     bad = []
-    requests = [InvariantRequest(d, order, norm) for d, norm in (
-        ((0,), "general"), ((1, 1), "pair"), ((1, 1, 1), "triple"),
-        ((1, 1), "general"), ((2, 2), "pair"))]
+    # (1,1) "general" reads the general reduction itself: through compute it
+    # would be the pair route rescaled, and the check would lose that route
+    requests = [(route, InvariantRequest(d, order, norm)) for route, d, norm in (
+        (compute, (0,), "general"), (compute, (1, 1), "pair"),
+        (compute, (1, 1, 1), "triple"), (theta_general, (1, 1), "general"),
+        (compute, (2, 2), "pair"))]
     for name in ("z2", "a2", "z3", "d4"):
         lat = lattice_by_name(name)
         n = lat.rank
         reqs = requests if n == 2 else requests[:-1]  # (2, 2) on rank 2 only
         table = enumerate_shells(lat, order)
-        base = [compute(lat, r, shells=table) for r in reqs]
+        base = [route(lat, r, shells=table) for route, r in reqs]
         for i in range(rounds):
             moved = change_basis(lat, random_unimodular(n, rng))
             mt = enumerate_shells(moved, order)
-            for r, want in zip(reqs, base):
-                if compute(moved, r, shells=mt) != want:
+            for (route, r), want in zip(reqs, base):
+                if route(moved, r, shells=mt) != want:
                     tag = ",".join(map(str, r.degrees))
                     bad.append(f"{name} round={i} ({tag}) {r.normalization}")
         if bad:

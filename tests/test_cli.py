@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 import thetainv.catalog as catmod
 from thetainv.catalog import CatalogEntry, get_lattice, lattice_by_name, parse_lattice_file
 from thetainv.cli import _build_parser, main
-from thetainv.errors import LatticeFileError, OddDiagonalError
+from thetainv.errors import LatticeFileError, OddDiagonalError, ResourceLimitError
+from thetainv.theta import InvariantRequest, compute, theta_general
 from thetainv.verify import check_catalog
 
 
@@ -205,6 +207,27 @@ def test_cli_negative_max_tuples_exit_2(capsys):
                              "--max-tuples", "-1", "--no-cache")
     assert code == 2 and not out
     assert "max_tuples" in err
+
+
+def test_e8_pair_general_within_the_default_budget(capsys, e8, e8_shells6):
+    # (4,4) under "general" is the pair route rescaled, which pairs no tuples,
+    # so the default budget, which the general reduction overruns 23-fold,
+    # does not refuse it
+    req = InvariantRequest((4, 4), 5, "general")
+    got = compute(e8, req, shells=e8_shells6)
+    want = theta_general(e8, InvariantRequest((4, 4), 5, max_tuples=10**9),
+                         shells=e8_shells6)
+    assert got == want and got.coeff(5) == Fraction(-47, 1589575680)
+    with pytest.raises(ResourceLimitError, match="needs 46539361 lattice tuples"):
+        theta_general(e8, req, shells=e8_shells6)
+    code, out, _ = run_cli(capsys, "compute", "--lattice", "e8",
+                           "--degrees", "4,4", "--order", "5",
+                           "--normalization", "general", "--no-cache",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["normalization"] == "general"
+    assert doc["coeffs"][5] == "-47/1589575680"
 
 
 def test_cli_character_of_even_rank_theta(capsys):
