@@ -13,7 +13,6 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import LatticeFileError
 from .lattice import IntegralLattice, validate_lattice
@@ -70,24 +69,16 @@ def _block_sum(a, b):
 
 def _d16plus_gram() -> list[list[int]]:
     """Gram data of the glued lattice from its generator rows
-    2 e1, e2 - e1, ..., e15 - e14, (1/2, ..., 1/2)."""
-    rows: list[list[Fraction]] = []
-    rows.append([Fraction(2)] + [Fraction(0)] * 15)
+    2 e1, e2 - e1, ..., e15 - e14, (1/2, ..., 1/2), doubled to the integer
+    rows 4 e1, 2 (e_{i+1} - e_i) and all ones, whose dot products are
+    multiples of 4."""
+    rows = [[4] + [0] * 15]
     for i in range(14):
-        r = [Fraction(0)] * 16
-        r[i] = Fraction(-1)
-        r[i + 1] = Fraction(1)
-        rows.append(r)
-    rows.append([Fraction(1, 2)] * 16)
-    gram = []
-    for i in range(16):
-        line = []
-        for j in range(16):
-            v = sum(rows[i][k] * rows[j][k] for k in range(16))
-            assert v.denominator == 1
-            line.append(int(v))
-        gram.append(line)
-    return gram
+        rows.append([0] * i + [-2, 2] + [0] * (14 - i))
+    rows.append([1] * 16)
+    dots = [[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]
+    assert all(d % 4 == 0 for line in dots for d in line)
+    return [[d // 4 for d in line] for line in dots]
 
 
 def _build_catalog() -> dict[str, CatalogEntry]:

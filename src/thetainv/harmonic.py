@@ -72,12 +72,6 @@ class Poly:
     def monomial(cls, rank: int, exps: Sequence[int], c: Rational = 1) -> Poly:
         return cls(rank, {tuple(exps): c})
 
-    @classmethod
-    def variable(cls, rank: int, i: int) -> Poly:
-        exps = [0] * rank
-        exps[i] = 1
-        return cls(rank, {tuple(exps): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -446,24 +446,6 @@ def monomial_sums(x: np.ndarray, weights: np.ndarray,
     return [int(s) for s in weights.astype(dot) @ values.astype(dot)]
 
 
-def _pairing_blocks(v: np.ndarray, gram2: np.ndarray,
-                    w: np.ndarray) -> Iterator[np.ndarray]:
-    """Exact blocks of v^T A w for the rows v of ``v`` (block rows) and the
-    rows w of consecutive chunks of ``w`` (block columns), A = gram2.
-
-    A block has at most about _BLOCK entries.  Its dtype is the one
-    ``_exact_dtype`` proves exact: float64 (BLAS) or int64, holding
-    integers either way, or numpy object.  The rows and each chunk of ``w``
-    are cast to it as they are needed, never a whole shell.  An empty ``w``
-    gives one block without columns.
-    """
-    dtype = _exact_dtype(v, gram2, w.T)
-    va = v.astype(dtype) @ gram2.astype(dtype)
-    step = max(1, _BLOCK // max(len(v), 1))
-    for start in range(0, len(w) or 1, step):
-        yield va @ w[start:start + step].T.astype(dtype)
-
-
 def _checked(blocks: Iterable[np.ndarray], k1: int, k2: int) -> Iterator[np.ndarray]:
     """Pairing blocks of vectors of norms k1 and k2 as int64, checked
     against Cauchy-Schwarz: |v^T A w| <= 2 sqrt(k1 k2), so a value outside
@@ -583,8 +565,8 @@ class ShellTable:
     half of a shell.  Immutable after construction apart from the caches of
     pair histograms, moment matrices and orbit data, which are deterministic
     functions of the shells.  Every pairing goes through one kernel,
-    ``_pairing_blocks``, which casts the stored arrays chunk by chunk to its
-    exact dtype; ``pairings`` feeds it rows of the stored shells.
+    ``pairings``, which casts the stored arrays chunk by chunk to its exact
+    dtype.
     """
 
     def __init__(self, lattice: IntegralLattice, bound: int,
@@ -623,10 +605,20 @@ class ShellTable:
                  cols: slice | np.ndarray = slice(None)) -> Iterator[np.ndarray]:
         """Exact blocks of v^T A w for v in ``rows`` of shell k1 (block rows)
         and w in consecutive chunks of ``cols`` of shell k2 (block columns),
-        A = gram2; ``rows`` and ``cols`` are slices or arrays of row
-        indices.  The blocks are those of ``_pairing_blocks``."""
-        return _pairing_blocks(self._shells[k1][rows], self._gram2,
-                               self._shells[k2][cols])
+        A = gram2; ``rows`` and ``cols`` are slices or arrays of row indices.
+
+        A block has at most about _BLOCK entries.  Its dtype is the one
+        ``_exact_dtype`` proves exact: float64 (BLAS) or int64, holding
+        integers either way, or numpy object.  The rows and each chunk of
+        ``cols`` are cast to it as they are needed, never a whole shell.
+        Empty ``cols`` give one block without columns.
+        """
+        v, w = self._shells[k1][rows], self._shells[k2][cols]
+        dtype = _exact_dtype(v, self._gram2, w.T)
+        va = v.astype(dtype) @ self._gram2.astype(dtype)
+        step = max(1, _BLOCK // max(len(v), 1))
+        for start in range(0, len(w) or 1, step):
+            yield va @ w[start:start + step].T.astype(dtype)
 
     def _pair_matrix(self, k1: int, k2: int, rows: slice | np.ndarray,
                      cols: slice | np.ndarray = slice(None)) -> np.ndarray:

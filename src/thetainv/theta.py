@@ -195,26 +195,25 @@ def pair_scale(n: int, m: int) -> int:
                                                   for l in range(m))
 
 
+@lru_cache(maxsize=None)
+def pair_scaled_coeffs(n: int, m: int) -> tuple[int, ...]:
+    """The integer coefficients s_j of pair_scale(n, m) * pair_term as a
+    polynomial in t and ab, the sum of s_j t^{2m-2j} (ab)^j, termwise
+    s_j = (-1)^j (2m)!/((2m-2j)! j!) 2^j prod_{l=j..m-1}(n+4m-4-2l)."""
+    return tuple((-1) ** j * (factorial(2 * m) // (factorial(2 * m - 2 * j) * factorial(j)))
+                 * 2 ** j * prod(n + 4 * m - 4 - 2 * l for l in range(j, m))
+                 for j in range(m + 1))
+
+
 def pair_term_scaled(lattice: IntegralLattice, v: Sequence[int],
                      w: Sequence[int], m: int) -> int:
-    """The integer pair_scale(n, m) * pair_term for two explicit vectors.
-
-    Integrality is visible termwise: with t = v^T A w each summand is
-    (-1)^j (2m)!/((2m-2j)! j!) 2^j t^{2m-2j} (ab)^j prod_{l=j..m-1}(n+4m-4-2l).
-    """
+    """The integer pair_scale(n, m) * pair_term for two explicit vectors:
+    pair_scaled_coeffs evaluated at their norms a, b and t = v^T A w."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = lattice.rank
-    a = lattice.norm(v)
-    b = lattice.norm(w)
-    t = lattice.inner2(v, w)
-    total = 0
-    for j in range(m + 1):
-        term = (-1) ** j * (factorial(2 * m) // (factorial(2 * m - 2 * j) * factorial(j)))
-        term *= 2 ** j * t ** (2 * m - 2 * j) * (a * b) ** j
-        term *= prod(n + 4 * m - 4 - 2 * l for l in range(j, m))
-        total += term
-    return total
+    a, b, t = lattice.norm(v), lattice.norm(w), lattice.inner2(v, w)
+    return sum(s * t ** (2 * m - 2 * j) * (a * b) ** j
+               for j, s in enumerate(pair_scaled_coeffs(lattice.rank, m)))
 
 
 def theta_pair(lattice: IntegralLattice, m: int, order: int, *,

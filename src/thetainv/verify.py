@@ -40,12 +40,12 @@ from .lattice import (
 from .qseries import QSeries, delta_series, eisenstein
 from .theta import (
     InvariantRequest,
+    _pair_poly_cached,
     compute,
     first_non_integral,
     integrality_report,
     pair_scale,
-    pair_term,
-    pair_term_scaled,
+    pair_scaled_coeffs,
     theta_general,
     theta_pair,
     theta_series,
@@ -157,66 +157,42 @@ def check_pair_identities(budget: int, e8_shells) -> list[CheckResult]:
         return [_skip("e8-pair-identities", "needs order budget >= 2")]
     e8 = catalog()["e8"].lattice
     results = []
-
-    k4 = min(5, budget)
-    lhs = theta_pair(e8, 4, k4, shells=e8_shells)
-    rhs = e8_pair_form(4, k4)
-    results.append(CheckResult(
-        "e8-pair-m4", lhs == rhs,
-        f"degree-(4,4) invariant equals {E8_PAIR_CONSTANTS[4]} * Delta^2 "
-        f"through q^{k4}" if lhs == rhs else f"{lhs!r} != {rhs!r}"))
-
-    k6 = min(4, budget)
-    lhs = theta_pair(e8, 6, k6, shells=e8_shells)
-    rhs = e8_pair_form(6, k6)
-    results.append(CheckResult(
-        "e8-pair-m6", lhs == rhs,
-        f"degree-(6,6) invariant equals {E8_PAIR_CONSTANTS[6]} * G8 Delta^2 "
-        f"through q^{k6}" if lhs == rhs else f"{lhs!r} != {rhs!r}"))
-
-    k9 = min(3, budget)
-    bad = []
-    for m in (7, 8, 9):
-        if theta_pair(e8, m, k9, shells=e8_shells) != e8_pair_form(m, k9):
-            bad.append(f"m={m}")
-    results.append(CheckResult(
-        "e8-pair-m789", not bad,
-        f"degree-(7,7),(8,8),(9,9) invariants match the squared Eisenstein "
-        f"forms through q^{k9}" if not bad else "mismatch at " + ", ".join(bad)))
-
-    kz = min(5, budget)
-    bad = []
-    for m in (1, 2, 3, 5):
-        if not theta_pair(e8, m, kz, shells=e8_shells).is_zero():
-            bad.append(f"m={m}")
-    results.append(CheckResult(
-        "e8-pair-vanishing", not bad,
-        f"degree-(m,m) invariants vanish for m in (1,2,3,5) through q^{kz}"
-        if not bad else "nonzero at " + ", ".join(bad)))
+    # (name, degrees m, highest order, what holds): each m of E8_PAIR_FORMS
+    # equals e8_pair_form, and the others vanish
+    for name, degrees, top, holds in (
+            ("e8-pair-m4", (4,), 5,
+             f"degree-(4,4) invariant equals {E8_PAIR_CONSTANTS[4]} * Delta^2"),
+            ("e8-pair-m6", (6,), 4,
+             f"degree-(6,6) invariant equals {E8_PAIR_CONSTANTS[6]} * G8 Delta^2"),
+            ("e8-pair-m789", (7, 8, 9), 3,
+             "degree-(7,7),(8,8),(9,9) invariants match the squared Eisenstein forms"),
+            ("e8-pair-vanishing", (1, 2, 3, 5), 5,
+             "degree-(m,m) invariants vanish for m in (1,2,3,5)")):
+        k = min(top, budget)
+        bad = [f"m={m}" for m in degrees if theta_pair(e8, m, k, shells=e8_shells)
+               != (e8_pair_form(m, k) if m in E8_PAIR_FORMS else QSeries.zero(k))]
+        results.append(CheckResult(name, not bad, f"{holds} through q^{k}" if not bad
+                                   else "mismatch at " + ", ".join(bad)))
     return results
 
 
 def check_pair_integrality(budget: int, seed: int, e8_shells) -> list[CheckResult]:
-    rng = random.Random(seed)
-    lattices = [lattice_by_name(n) for n in
-                ("z1", "z2", "z3", "z4", "a2", "d4", "e8")]
-    bad = 0
-    samples = 10_000
-    for _ in range(samples):
-        lat = rng.choice(lattices)
-        n = lat.rank
-        v = tuple(rng.randint(-3, 3) for _ in range(n))
-        w = tuple(rng.randint(-3, 3) for _ in range(n))
-        m = rng.randint(1, 4)
-        want = pair_scale(n, m) * pair_term(n, m, lat.norm(v), lat.norm(w),
-                                             lat.inner2(v, w))
-        if pair_term_scaled(lat, v, w, m) != want:
-            bad += 1
+    """pair_scaled_coeffs, the integer list pair_term_scaled sums, against
+    pair_scale times the pair_term numerators for every n <= 32, m <= 9,
+    then the scaled series.  ``seed`` is unused; it stays for the callers
+    that pass run_verification's arguments to every check."""
+    bad = []
+    for n in range(1, 33):
+        for m in range(1, 10):
+            nums, den = _pair_poly_cached(n, m)
+            want = [Fraction(pair_scale(n, m) * c * 4**j, den * 4**m)
+                    for j, c in enumerate(nums)]
+            if want != list(pair_scaled_coeffs(n, m)):
+                bad.append(f"n={n} m={m}")
     results = [CheckResult(
-        "pair-term-integrality", bad == 0,
-        f"{samples} random scaled pair terms are integers" if bad == 0
-        else f"{bad} samples differ from pair_scale * pair_term")]
-
+        "pair-term-integrality", not bad,
+        "pair_scale * pair_term has integer coefficients for n <= 32, m <= 9" if not bad
+        else "differs from pair_scale * pair_term at " + ", ".join(bad[:5]))]
     if budget < 1:
         results.append(_skip("series-integrality", "needs order budget >= 1"))
         return results
@@ -230,9 +206,8 @@ def check_pair_integrality(budget: int, seed: int, e8_shells) -> list[CheckResul
             if not rep.ok:
                 failures.append(f"{name} m={m}")
     e8 = catalog()["e8"].lattice
-    e8_order = min(order, e8_shells.bound)
     for m in (1, 4):
-        rep = integrality_report(e8, m, e8_order, shells=e8_shells)
+        rep = integrality_report(e8, m, min(order, e8_shells.bound), shells=e8_shells)
         if not rep.ok:
             failures.append(f"e8 m={m}")
     results.append(CheckResult(
@@ -262,30 +237,23 @@ def check_triple_integrality(budget: int) -> CheckResult:
 def check_oracle_equivalences(budget: int) -> list[CheckResult]:
     if budget < 1:
         return [_skip("oracle-equivalences", "needs order budget >= 1")]
-    results = []
-    order = min(4, budget)
     skew2 = validate_lattice(_SKEW2, name="skew2")
     skew3 = validate_lattice(_SKEW3, name="skew3")
-    bad = []
-    for lat, m in ((skew2, 1), (skew2, 2), (skew3, 1)):
-        gen = theta_general(lat, InvariantRequest((m, m), order, "pair"))
-        if gen != theta_pair(lat, m, order):
-            bad.append(f"{lat.label()} m={m}")
-    results.append(CheckResult(
-        "pair-route-equivalence", not bad,
-        f"orthonormal-basis route equals the histogram route through q^{order}"
-        if not bad else "mismatch: " + ", ".join(bad)))
-
-    t_order = min(3, budget)
-    bad = []
-    for lat in (skew2, skew3, validate_lattice(_DIAG246, name="diag246")):
-        gen = theta_general(lat, InvariantRequest((1, 1, 1), t_order, "triple"))
-        if gen != theta_triple(lat, t_order):
-            bad.append(lat.label())
-    results.append(CheckResult(
-        "triple-route-equivalence", not bad,
-        f"orthonormal-basis route equals the contracted route through "
-        f"q^{t_order}" if not bad else "mismatch: " + ", ".join(bad)))
+    diag246 = validate_lattice(_DIAG246, name="diag246")
+    results = []
+    # (name, highest order, the route compute takes, its cases)
+    for name, top, route, cases in (
+            ("pair-route-equivalence", 4, "histogram",
+             ((skew2, (1, 1)), (skew2, (2, 2)), (skew3, (1, 1)))),
+            ("triple-route-equivalence", 3, "contracted",
+             ((skew2, (1, 1, 1)), (skew3, (1, 1, 1)), (diag246, (1, 1, 1))))):
+        order = min(top, budget)
+        reqs = [(lat, InvariantRequest(degrees, order, "auto")) for lat, degrees in cases]
+        bad = [f"{lat.label()} {req.degrees}" for lat, req in reqs
+               if theta_general(lat, req) != compute(lat, req)]
+        results.append(CheckResult(
+            name, not bad, f"orthonormal-basis route equals the {route} route through "
+            f"q^{order}" if not bad else "mismatch: " + ", ".join(bad)))
     return results
 
 

@@ -83,8 +83,8 @@ def test_criterion_06_pair_integrality(e8_shells6):
     samples_ok = by_name["pair-term-integrality"].passed
     series_ok = by_name["series-integrality"].passed
     _report(6, samples_ok and series_ok,
-            "10^4 random scaled pair terms are integers; scaled series "
-            "integral to q^6 on z1..z4, a2, d4, e8")
+            "pair_scale * pair_term has integer coefficients for n <= 32, "
+            "m <= 9; scaled series integral to q^6 on z1..z4, a2, d4, e8")
 
 
 def test_criterion_07_triple_integrality():
