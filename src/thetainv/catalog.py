@@ -173,4 +173,5 @@ def get_lattice(source: str) -> IntegralLattice:
         return parse_lattice_file(source)
     raise LatticeFileError(
         f"unknown lattice {source!r}: not a catalog name "
-        f"({', '.join(sorted(catalog()))}, z<n>) and not an existing file")
+        f"({', '.join(sorted(catalog()))}, z<n> for 1 <= n <= 32) and not an "
+        f"existing file")

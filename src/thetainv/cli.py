@@ -179,8 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="compute one invariant")
     p_compute.add_argument("--lattice", required=True,
-                           help="catalog name (z<n>, a2, d4, e8, e8e8, "
-                                "d16plus) or JSON file path")
+                           help="catalog name (z<n> for 1 <= n <= 32, a2, d4, "
+                                "e8, e8e8, d16plus) or JSON file path")
     p_compute.add_argument("--degrees", required=True,
                            help="comma list of invariant degrees, e.g. 4,4")
     p_compute.add_argument("--format", default="table",

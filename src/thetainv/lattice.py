@@ -344,7 +344,12 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
             # c = 0 on the all-zero row, so its range is [-hi, hi] with
             # hi >= 0: its children x >= 0 are one of each +-v pair
             lo[zero] = 0
-        counts = ((s - c) // cd - lo + 1).astype(np.int64)
+        counts = (s - c) // cd - lo + 1
+        try:
+            counts = counts.astype(np.int64)
+        except OverflowError:
+            raise MemoryError(f"the shell search would expand {counts.sum()} partial "
+                              f"vectors at level {i}") from None
         ends = np.cumsum(counts)
         start = 0
         while start < len(v):
@@ -666,35 +671,26 @@ class ShellTable:
         combination of simple roots, pairs with d as a sum of nonnegative
         terms, so it is orthogonal to d exactly when it is supported in J:
         the positive roots of W_J, whose heights there are their heights in
-        W.  So |W_J| is read from the positive roots orthogonal to one d of
-        each J.  ValueError unless the sizes add up to the shell's length.
+        W.  So |W_J| comes from each dominant row's own pairings with the
+        positive roots.  ValueError unless the sizes add up to the shell's length.
         """
         cached = self._orbits.get(k)
         if cached is None:
             roots = self._roots
-            # the pairings with the simple roots block by block, keeping only
-            # the dominant columns: which rows they are, and which roots they
-            # are orthogonal to
+            # the dominant rows, block by block of their simple-root pairings
             rows = [np.zeros(0, dtype=np.intp)]
-            orthogonal = [np.zeros((0, len(roots.simple)), dtype=bool)]
             start = 0
             for block in _checked(self.pairings(1, k, roots.simple), 1, k):
-                dominant = (block >= 0).all(axis=0)
-                rows.append(start + np.flatnonzero(dominant))
-                orthogonal.append((block[:, dominant] == 0).T)
+                rows.append(start + np.flatnonzero((block >= 0).all(axis=0)))
                 start += block.shape[1]
             rows = np.concatenate(rows)
-            _, first, inverse = np.unique(np.concatenate(orthogonal), axis=0,
-                                          return_index=True, return_inverse=True)
             upper = slice(len(self._shells[1]) // 2, None)
-            pairs = self._pair_matrix(k, 1, rows[first], upper)
+            pairs = self._pair_matrix(k, 1, rows, upper)
             sizes = [roots.order // _reflection_order(roots.heights[p == 0]) for p in pairs]
-            counts = np.bincount(inverse.reshape(-1), minlength=len(first)).tolist()
-            total = sum(map(mul, sizes, counts))
-            if total != len(self._shells[k]):
-                raise ValueError(f"the orbits of shell {k} hold {total} vectors, not "
+            if sum(sizes) != len(self._shells[k]):
+                raise ValueError(f"the orbits of shell {k} hold {sum(sizes)} vectors, not "
                                  f"{len(self._shells[k])}: the shell table is inconsistent")
-            cached = rows, np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
+            cached = rows, np.array(sizes, dtype=np.int64)
             self._orbits[k] = cached
         return cached
 
@@ -718,9 +714,7 @@ class ShellTable:
         if n // 2 * partners < _ORBIT_PAIRS or not len(self._shells[1]):
             return [(2, np.arange(n // 2, n))]
         rows, weights = self.orbits(k)
-        # return_counts keeps np.unique off the path that imports numpy.ma
-        return [(w, rows[weights == w])
-                for w in np.unique(weights, return_counts=True)[0].tolist()]
+        return [(w, rows[weights == w]) for w in sorted(set(weights.tolist()))]
 
     # -- pair statistics ---------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Pure-Python reference loops for the shell search, the level, the root
-data and the pairing kernel in ``thetainv.lattice``, and for the
-reductions in ``thetainv.theta``.
+data, the orbits of slot 0 and the pairing kernel in ``thetainv.lattice``,
+and for the reductions in ``thetainv.theta``.
 
 Each one works on explicit vectors with Python integers, so it shares no
 arithmetic with the numpy code.  The reduction loops sum their polynomials
@@ -129,6 +129,29 @@ def root_data(gram2, shell1) -> tuple[list[int], list[list[int]]]:
                    for i in range(len(gram2)))
         coeffs.append([int(x) for x in c])
     return [half + i for i in simple], coeffs
+
+
+def reflection_orbits(gram2, roots, shell) -> list[set[tuple[int, ...]]]:
+    """The orbits on ``shell`` of the group generated by the reflections
+    x -> x - (x^T gram2 r) r in the ``roots`` r, found by closing each
+    vector under them."""
+    reflections = list(zip(map(tuple, roots), _times_gram(gram2, roots)))
+    left = set(map(tuple, shell))
+    orbits = []
+    while left:
+        orbit = {left.pop()}
+        frontier = list(orbit)
+        while frontier:
+            x = frontier.pop()
+            for r, ar in reflections:
+                t = sum(map(mul, x, ar))
+                y = tuple(xi - t * ri for xi, ri in zip(x, r))
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        left -= orbit
+        orbits.append(orbit)
+    return orbits
 
 
 def _times_gram(matrix, vectors):

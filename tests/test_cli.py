@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ import thetainv.catalog as catmod
 from thetainv.catalog import CatalogEntry, get_lattice, lattice_by_name, parse_lattice_file
 from thetainv.cli import _build_parser, main
 from thetainv.errors import LatticeFileError, OddDiagonalError, ResourceLimitError
+from thetainv.lattice import change_basis, random_unimodular
 from thetainv.theta import InvariantRequest, compute, theta_general
 from thetainv.verify import check_catalog
 
@@ -163,6 +165,17 @@ def test_cli_bad_lattice_exit_2(capsys):
     assert "unknown lattice" in err
 
 
+def test_cli_zn_past_its_range_names_the_range(capsys):
+    # z<n> is built for 1 <= n <= 32 only, and the error and the help say so
+    code, _, err = run_cli(capsys, "compute", "--lattice", "z33",
+                           "--degrees", "0", "--order", "2", "--no-cache")
+    assert code == 2
+    assert "unknown lattice 'z33'" in err and "z<n> for 1 <= n <= 32" in err
+    with pytest.raises(SystemExit):
+        main(["compute", "--help"])
+    assert "z<n> for 1 <= n <= 32" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("doc", [
     '{"gram2": [[2, true], [true, 2]]}',
     '{"rank": true, "gram2": [[2]]}',
@@ -260,6 +273,22 @@ def test_cli_memory_error_exit_3(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv, "--order", "2", "--no-cache")
     assert code == 3 and not out
     assert err == "error: out of memory\n"
+
+
+def test_cli_search_count_past_int64_exit_3(capsys, tmp_path, e8):
+    # e8 on the basis e_7 -> e_7 + 2^70 e_0, moved by a seeded unimodular
+    # matrix: its Gram entries have 142 bits, and one level of the shell
+    # search would expand more partial vectors than int64 counts.  The
+    # search stops before it allocates them, and main raises nothing.
+    u = [[int(i == j) for j in range(8)] for i in range(8)]
+    u[0][7] = 2**70
+    lat = change_basis(change_basis(e8, u), random_unimodular(8, random.Random(5)))
+    path = tmp_path / "e8.json"
+    path.write_text(json.dumps({"gram2": [list(r) for r in lat.gram2]}))
+    code, out, err = run_cli(capsys, "compute", "--lattice", str(path),
+                             "--degrees", "0", "--order", "1", "--no-cache")
+    assert code == 3 and not out
+    assert err.startswith("error: ") and "partial vectors" in err
 
 
 def test_cli_compare_self_equal(capsys):

@@ -2,6 +2,7 @@ import os
 import pickle
 import random
 import tempfile
+import threading
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, product
@@ -787,6 +788,33 @@ def test_orbit_histograms_equal_the_half_shell_kernel(request, name, bound):
             assert got_tuples == [oracles.as_dict(half.tuple_histogram(c)) for c in comps]
 
 
+@pytest.mark.parametrize("name, bound", [
+    ("z8", 4), ("e6", 4), ("a2+z1", 6), ("skew3", 6), ("d4", 5)])
+def test_orbits_are_one_row_per_reflection_orbit_weighted_by_its_size(request, name, bound):
+    # z8 has many dominant rows per shell with the same orthogonal simple
+    # roots (78 rows in shell 4), skew3 has roots that do not span it
+    if name == "skew3":
+        base = request.getfixturevalue(name)
+    elif name == "e6":
+        base = validate_lattice(_type_e(6))
+    elif name == "a2+z1":
+        base = validate_lattice(_block_sum([_ORBIT_BLOCKS["a2"], _ORBIT_BLOCKS["z1"]]))
+    else:
+        base = lattice_by_name(name)
+    rng = random.Random(bound * 31 + len(name))
+    for lat in (base, change_basis(base, random_unimodular(base.rank, rng))):
+        table = enumerate_shells(lat, bound)
+        shells = oracles.enumerate_shells(lat.gram2, bound)
+        for k in range(1, bound + 1):
+            orbits = oracles.reflection_orbits(lat.gram2, shells[1], shells[k])
+            rows, weights = table.orbits(k)
+            reps = [tuple(table.shell(k)[r].tolist()) for r in rows]
+            assert len(reps) == len(orbits)
+            for orbit in orbits:
+                [weight] = [w for w, v in zip(weights.tolist(), reps) if v in orbit]
+                assert weight == len(orbit)
+
+
 def test_monomial_sums_are_exact_in_every_tier():
     # monomial values up to 2^50 sum in float64, up to 2^61 in int64, and
     # beyond 2^62, or with weights past the float64 bound, in Python ints
@@ -1129,6 +1157,40 @@ def test_shell_cache_rejects_corrupt_file(tmp_path, a2):
     again = enumerate_shells(a2, 2, cache_dir=cache)
     assert again.sizes() == table.sizes()
     assert load_shell_table(a2, 2, cache) is not None
+
+
+def test_concurrently_written_cache_is_trusted_only_when_whole(tmp_path, e8):
+    # two writers rename their files over one path while a reader loads it:
+    # every load is a miss or the enumerated table, and no temporary file
+    # is left behind
+    cache = str(tmp_path)
+    table = enumerate_shells(e8, 3)
+    written = threading.Event()
+    errors = []
+
+    def write():
+        try:
+            for _ in range(20):
+                save_shell_table(table, cache)
+                written.set()
+        except BaseException as exc:
+            errors.append(exc)
+            written.set()
+
+    writers = [threading.Thread(target=write) for _ in range(2)]
+    for writer in writers:
+        writer.start()
+    written.wait(timeout=60)
+    loads = [load_shell_table(e8, 3, cache) for _ in range(50)]
+    for writer in writers:
+        writer.join()
+    assert not errors
+    assert any(got is not None for got in loads)
+    for got in loads:
+        assert got is None or all(np.array_equal(got.shell(k), table.shell(k))
+                                  for k in range(4))
+    assert len(list(tmp_path.glob("shells-*.npz"))) == 1
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_no_cache_flag_respected(tmp_path, a2):
