@@ -46,10 +46,8 @@ from .lattice import (
 )
 from .qseries import QSeries, delta_series, eisenstein, sigma
 from .theta import (
-    IntegralityReport,
     InvariantRequest,
     compute,
-    integrality_report,
     invariant_metadata,
     pair_scale,
     pair_term,

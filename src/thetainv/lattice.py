@@ -597,13 +597,6 @@ class ShellTable:
     def sizes(self) -> dict[int, int]:
         return {k: len(v) for k, v in self._shells.items()}
 
-    def min_norm(self) -> int | None:
-        """Smallest positive norm with a nonempty shell, if any within bound."""
-        for k in range(1, self.bound + 1):
-            if len(self._shells[k]):
-                return k
-        return None
-
     # -- the pairing kernel ------------------------------------------------
 
     def pairings(self, k1: int, k2: int, rows: slice | np.ndarray = slice(None),

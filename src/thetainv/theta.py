@@ -22,9 +22,12 @@ pairs no two vectors at all.
 Every route sums each shell composition once per reordering of its slots of
 equal degree, times the number of such reorderings (_cells).
 Every reduction runs in exact integers: each polynomial is held as integer
-numerators over one common denominator, its monomials are summed over a
+numerators over one closed-form denominator, its monomials are summed over a
 histogram or a shell as integer power sums, and one Fraction is formed per
-shell composition or coefficient, never one per bucket or vector.
+coefficient, never one per cell, bucket or vector.  The integer totals are
+the paper's scaled series: pair_scale(n, m) times the pair series, 8/n times
+the triple series, and the general series times the composition denominator
+of its degree list.
 """
 
 from __future__ import annotations
@@ -171,21 +174,12 @@ def spherical_theta(lattice: IntegralLattice, h: Poly, order: int, *,
 
 # -- pair invariant --------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pair_poly_cached(n: int, m: int) -> tuple[tuple[int, ...], int]:
-    """pair_poly(n, m) over one common denominator: (numerators, denominator)."""
-    coeffs = pair_poly(n, m)
-    den = lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * den) for c in coeffs), den
-
-
 def pair_term(n: int, m: int, a: int, b: int, t: int) -> Fraction:
     """Contribution of one vector pair with norms a, b and doubled pairing t:
     the degree-2m pair polynomial evaluated cosine-free,
-    sum_k c_k (t/2)^{2m-2k} (ab)^k, over a single denominator."""
-    nums, den = _pair_poly_cached(n, m)
-    return Fraction(sum(c * t ** (2 * m - 2 * k) * (4 * a * b) ** k
-                        for k, c in enumerate(nums)), den * 4 ** m)
+    sum_k c_k (t/2)^{2m-2k} (ab)^k with c = pair_poly(n, m)."""
+    return sum(c * Fraction(t, 2) ** (2 * m - 2 * k) * (a * b) ** k
+               for k, c in enumerate(pair_poly(n, m)))
 
 
 def pair_scale(n: int, m: int) -> int:
@@ -223,20 +217,22 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
 
     Coefficient of q^k: the sum of pair_term(n, m, k1, k2, t) over the pair
     histograms of the shell pairs (k1, k2) with k1 + k2 = k.  With the
-    numerators c_i of pair_poly over its denominator and the power sums
+    integers s_j = pair_scaled_coeffs(n, m) and the power sums
     p_j = sum cnt t^{2j} of a histogram, a cell contributes
-    sum_i c_i (4 k1 k2)^i p_{m-i} over den 4^m, in Python ints.
+    sum_j s_j (k1 k2)^j p_{m-j} in Python ints, and each coefficient is
+    one Fraction over pair_scale(n, m).
     """
     n = lattice.rank
     table = _table(lattice, order, shells)
     sizes = table.sizes()
-    nums, den = _pair_poly_cached(n, m)
+    scaled = pair_scaled_coeffs(n, m)
     totals = [0] * (order + 1)
     for k, (k1, k2), mult in _cells(sizes, order, (m, m)):
         p = _even_power_sums(table.pair_histogram(k1, k2), m)
-        totals[k] += mult * sum(c * (4 * k1 * k2) ** i * p[m - i]
-                                for i, c in enumerate(nums))
-    return _invariant(lattice, (m, m), [Fraction(t, den * 4**m) for t in totals])
+        totals[k] += mult * sum(s * (k1 * k2) ** j * p[m - j]
+                                for j, s in enumerate(scaled))
+    scale = pair_scale(n, m)
+    return _invariant(lattice, (m, m), [Fraction(t, scale) for t in totals])
 
 
 def _even_power_sums(hist: Mapping[int, int], m: int) -> list[int]:
@@ -283,7 +279,9 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
     With A = gram2, M_k the moment matrix of shell k and P_k = A M_k, the
     doubled pairings t satisfy sum t_vw^2 = tr(P_b P_c) over shells b x c
     and sum t_uv t_uw t_vw = tr(P_a P_b P_c) over shells a x b x c, so each
-    shell composition is exact n x n integer algebra.
+    shell composition is exact n x n integer algebra.  Each cell is summed
+    as 8 times its triple_form sum, an integer, so each total is 8/n times
+    its coefficient: one Fraction, n times the total over 8.
     """
     n = lattice.rank
     table = _table(lattice, order, shells)
@@ -292,20 +290,19 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
     p = {k: gram2 @ np.array(table.moment_matrix(k), dtype=object)
          for k in range(1, order - 1) if sizes[k]}
 
-    def cell(a: int, b: int, c: int) -> Fraction:
+    def cell(a: int, b: int, c: int) -> int:
         pa, pb, pc = p[a], p[b], p[c]
         n1, n2, n3 = sizes[a], sizes[b], sizes[c]
-        return (Fraction(2 * a * b * c * n1 * n2 * n3)
-                - Fraction(n * (a * n1 * np.trace(pb @ pc)
-                                + b * n2 * np.trace(pa @ pc)
-                                + c * n3 * np.trace(pa @ pb)), 4)
-                + Fraction(n * n * np.trace(pa @ pb @ pc), 8))
+        return (16 * a * b * c * n1 * n2 * n3
+                - 2 * n * (a * n1 * np.trace(pb @ pc) + b * n2 * np.trace(pa @ pc)
+                           + c * n3 * np.trace(pa @ pb))
+                + n * n * np.trace(pa @ pb @ pc))
 
-    totals = [Fraction(0)] * (order + 1)
+    totals = [0] * (order + 1)
     for k, comp, mult in _cells(sizes, order, (1, 1, 1)):
         if all(c in p for c in comp):
             totals[k] += mult * cell(*comp)
-    return _invariant(lattice, (1, 1, 1), [n * t for t in totals])
+    return _invariant(lattice, (1, 1, 1), [Fraction(n * t, 8) for t in totals])
 
 
 # -- general invariant ------------------------------------------------------
@@ -471,7 +468,9 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
     slots (_cells); max_tuples bounds the ordered tuples, sum mult prod |S_c|.
     The raw normalization is the plain orthonormal-basis sum; "pair" and
     "triple" multiply it by _scale, to the conventions used by the explicit
-    identities.
+    identities.  Cells are summed as integer numerators, over the one
+    denominator that _composition_table gives every composition of the
+    degree list, and each coefficient is one Fraction.
     """
     degrees = request.degrees
     n = lattice.rank
@@ -486,9 +485,9 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
             f"invariant needs {budget} lattice tuples, over the budget of "
             f"{request.max_tuples}")
 
-    coeffs = [Fraction(0)] * (order + 1)
+    totals = [0] * (order + 1)
     for kap, comp, mult in cells:
-        const, cross, den = _composition_poly(n, degrees, comp)
+        const, cross, _ = _composition_poly(n, degrees, comp)
         total = const * prod(sizes[c] for c in comp)
         if cross:
             # bucket the tuples by their vector of doubled pairings, and sum
@@ -496,10 +495,11 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
             keys, counts = table.tuple_histogram(comp)
             sums = monomial_sums(keys, counts, [e for e, _ in cross])
             total += sum(c * s for (_, c), s in zip(cross, sums))
-        coeffs[kap] += Fraction(mult * total, den)
+        totals[kap] += mult * total
 
     scale = _scale(n, degrees, request.normalization)
-    return _invariant(lattice, degrees, [scale * c for c in coeffs])
+    den, _ = _composition_table(n, degrees)
+    return _invariant(lattice, degrees, [Fraction(scale * t, den) for t in totals])
 
 
 def compute(lattice: IntegralLattice, request: InvariantRequest, *,
@@ -527,27 +527,7 @@ def compute(lattice: IntegralLattice, request: InvariantRequest, *,
                                  _scale(n, degrees, route)))
 
 
-# -- integrality report -----------------------------------------------------
-
-@dataclass(frozen=True)
-class IntegralityReport:
-    """Outcome of the integer-coefficient certificates for one lattice."""
-
-    lattice: str
-    rank: int
-    m: int
-    order: int
-    min_norm: int | None
-    pair_scale: int
-    pair_ok: bool
-    pair_failure: tuple[int, Fraction] | None
-    triple_ok: bool
-    triple_failure: tuple[int, Fraction] | None
-
-    @property
-    def ok(self) -> bool:
-        return self.pair_ok and self.triple_ok
-
+# -- integrality ------------------------------------------------------------
 
 def first_non_integral(series: QSeries, scale: int | Fraction
                        ) -> tuple[int, Fraction] | None:
@@ -558,25 +538,6 @@ def first_non_integral(series: QSeries, scale: int | Fraction
         if val.denominator != 1:
             return k, val
     return None
-
-
-def integrality_report(lattice: IntegralLattice, m: int, order: int, *,
-                       shells: ShellTable | None = None) -> IntegralityReport:
-    """Check that pair_scale(n,m) times the (m,m) invariant and 8/n times the
-    (1,1,1) invariant have integer q-coefficients up to the given order."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = lattice.rank
-    table = _table(lattice, order, shells)
-    scal = pair_scale(n, m)
-    pair_fail = first_non_integral(theta_pair(lattice, m, order, shells=table), scal)
-    tri_fail = first_non_integral(theta_triple(lattice, order, shells=table),
-                                  Fraction(8, n))
-    return IntegralityReport(
-        lattice=lattice.label(), rank=n, m=m, order=order,
-        min_norm=table.min_norm(), pair_scale=scal,
-        pair_ok=pair_fail is None, pair_failure=pair_fail,
-        triple_ok=tri_fail is None, triple_failure=tri_fail)
 
 
 def invariant_metadata(lattice: IntegralLattice, degrees: Sequence[int]) -> dict:

@@ -40,10 +40,8 @@ from .lattice import (
 from .qseries import QSeries, delta_series, eisenstein
 from .theta import (
     InvariantRequest,
-    _pair_poly_cached,
     compute,
     first_non_integral,
-    integrality_report,
     pair_scale,
     pair_scaled_coeffs,
     theta_general,
@@ -177,16 +175,16 @@ def check_pair_identities(budget: int, e8_shells) -> list[CheckResult]:
 
 
 def check_pair_integrality(budget: int, seed: int, e8_shells) -> list[CheckResult]:
-    """pair_scaled_coeffs, the integer list pair_term_scaled sums, against
-    pair_scale times the pair_term numerators for every n <= 32, m <= 9,
-    then the scaled series.  ``seed`` is unused; it stays for the callers
-    that pass run_verification's arguments to every check."""
+    """pair_scaled_coeffs, the integer list that theta_pair and
+    pair_term_scaled sum, against pair_scale times the pair_poly
+    coefficients for every n <= 32, m <= 9, then the scaled pair and triple
+    series.  ``seed`` is unused; it stays for the callers that pass
+    run_verification's arguments to every check."""
     bad = []
     for n in range(1, 33):
         for m in range(1, 10):
-            nums, den = _pair_poly_cached(n, m)
-            want = [Fraction(pair_scale(n, m) * c * 4**j, den * 4**m)
-                    for j, c in enumerate(nums)]
+            want = [pair_scale(n, m) * c / 4 ** (m - j)
+                    for j, c in enumerate(pair_poly(n, m))]
             if want != list(pair_scaled_coeffs(n, m)):
                 bad.append(f"n={n} m={m}")
     results = [CheckResult(
@@ -197,19 +195,20 @@ def check_pair_integrality(budget: int, seed: int, e8_shells) -> list[CheckResul
         results.append(_skip("series-integrality", "needs order budget >= 1"))
         return results
     order = min(6, budget)
+    # (name, shell table, pair degrees m): one triple series per lattice
+    cases = [(name, enumerate_shells(lattice_by_name(name), order), (1, 2, 3, 4))
+             for name in ("z1", "z2", "z3", "z4", "a2", "d4")]
+    cases.append(("e8", e8_shells, (1, 4)))
     failures = []
-    for name in ("z1", "z2", "z3", "z4", "a2", "d4"):
-        lat = lattice_by_name(name)
-        table = enumerate_shells(lat, order)
-        for m in (1, 2, 3, 4):
-            rep = integrality_report(lat, m, order, shells=table)
-            if not rep.ok:
+    for name, table, ms in cases:
+        lat, top = table.lattice, min(order, table.bound)
+        triple = first_non_integral(theta_triple(lat, top, shells=table),
+                                    Fraction(8, lat.rank))
+        for m in ms:
+            pair = first_non_integral(theta_pair(lat, m, top, shells=table),
+                                      pair_scale(lat.rank, m))
+            if triple is not None or pair is not None:
                 failures.append(f"{name} m={m}")
-    e8 = catalog()["e8"].lattice
-    for m in (1, 4):
-        rep = integrality_report(e8, m, min(order, e8_shells.bound), shells=e8_shells)
-        if not rep.ok:
-            failures.append(f"e8 m={m}")
     results.append(CheckResult(
         "series-integrality", not failures,
         f"scaled pair and triple series integral through q^{order}"

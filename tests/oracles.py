@@ -5,7 +5,10 @@ and for the reductions in ``thetainv.theta``.
 Each one works on explicit vectors with Python integers, so it shares no
 arithmetic with the numpy code.  The reduction loops sum their polynomials
 bucket by bucket (or vector by vector) in Fractions, where the library forms
-integer power sums.  The tests require the library to equal these exactly.
+integer power sums.  The pair oracle evaluates ``harmonic.pair_poly``
+through ``pair_term``, so it shares no coefficient list with ``theta_pair``,
+which reads ``pair_scaled_coeffs``.  The tests require the library to equal
+these exactly.
 """
 
 from collections import Counter
@@ -202,7 +205,8 @@ def as_dict(hist) -> dict[tuple[int, ...], int]:
 
 def pair_coeffs(n, m, order, hist) -> list[Fraction]:
     """theta_pair's coefficients, with hist(k1, k2) the pair histogram of
-    shells k1 and k2: one pair_term per bucket."""
+    shells k1 and k2: one pair_term, the pair_poly coefficients evaluated in
+    Fractions, per bucket."""
     coeffs = []
     for k in range(order + 1):
         total = Fraction(0)

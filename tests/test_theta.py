@@ -11,22 +11,24 @@ from hypothesis import strategies as st
 
 import thetainv.lattice as latmod
 import thetainv.theta as thetamod
+import thetainv.verify as verify
 from thetainv.catalog import lattice_by_name
 from thetainv.cli import compute_invariant
 from thetainv.errors import (
     NoRationalEmbeddingError,
     ResourceLimitError,
 )
-from thetainv.harmonic import Poly, harmonic_project
+from thetainv.harmonic import Poly, harmonic_project, pair_poly
 from thetainv.lattice import change_basis, enumerate_shells, random_unimodular, validate_lattice
 from thetainv.qseries import QSeries
 from thetainv.theta import (
     InvariantRequest,
     _composition_poly,
     compute,
-    integrality_report,
+    first_non_integral,
     invariant_metadata,
     pair_scale,
+    pair_scaled_coeffs,
     pair_term,
     pair_term_scaled,
     spherical_theta,
@@ -36,6 +38,7 @@ from thetainv.theta import (
     theta_triple,
     triple_form,
 )
+from thetainv.verify import DEFAULT_SEED, check_pair_integrality
 
 import oracles
 
@@ -193,6 +196,16 @@ def test_pair_term_scaled_is_scale_times_pair_term(a2, skew3):
             assert Fraction(scaled) == pair_scale(n, m) * term
 
 
+def test_pair_scaled_coeffs_past_the_verify_table():
+    # theta_pair reads pair_scaled_coeffs at every rank, and lattice files
+    # may exceed the n <= 32, m <= 9 that verify proves
+    for n in range(1, 65):
+        for m in range(13):
+            want = [pair_scale(n, m) * c / 4 ** (m - j)
+                    for j, c in enumerate(pair_poly(n, m))]
+            assert list(pair_scaled_coeffs(n, m)) == want, (n, m)
+
+
 # -- pair invariant -----------------------------------------------------------------
 
 def test_pair_m0_is_theta_squared(a2):
@@ -213,7 +226,7 @@ def test_pair_vanishing_threshold(skew3, diag246):
     # coefficients vanish for 0 < k < 2 * (minimal norm)
     for lat in (skew3, diag246):
         table = enumerate_shells(lat, 4)
-        l0 = table.min_norm()
+        l0 = min(k for k, size in table.sizes().items() if k and size)
         for m in (1, 2):
             s = theta_pair(lat, m, 4, shells=table)
             for k in range(1, min(2 * l0, 5)):
@@ -634,40 +647,44 @@ def test_resource_limit(skew2):
         theta_general(skew2, InvariantRequest((1, 1), 4, max_tuples=10))
 
 
-# -- integrality report --------------------------------------------------------------------
+# -- integrality --------------------------------------------------------------------------
 
-def test_integrality_report_e8(e8, e8_shells6):
-    rep = integrality_report(e8, 4, 5, shells=e8_shells6)
-    assert rep.ok and rep.pair_ok and rep.triple_ok
-    assert rep.min_norm == 1
-    assert rep.pair_scale == pair_scale(8, 4)
-
-
-def test_integrality_report_z2():
-    rep = integrality_report(z(2), 1, 8)
-    assert rep.ok
+def test_scaled_series_integral_e8(e8, e8_shells6):
+    pair = theta_pair(e8, 4, 5, shells=e8_shells6)
+    triple = theta_triple(e8, 5, shells=e8_shells6)
+    assert first_non_integral(pair, pair_scale(8, 4)) is None
+    assert first_non_integral(triple, Fraction(8, 8)) is None
 
 
-def test_integrality_report_catches_violations(skew3, monkeypatch):
+def test_scaled_series_integral_z2():
+    lat = z(2)
+    assert first_non_integral(theta_pair(lat, 1, 8), pair_scale(2, 1)) is None
+    assert first_non_integral(theta_triple(lat, 8), Fraction(8, 2)) is None
+
+
+def test_integrality_catches_violations(skew3, e8_shells6, monkeypatch):
     # skew3 has a nonzero triple series (scale 8/3) and pair scale 24
-    rep = integrality_report(skew3, 1, 4)
-    assert rep.ok
-    assert rep.pair_failure is None and rep.triple_failure is None
+    assert first_non_integral(theta_pair(skew3, 1, 4), pair_scale(3, 1)) is None
+    assert first_non_integral(theta_triple(skew3, 4), Fraction(8, 3)) is None
 
     # a series whose q^2 coefficient is 1/7; both scales leave it non-integral
     seventh = QSeries(4, [0, 0, Fraction(1, 7), 0, 0])
-    monkeypatch.setattr(thetamod, "theta_triple", lambda *a, **k: seventh)
-    rep = integrality_report(skew3, 1, 4)
-    assert rep.pair_ok and rep.pair_failure is None
-    assert rep.triple_ok is False and not rep.ok
-    assert rep.triple_failure == (2, Fraction(8, 21))
+    assert first_non_integral(seventh, pair_scale(3, 1)) == (2, Fraction(24, 7))
+    assert first_non_integral(seventh, Fraction(8, 3)) == (2, Fraction(8, 21))
 
-    monkeypatch.setattr(thetamod, "theta_triple", theta_triple)
-    monkeypatch.setattr(thetamod, "theta_pair", lambda *a, **k: seventh)
-    rep = integrality_report(skew3, 1, 4)
-    assert rep.triple_ok and rep.triple_failure is None
-    assert rep.pair_ok is False and not rep.ok
-    assert rep.pair_failure == (2, Fraction(pair_scale(3, 1), 7)) == (2, Fraction(24, 7))
+    # verify fails every m of a lattice whose triple series fails, and each
+    # m whose pair scale leaves 1/7 non-integral
+    cases = [(name, rank, m) for name, rank in (("z1", 1), ("z2", 2), ("z3", 3),
+                                                ("z4", 4), ("a2", 2), ("d4", 4))
+             for m in (1, 2, 3, 4)] + [("e8", 8, 1), ("e8", 8, 4)]
+    for route in ("theta_triple", "theta_pair"):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, route, lambda *a, **k: seventh)
+            result = check_pair_integrality(1, DEFAULT_SEED, e8_shells6)[1]
+        want = [f"{name} m={m}" for name, rank, m in cases
+                if route == "theta_triple" or pair_scale(rank, m) % 7]
+        assert result.name == "series-integrality" and not result.passed
+        assert result.detail == "failed: " + ", ".join(want)
 
 
 # -- metadata --------------------------------------------------------------------------------
