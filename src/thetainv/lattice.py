@@ -14,18 +14,20 @@ roots; a float64 square root enters only where integer steps then correct
 it.  Products of integer arrays run in float64 (BLAS) only when
 a bound shows that every partial sum is an integer below 2^53, which float64
 represents exactly whatever order the sum is taken in; otherwise in int64
-below 2^62, and in Python integers beyond that.  Each shell is one integer
-numpy array, and the disk cache stores it as such in an ``.npz`` file.
+below 2^62, and in Python integers beyond that.
 
 Every pair or tuple statistic depends only on the Gram matrix of each
-tuple, so slot 0 of a histogram runs over one vector per orbit of a group
-of isometries, weighted by the orbit size.  On a table with roots (the
-vectors of norm 1) that group is W, generated by the reflections in them,
-whose orbits come from the dominant vectors and the orders of the
-parabolic subgroups, each a product over the heights of its positive
-roots, their pairings with the Weyl vector (``ShellTable.orbits``).
-Small cells and tables without roots use {+-I}, whose orbits are the
-pairs +-v (``ShellTable.slot_zero``).
+tuple, so a shell k >= 1 enters it only through one vector of each +-v
+pair: a table stores its upper half U_k, the vectors whose first nonzero
+coordinate is positive, as one integer numpy array, and the disk cache
+stores that array in an ``.npz`` file.  Slot 0 of a histogram runs over
+one vector per orbit of a group of isometries, weighted by the orbit
+size.  On a table with roots (the vectors of norm 1) that group is W,
+generated by the reflections in them, whose orbits come from the dominant
+vectors and the orders of the parabolic subgroups, each a product over
+the heights of its positive roots, their pairings with the Weyl vector
+(``ShellTable.orbits``).  Small cells and tables without roots use {+-I},
+whose orbits are the pairs +-v, one row of U_k each (``ShellTable.slot_zero``).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .errors import (
 Vector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
-SHELL_CACHE_FORMAT = 2
+SHELL_CACHE_FORMAT = 3
 
 # int64 safety margin of the pairing kernel and of the shell search
 _INT64_LIMIT = 2**62
@@ -270,10 +272,15 @@ def _narrow(v: np.ndarray) -> np.ndarray:
     return v.astype(object, copy=False)
 
 
+def _leading(v: np.ndarray) -> np.ndarray:
+    """The first nonzero coordinate of each row of v (0 for a zero row)."""
+    return v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+
+
 def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
-    """All v with norm <= bound by shell, each shell sorted lexicographically:
-    the Fincke-Pohst search run level by level over numpy frontiers, in
-    exact integers only.
+    """The zero vector as shell 0 and, for 1 <= k <= bound, the upper half
+    U_k of shell k, sorted lexicographically: the Fincke-Pohst search run
+    level by level over numpy frontiers, in exact integers only.
 
     The quadratic form is written as sum_i d_i (v_i + c_i(v))^2 from the LDL^T
     decomposition that the lattice's cached elimination gives; all
@@ -288,14 +295,12 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
     its one all-zero row, if it has one, and that row takes only x >= 0.
     The search so finds 0 and the vectors whose last nonzero coordinate is
     positive.  Each leaf chunk then negates the rows whose first nonzero
-    coordinate is negative, which makes shell k >= 1 its lexicographic upper
-    half U_k; only U_k is sorted, and the shell is -U_k reversed, then U_k.
+    coordinate is negative, which gives U_k, the vectors whose first
+    nonzero coordinate is positive, and each U_k is sorted.
 
     The last coordinate stays outermost: with coordinate 0 outermost the
     found half would come out sorted, but on the a2 basis [[1, 2^62],
-    [0, 1]] coordinate 0 alone ranges over about 2^62 values.  The order
-    stays lexicographic, so the shells, and the cache files that store
-    them, are those of a search over whole shells.
+    [0, 1]] coordinate 0 alone ranges over about 2^62 values.
     """
     n = lattice.rank
     pivots, pivot_rows, _ = lattice._elimination
@@ -371,16 +376,14 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
                 q = (child_acc // (2 * big)).astype(np.int64)
                 child = _narrow(child)
                 # the symmetric stored range makes this negation safe
-                lead = child[np.arange(len(child)), (child != 0).argmax(axis=1)]
-                child[lead < 0] *= -1
+                child[_leading(child) < 0] *= -1
                 for k in range(bound + 1):
                     found[k].append(child[q == k])
             start = stop
     shells = {}
     for k, parts in found.items():
         u = np.concatenate(parts)
-        u = u[np.lexsort(u.T[::-1])]
-        shells[k] = np.concatenate([-u[::-1], u]) if k else u
+        shells[k] = u[np.lexsort(u.T[::-1])]
     return shells
 
 
@@ -472,8 +475,8 @@ def _reflection_order(heights: np.ndarray) -> int:
 
 
 class _Roots(NamedTuple):
-    simple: np.ndarray      # row indices of the simple roots in shell 1
-    heights: np.ndarray     # the height of each positive root, rows len // 2 on
+    simple: np.ndarray      # row indices of the simple roots in U_1
+    heights: np.ndarray     # the height of each positive root, the rows of U_1
     order: int              # |W|
 
 
@@ -532,46 +535,31 @@ def _strictly_increasing(v: np.ndarray) -> bool:
 
 
 def _check_shell(k: int, v: np.ndarray) -> None:
-    """Raise ValueError unless the stored shell k is strictly increasing and
-    closed under negation, and holds the zero vector exactly when k is 0,
-    as its only vector.
-
-    A stored shell is in the symmetric range of its dtype, so negating it
-    never overflows, and a strictly increasing shell has no repeated rows;
-    its negation read backwards is again strictly increasing, so closure
-    under negation is equality with it.  Such a shell holds the zero vector
-    exactly when its length is odd, and its upper half, rows len // 2 on,
-    is then the vectors whose first nonzero coordinate is positive.
-
-    Closure is checked first, on the rows before len - len // 2 against
-    the upper half read backwards: negation is an involution, so the rest
-    of the equality follows.  Negation reverses lexicographic order, so on
-    a closed shell the rows before len // 2 - 1 mirror those after it, and
-    the order needs checking only from row len // 2 - 1 on.
-    """
-    half = len(v) // 2
-    if not (np.array_equal(-v[half:][::-1], v[:len(v) - half])
-            and _strictly_increasing(v[half - 1:])):
-        raise ValueError(f"shell {k} is not strictly increasing and closed "
-                         f"under negation")
-    if (len(v) != 1 or v.any()) if k == 0 else len(v) % 2:
-        raise ValueError(f"shell {k}: the zero vector must be the only vector "
-                         f"of shell 0 and of no other shell")
+    """Raise ValueError unless the stored shell 0 is the zero vector alone
+    and a stored shell k >= 1 is strictly increasing with a positive first
+    nonzero coordinate in every row."""
+    if k == 0:
+        if len(v) != 1 or v.any():
+            raise ValueError("shell 0 must hold the zero vector alone")
+    elif not (_strictly_increasing(v) and (_leading(v) > 0).all()):
+        raise ValueError(f"shell {k} is not strictly increasing with a positive "
+                         f"first nonzero coordinate in every row")
 
 
 class ShellTable:
     """All lattice vectors up to a norm bound, grouped by exact norm, plus
     lazily built pair statistics.
 
-    Each shell is one integer array in the narrowest dtype that holds it
-    (``_narrow``).  The constructor requires every shell to be strictly
-    increasing and closed under negation (``_check_shell``): the search and
-    the cache store them sorted, and the histograms pair only the upper
-    half of a shell.  Immutable after construction apart from the caches of
-    pair histograms, moment matrices and orbit data, which are deterministic
-    functions of the shells.  Every pairing goes through one kernel,
-    ``pairings``, which casts the stored arrays chunk by chunk to its exact
-    dtype.
+    ``shells`` maps 0 to the zero vector and each k >= 1 to the upper half
+    U_k of shell k: the vectors whose first nonzero coordinate is positive,
+    one of each +-v pair, sorted, which the constructor checks
+    (``_check_shell``).  Each is stored as one integer array in the
+    narrowest dtype that holds it (``_narrow``); only ``shell`` and
+    ``sizes`` speak of whole shells.  Immutable after construction apart
+    from the caches of pair histograms, moment matrices and orbit data,
+    which are deterministic functions of the shells.  Every pairing goes
+    through one kernel, ``pairings``, which casts the stored arrays chunk
+    by chunk to its exact dtype.
     """
 
     def __init__(self, lattice: IntegralLattice, bound: int,
@@ -588,21 +576,27 @@ class ShellTable:
         self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def shell(self, k: int) -> Shell:
-        """The vectors of norm k, one per row; ``.tolist()`` gives them as
-        lists of Python ints."""
+        """The vectors of norm k, one per row in lexicographic order, built
+        from U_k as -U_k reversed, then U_k (the symmetric stored range makes
+        that negation safe); ``.tolist()`` gives them as lists of Python ints."""
         if not 0 <= k <= self.bound:
             raise IndexError(f"shell {k} beyond enumeration bound {self.bound}")
-        return self._shells[k].view(Shell)
+        v = self._shells[k]
+        if k:
+            v = np.concatenate([-v[::-1], v])
+            v.flags.writeable = False
+        return v.view(Shell)
 
     def sizes(self) -> dict[int, int]:
-        return {k: len(v) for k, v in self._shells.items()}
+        """The number of vectors of each norm k <= bound."""
+        return {k: 2 * len(v) if k else len(v) for k, v in self._shells.items()}
 
     # -- the pairing kernel ------------------------------------------------
 
     def pairings(self, k1: int, k2: int, rows: slice | np.ndarray = slice(None),
                  cols: slice | np.ndarray = slice(None)) -> Iterator[np.ndarray]:
-        """Exact blocks of v^T A w for v in ``rows`` of shell k1 (block rows)
-        and w in consecutive chunks of ``cols`` of shell k2 (block columns),
+        """Exact blocks of v^T A w for v in ``rows`` of U_k1 (block rows)
+        and w in consecutive chunks of ``cols`` of U_k2 (block columns),
         A = gram2; ``rows`` and ``cols`` are slices or arrays of row indices.
 
         A block has at most about _BLOCK entries.  Its dtype is the one
@@ -620,8 +614,8 @@ class ShellTable:
 
     def _pair_matrix(self, k1: int, k2: int, rows: slice | np.ndarray,
                      cols: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """The pairings of ``rows`` of shell k1 with ``cols`` of shell k2 as
-        one int64 matrix, range-checked by ``_checked``."""
+        """The pairings of ``rows`` of U_k1 with ``cols`` of U_k2 as one
+        int64 matrix, range-checked by ``_checked``."""
         return np.concatenate(list(_checked(self.pairings(k1, k2, rows, cols), k1, k2)),
                               axis=1)
 
@@ -634,7 +628,7 @@ class ShellTable:
         Every vector r of shell 1 has r^T A r = 2, so x -> x - (x^T A r) r is
         an isometry of the lattice: the reflection in r, whose coroot is r
         itself.  Lexicographic order is compatible with addition, so the
-        upper half U_1 of shell 1 is a positive system.  The sum of U_1, twice
+        stored upper half U_1 is a positive system.  The sum of U_1, twice
         the Weyl vector rho, pairs with every positive root to twice its height
         (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Sect. 1.10, Prop. 29),
         so the heights are the halved row sums of the pairing matrix of U_1,
@@ -642,20 +636,18 @@ class ShellTable:
         every row sum is even and at least 2.  The heights give |W|
         (``_reflection_order``).
         """
-        upper = slice(len(self._shells[1]) // 2, None)
-        twice = self._pair_matrix(1, 1, upper, upper).sum(axis=1)
+        twice = self._pair_matrix(1, 1, slice(None)).sum(axis=1)
         if (twice % 2).any() or (twice < 2).any():
             raise ValueError("the positive roots do not pair with 2 rho to positive even "
                              "numbers: the shell table is inconsistent")
         heights = twice // 2
-        simple = np.flatnonzero(heights == 1)
-        return _Roots(upper.start + simple, heights, _reflection_order(heights))
+        return _Roots(np.flatnonzero(heights == 1), heights, _reflection_order(heights))
 
     def orbits(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """One row index of shell k >= 1 per orbit of W, the reflection group
-        of the roots, in increasing order, with the orbit sizes as integer
-        weights; built once per shell.  Without roots W is {I}, and every
-        row is its own orbit.
+        """Row indices of U_k, k >= 1, in increasing order, that stand for
+        the orbits of W, the reflection group of the roots, on the whole
+        shell k, with integer weights; built once per shell.  Without roots
+        W is {I}, and every row stands for itself and its negation.
 
         Every orbit holds exactly one dominant vector d, one that pairs
         nonnegatively with every simple root, and its stabiliser is W_J for
@@ -665,25 +657,35 @@ class ShellTable:
         terms, so it is orthogonal to d exactly when it is supported in J:
         the positive roots of W_J, whose heights there are their heights in
         W.  So |W_J| comes from each dominant row's own pairings with the
-        positive roots.  ValueError unless the sizes add up to the shell's length.
+        positive roots.  d is a row u of U_k or its negation, and a summand
+        with the other slots over whole shells is the same at u and -u, so
+        u counts once if it is dominant and once more if -u is: its weight
+        is that count times |W| / |W_J|, and a row orthogonal to every root
+        stands for both {u} and {-u}.  ValueError unless the weights add up
+        to the length of shell k, 2 len(U_k).
         """
         cached = self._orbits.get(k)
         if cached is None:
             roots = self._roots
-            # the dominant rows, block by block of their simple-root pairings
-            rows = [np.zeros(0, dtype=np.intp)]
+            # the rows with a dominant sign, block by block of their
+            # simple-root pairings, counted in integers: bool + bool is OR
+            rows, signs = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
             start = 0
             for block in _checked(self.pairings(1, k, roots.simple), 1, k):
-                rows.append(start + np.flatnonzero((block >= 0).all(axis=0)))
+                count = (block >= 0).all(axis=0).astype(np.int64) + (block <= 0).all(axis=0)
+                hit = np.flatnonzero(count)
+                rows.append(start + hit)
+                signs.append(count[hit])
                 start += block.shape[1]
-            rows = np.concatenate(rows)
-            upper = slice(len(self._shells[1]) // 2, None)
-            pairs = self._pair_matrix(k, 1, rows, upper)
-            sizes = [roots.order // _reflection_order(roots.heights[p == 0]) for p in pairs]
-            if sum(sizes) != len(self._shells[k]):
-                raise ValueError(f"the orbits of shell {k} hold {sum(sizes)} vectors, not "
-                                 f"{len(self._shells[k])}: the shell table is inconsistent")
-            cached = rows, np.array(sizes, dtype=np.int64)
+            rows, signs = np.concatenate(rows), np.concatenate(signs)
+            pairs = self._pair_matrix(k, 1, rows)
+            weights = [c * roots.order // _reflection_order(roots.heights[p == 0])
+                       for c, p in zip(signs.tolist(), pairs)]
+            n = 2 * len(self._shells[k])
+            if sum(weights) != n:
+                raise ValueError(f"the orbits of shell {k} hold {sum(weights)} vectors, not "
+                                 f"{n}: the shell table is inconsistent")
+            cached = rows, np.array(weights, dtype=np.int64)
             self._orbits[k] = cached
         return cached
 
@@ -697,15 +699,15 @@ class ShellTable:
         isometry permutes each shell, so the sum over slot 0 is the weighted
         sum over one vector per orbit of any group of isometries.  Shell 0
         is its zero row with weight 1.  A cell whose work under H = {+-I},
-        the upper half times ``partners``, is at least _ORBIT_PAIRS reads
-        the W-orbits (``orbits``) when the table has roots.  Otherwise slot
-        0 is the orbits of H: the upper half, rows len // 2 on, with weight 2.
+        len(U_k) times ``partners``, is at least _ORBIT_PAIRS reads the
+        W-orbits (``orbits``) when the table has roots.  Otherwise slot 0 is
+        the orbits of H: every row of U_k, with weight 2.
         """
         n = len(self._shells[k])
         if not k:
             return [(1, np.arange(n))]
-        if n // 2 * partners < _ORBIT_PAIRS or not len(self._shells[1]):
-            return [(2, np.arange(n // 2, n))]
+        if n * partners < _ORBIT_PAIRS or not len(self._shells[1]):
+            return [(2, np.arange(n))]
         rows, weights = self.orbits(k)
         return [(w, rows[weights == w]) for w in sorted(set(weights.tolist()))]
 
@@ -714,10 +716,10 @@ class ShellTable:
     def pair_histogram(self, k1: int, k2: int) -> dict[int, int]:
         """Counts of the doubled pairing t = v^T A w over shell k1 x shell k2.
 
-        Shell 0 is at most the zero vector, which pairs to 0 with every w.
+        Shell 0 is the zero vector, which pairs to 0 with every w.
         Otherwise, with k1 <= k2, slot 0 runs over the rows of ``slot_zero``
-        and slot 1 over the upper half U_2 of its shell (rows len // 2 on):
-        the lower half negates U_2, and negating w negates t.  With c_r the
+        and slot 1 over U_2, the stored upper half of its shell: the rest of
+        the shell negates U_2, and negating w negates t.  With c_r the
         counts of representative r against U_2 and w_r its weight, the
         histogram is the sum of w_r (c_r(t) + c_r(-t)).  Under H = {+-I}
         that is the quarter cell U_1 x U_2 with weight 2; under the root
@@ -730,20 +732,18 @@ class ShellTable:
         if hist is None:
             k1, k2 = key
             if k1 == 0:
-                pairs = len(self._shells[0]) * len(self._shells[k2])
+                pairs = self.sizes()[k2]
                 hist = {0: pairs} if pairs else {}
             else:
                 tmax = isqrt(4 * k1 * k2)
                 size = 2 * tmax + 1
                 counts = np.zeros(size, dtype=np.int64)
-                n2 = len(self._shells[k2])
-                upper = slice(n2 // 2, None)
-                groups = self.slot_zero(k1, n2 // 2)
+                groups = self.slot_zero(k1, len(self._shells[k2]))
                 try:
                     for w, group in groups:
                         for start in range(0, len(group), _TILE_ROWS):
                             tile = group[start:start + _TILE_ROWS]
-                            for block in self.pairings(k1, k2, tile, upper):
+                            for block in self.pairings(k1, k2, tile):
                                 # a t below -tmax makes bincount raise, one
                                 # above +tmax lengthens its output so that
                                 # += raises
@@ -767,11 +767,13 @@ class ShellTable:
         keys per distinct pairing vector and its int64 count.
 
         Two slots read the cached pair histogram.  From three slots on,
-        slot 0 runs over the rows of ``slot_zero`` and the other slots over
-        their whole shells.  The tuples are counted in chunks of slot-0
-        rows of one weight: each pairing vector is packed into one integer
-        key in mixed radix 2 tmax_ab + 1, and each count is multiplied by
-        the weight.
+        slot 0 runs over the rows of ``slot_zero`` and the others over whole
+        shells, U_k then -U_k, never built: with P a slot's pairings with
+        U_k, they are [P, -P] from slot 0 and [[P, -P], [-P, P]] between two
+        later slots (shell 0 is its zero row alone).  The tuples are counted
+        in chunks of slot-0 rows of one weight: each pairing vector is packed
+        into one integer key in mixed radix 2 tmax_ab + 1, and each count is
+        multiplied by the weight.
         """
         k = len(comp)
         slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
@@ -779,7 +781,8 @@ class ShellTable:
             hist = self.pair_histogram(*comp)
             return (np.array(list(hist), dtype=np.int64).reshape(-1, 1),
                     np.array(list(hist.values()), dtype=np.int64))
-        sizes = [len(self._shells[c]) for c in comp]
+        whole = self.sizes()
+        sizes = [whole[c] for c in comp]
         if not all(sizes):
             return np.zeros((0, len(slots)), dtype=np.int64), np.zeros(0, dtype=np.int64)
         tmaxes = [isqrt(4 * comp[a] * comp[b]) for a, b in slots]
@@ -792,8 +795,12 @@ class ShellTable:
             # slot 0's pairings for this group; the others once
             for a, b in slots:
                 if a == 0 or (a, b) not in values:
-                    values[a, b] = self._pair_matrix(comp[a], comp[b],
-                                                     group if a == 0 else slice(None))
+                    p = self._pair_matrix(comp[a], comp[b], group if a == 0 else slice(None))
+                    if comp[b]:
+                        p = np.concatenate([p, -p], axis=1)
+                    if a and comp[a]:
+                        p = np.concatenate([p, -p], axis=0)
+                    values[a, b] = p
             for start in range(0, len(group), step):
                 chunk = slice(start, start + step)
                 key = np.zeros((len(group[chunk]),) + (1,) * (k - 1), dtype=key_dtype)
@@ -820,9 +827,8 @@ class ShellTable:
     def moment_matrix(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Sum of v v^T over the shell of norm k (coordinate outer products),
         summed over row chunks in the dtype that is exact for the whole sum,
-        as Python ints.  v v^T is even in v and the rows before len // 2
-        negate those after it, so the upper half (rows len // 2 on) is summed
-        and doubled; shell 0's one row is the zero vector, which adds 0."""
+        as Python ints.  v v^T is even in v, so the stored upper half U_k is
+        summed and doubled; shell 0's one row is the zero vector, which adds 0."""
         cached = self._moments.get(k)
         if cached is None:
             v = self._shells[k]
@@ -830,7 +836,7 @@ class ShellTable:
             dtype = _exact_dtype(v.T, v)
             total = np.zeros((n, n), dtype=dtype)
             step = max(1, _BLOCK // n)
-            for start in range(len(v) // 2, len(v), step):
+            for start in range(0, len(v), step):
                 chunk = v[start:start + step].astype(dtype)
                 total += chunk.T @ chunk
             cached = tuple(tuple(2 * int(x) for x in row) for row in total.tolist())
@@ -858,9 +864,9 @@ def enumerate_shells(lattice: IntegralLattice, bound: int,
 #
 # One .npz file per lattice and bound holds the 0-d arrays format_version
 # and bound, the (n, n) array gram2, and one (len, n) array shell_<k> per
-# norm k <= bound, each in its stored dtype.  The file is read without
-# pickle, so it never holds an object array: a table whose coordinates or
-# Gram entries exceed int64 is not cached.
+# norm k <= bound, the stored shell (U_k for k >= 1) in its stored dtype.
+# The file is read without pickle, so it never holds an object array: a
+# table whose coordinates or Gram entries exceed int64 is not cached.
 
 def _cache_path(gram2: IntMatrix, bound: int, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"shells-{content_hash(gram2, bound)[:20]}.npz")
@@ -916,13 +922,9 @@ def _is_int(a: np.ndarray, shape: tuple[int, ...]) -> bool:
 
 
 def _trusted_shell(v: np.ndarray, k: int, gram2: np.ndarray) -> bool:
-    """Every row of v has norm k, and v lies in the symmetric range of its
-    dtype, where the writer stores a shell.  The norms are checked over row
-    chunks cast to their exact dtype, each row's sum taken as a product
-    with a vector of ones (BLAS in float64).  ``load_shell_table`` passes
-    the upper half of each shell only."""
-    if v.size and v.min() == np.iinfo(v.dtype).min:
-        return False
+    """Every row of v has norm k, checked over row chunks cast to their
+    exact dtype, each row's sum taken as a product with a vector of ones
+    (BLAS in float64)."""
     dtype = _exact_dtype(v, gram2, v.T)  # the diagonal of the pairing block
     a = gram2.astype(dtype)
     ones = np.ones(len(gram2), dtype=dtype)
@@ -939,13 +941,10 @@ def load_shell_table(lattice: IntegralLattice, bound: int,
     """The cached table of the lattice up to ``bound``, or None when there is
     none or the file cannot be trusted (then the caller recomputes).
 
-    Each shell is checked once.  The ``ShellTable`` constructor first
+    Each stored shell is checked once.  The ``ShellTable`` constructor
     narrows it (``_narrow``), which widens an entry at the minimum of its
-    file dtype instead of letting its negation wrap, then checks order,
-    closure under negation and the zero rule (``_check_shell``).  A closed
-    shell's rows before len // 2 are the negations of rows from len // 2
-    on, with the same norms, so ``_trusted_shell`` checks the range and
-    the norms of that upper half only."""
+    file dtype so that no negation wraps, and checks it (``_check_shell``);
+    ``_trusted_shell`` then checks the norm of every stored row."""
     path = _cache_path(lattice.gram2, bound, cache_dir)
     if not os.path.exists(path):
         return None
@@ -966,7 +965,6 @@ def load_shell_table(lattice: IntegralLattice, bound: int,
         table = ShellTable(lattice, bound, shells)
     except ValueError:
         return None
-    if not all(_trusted_shell(v[len(v) // 2:], k, table._gram2)
-               for k, v in table._shells.items()):
+    if not all(_trusted_shell(v, k, table._gram2) for k, v in table._shells.items()):
         return None
     return table

@@ -491,8 +491,7 @@ def check_spherical_integrals(seed: int) -> CheckResult:
         if not bad else "; ".join(bad[:5]))
 
 
-def check_basis_invariance(budget: int, seed: int,
-                           rounds: int = 100) -> CheckResult:
+def check_basis_invariance(budget: int, seed: int) -> CheckResult:
     if budget < 1:
         return _skip("basis-invariance", "needs order budget >= 1")
     rng = random.Random(seed)
@@ -510,7 +509,7 @@ def check_basis_invariance(budget: int, seed: int,
         reqs = requests if n == 2 else requests[:-1]  # (2, 2) on rank 2 only
         table = enumerate_shells(lat, order)
         base = [route(lat, r, shells=table) for route, r in reqs]
-        for i in range(rounds):
+        for i in range(100):
             moved = change_basis(lat, random_unimodular(n, rng))
             mt = enumerate_shells(moved, order)
             for (route, r), want in zip(reqs, base):
@@ -521,7 +520,7 @@ def check_basis_invariance(budget: int, seed: int,
             break
     return CheckResult(
         "basis-invariance", not bad,
-        f"{rounds} random unimodular basis changes per lattice leave every "
+        "100 random unimodular basis changes per lattice leave every "
         f"invariant unchanged through q^{order}" if not bad
         else "; ".join(bad[:5]))
 

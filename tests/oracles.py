@@ -108,9 +108,9 @@ def invert_rational(a) -> list[list[Fraction]]:
 
 
 def root_data(gram2, shell1) -> tuple[list[int], list[list[int]]]:
-    """The simple roots of the sorted shell 1, as row indices, and each
-    positive root (rows len // 2 on, in order) in the simple roots, as its
-    list of coefficients.
+    """The simple roots of the sorted shell 1, as indices into its positive
+    roots (rows len // 2 on, in order), and each positive root in the
+    simple roots, as its list of coefficients.
 
     A positive root is simple exactly when no smaller positive root pairs
     to 1 with it (their difference would be a positive root; Humphreys,
@@ -131,7 +131,7 @@ def root_data(gram2, shell1) -> tuple[list[int], list[list[int]]]:
         assert all(sum(int(x) * positive[j][i] for x, j in zip(c, simple)) == positive[b][i]
                    for i in range(len(gram2)))
         coeffs.append([int(x) for x in c])
-    return [half + i for i in simple], coeffs
+    return simple, coeffs
 
 
 def reflection_orbits(gram2, roots, shell) -> list[set[tuple[int, ...]]]:

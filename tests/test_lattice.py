@@ -416,14 +416,15 @@ def test_bilinear_sum_and_tuple_histogram_equal_oracles(skew3, diag246, a2):
 
 
 def test_inconsistent_shells_raise_instead_of_miscounting(a2):
+    # U_1 of a2 is (0, 1), (1, -1), (1, 0)
     good = enumerate_shells(a2, 2)
-    shells = {k: list(good.shell(k)) for k in range(3)}
-    shells[1][0] = (7, 0)
-    with pytest.raises(ValueError, match="closed under negation"):
+    shells = {k: good._shells[k].tolist() for k in range(3)}
+    shells[1][0] = (0, -1)
+    with pytest.raises(ValueError, match="positive first nonzero coordinate"):
         ShellTable(a2, 2, shells)
-    # the first root and its negation scaled by 7: still sorted and closed
-    # under negation, but of norm 49, which only the kernel's range check sees
-    shells[1][0], shells[1][-1] = (-7, 0), (7, 0)
+    # the last root scaled by 7: still sorted with positive leading
+    # coordinates, but of norm 49, which only the kernel's range check sees
+    shells[1][0], shells[1][-1] = (0, 1), (7, 0)
     table = ShellTable(a2, 2, shells)
     with pytest.raises(ValueError, match="inconsistent"):
         table.pair_histogram(1, 1)
@@ -433,26 +434,29 @@ def test_inconsistent_shells_raise_instead_of_miscounting(a2):
     # roots pair beyond int64: the range check must catch that too
     skewed = change_basis(a2, [[1, 2**62], [0, 1]])
     good = enumerate_shells(skewed, 2)
-    shells = {k: good.shell(k).tolist() for k in range(3)}
-    for i in (0, -1):
-        shells[1][i] = [x * 2**64 for x in shells[1][i]]
+    shells = {k: good._shells[k].tolist() for k in range(3)}
+    shells[1][-1] = [x * 2**64 for x in shells[1][-1]]
     with pytest.raises(ValueError, match="inconsistent"):
         ShellTable(skewed, 2, shells).pair_histogram(1, 1)
 
 
 @pytest.mark.parametrize("edit", [
-    lambda shells: shells[1].pop(),
+    # a row whose first nonzero coordinate is negative, still sorted
+    lambda shells: shells[1].__setitem__(0, (0, -1)),
     lambda shells: shells[1].reverse(),
-    lambda shells: shells[1].insert(3, (0, 0)),
+    # sorted, but the zero row has no positive leading coordinate
+    lambda shells: shells[1].insert(0, (0, 0)),
     lambda shells: shells[0].extend([(0, 1)]),
-    # the middle pair twice: closed under negation, sorted but not strictly
-    lambda shells: shells[1].__setitem__(slice(3, 3), shells[1][2:4]),
+    # a row twice: sorted but not strictly
+    lambda shells: shells[1].insert(1, shells[1][1]),
     lambda shells: shells.pop(0),
 ], ids=["not-negation-closed", "unsorted", "zero-in-shell-1", "nonzero-in-shell-0",
         "repeated-pair", "missing-shell-0"])
 def test_shell_table_requires_sorted_negation_closed_shells(a2, edit):
+    # the table takes the upper half of each shell k >= 1: a shell closed
+    # under negation is one of its rows and that row's negation
     good = enumerate_shells(a2, 2)
-    shells = {k: good.shell(k).tolist() for k in range(3)}
+    shells = {k: good._shells[k].tolist() for k in range(3)}
     ShellTable(a2, 2, shells)
     edit(shells)
     with pytest.raises(ValueError, match="shell [01]"):
@@ -460,26 +464,27 @@ def test_shell_table_requires_sorted_negation_closed_shells(a2, edit):
 
 
 def test_shell_table_rejects_a_closed_shell_unsorted_only_in_the_middle(a2):
-    # swapping rows len/2 - 1 and len/2 keeps the shell closed under
-    # negation, so only the order check from row len/2 - 1 on can see it
-    shells = {k: enumerate_shells(a2, 2).shell(k).tolist() for k in range(3)}
-    h = len(shells[1]) // 2
-    shells[1][h - 1], shells[1][h] = shells[1][h], shells[1][h - 1]
+    # the first two rows of U_1 are the first two from the middle of the
+    # whole shell on; swapped, every row keeps its positive leading
+    # coordinate, so only the order check can see it
+    shells = {k: enumerate_shells(a2, 2)._shells[k].tolist() for k in range(3)}
+    shells[1][0], shells[1][1] = shells[1][1], shells[1][0]
     with pytest.raises(ValueError, match="not strictly increasing"):
         ShellTable(a2, 2, shells)
 
 
 @pytest.mark.parametrize("edit", [
-    lambda rows, h: rows.__setitem__(slice(h - 1, h + 1), rows[h:h - 2:-1]),
-    lambda rows, h: rows.__setitem__(slice(h, h), rows[h - 1:h + 1]),
+    lambda rows: rows.__setitem__(slice(0, 2), rows[1::-1]),
+    lambda rows: rows.insert(0, rows[0]),
 ], ids=["middle-pair-swapped", "middle-pair-repeated"])
 def test_object_dtype_shells_are_checked_for_order(a2, edit):
     # in the 2^62 basis shell 3 holds Python ints, and its rows compare as
-    # lists; both edits keep it closed under negation
+    # lists; both edits, to the first rows of U_3, the middle of the whole
+    # shell, keep every leading coordinate positive
     skewed = change_basis(a2, [[1, 2**62], [0, 1]])
-    shells = {k: enumerate_shells(skewed, 3).shell(k).tolist() for k in range(4)}
+    shells = {k: enumerate_shells(skewed, 3)._shells[k].tolist() for k in range(4)}
     assert ShellTable(skewed, 3, shells).shell(3).dtype == object
-    edit(shells[3], len(shells[3]) // 2)
+    edit(shells[3])
     with pytest.raises(ValueError, match="shell 3 is not strictly increasing"):
         ShellTable(skewed, 3, shells)
 
@@ -517,7 +522,7 @@ def _record_pairings(monkeypatch):
 
 def test_kernel_pairs_quarter_cells_and_half_of_slot_zero(e8_shells6, skew3, monkeypatch):
     # a fresh table, so that no histogram and no orbit data is cached
-    e8 = ShellTable(e8_shells6.lattice, 3, {k: e8_shells6.shell(k) for k in range(4)})
+    e8 = ShellTable(e8_shells6.lattice, 3, {k: e8_shells6._shells[k] for k in range(4)})
     calls = _record_pairings(monkeypatch)
     # (1,1) pairs 120 x 120 < _BLOCK under H = {+-I}: it keeps its quarter
     # cell U_1 x U_1 and builds no orbit data
@@ -532,11 +537,11 @@ def test_kernel_pairs_quarter_cells_and_half_of_slot_zero(e8_shells6, skew3, mon
         e8.pair_histogram(a, b)
         assert calls == [[a, b, 1, len(e8.shell(b)) // 2]]
     table = enumerate_shells(skew3, 2)
-    n1, n2 = len(table.shell(1)), len(table.shell(2))
+    h1, h2 = len(table.shell(1)) // 2, len(table.shell(2)) // 2
     calls.clear()
     table.tuple_histogram((1, 1, 2))
-    # slot pairs (0, 1), (0, 2) and (1, 2), slot 0 on its upper half
-    assert calls == [[1, 1, n1 // 2, n1], [1, 2, n1 // 2, n2], [1, 2, n1, n2]]
+    # slot pairs (0, 1), (0, 2) and (1, 2), every slot on its upper half
+    assert calls == [[1, 1, h1, h1], [1, 2, h1, h2], [1, 2, h1, h2]]
 
 
 # -- orbits of slot 0 under the root reflections ------------------------------------
@@ -596,12 +601,33 @@ def test_rootless_forms_keep_the_upper_half():
     table = enumerate_shells(validate_lattice([[4, 1], [1, 4]]), 6)
     assert not len(table.shell(1))
     for k in range(1, 7):
-        n = len(table.shell(k))
+        half = len(table.shell(k)) // 2
         # enough partners that a table with roots would read its W-orbits
         [(weight, rows)] = table.slot_zero(k, lattice_module._ORBIT_PAIRS)
-        assert weight == 2 and rows.tolist() == list(range(n // 2, n))
-        # W is {I}, whose orbits are single vectors
-        assert _orbit_sizes(table, k) == [1] * n
+        assert weight == 2 and rows.tolist() == list(range(half))
+        # W is {I}, whose orbits are single vectors: each row stands for
+        # itself and its negation
+        assert _orbit_sizes(table, k) == [2] * half
+
+
+def test_a_row_orthogonal_to_every_root_stands_for_both_of_its_signs(diag246):
+    # U_2 of diag246 is e2 alone, orthogonal to its roots +-e1: e2 and -e2
+    # are both dominant, two orbits of one vector, so the row weighs 2
+    table = enumerate_shells(diag246, 4)
+    assert table._shells[2].tolist() == [[0, 1, 0]]
+    rows, weights = table.orbits(2)
+    assert rows.tolist() == [0] and weights.tolist() == [2]
+    shell = {k: table.shell(k).tolist() for k in range(5)}
+    with pytest.MonkeyPatch.context() as mp:
+        # every cell reads the orbits
+        mp.setattr(lattice_module, "_ORBIT_PAIRS", 1)
+        for k1 in range(1, 5):
+            for k2 in range(k1, 5):
+                assert table.pair_histogram(k1, k2) == oracles.pair_histogram(
+                    diag246, shell[k1], shell[k2])
+        for comp in [(2, 1, 1), (2, 2, 1), (2, 1, 3)]:
+            assert oracles.as_dict(table.tuple_histogram(comp)) == oracles.tuple_histogram(
+                diag246, [shell[c] for c in comp])
 
 
 def test_a_wrong_coxeter_order_fails_the_size_check(e8, monkeypatch):
@@ -685,12 +711,10 @@ def test_weyl_group_orders_and_minus_one_from_root_heights(name):
 @pytest.mark.parametrize("gram2, shell1, match", [
     # a2 without +-(1,-1): (0,1) and (1,0) pair to 1, so each pairs to 3
     # with their sum, 2 rho, which is twice no height
-    ([[2, 1], [1, 2]], [(-1, 0), (0, -1), (0, 1), (1, 0)],
-     "positive even numbers"),
+    ([[2, 1], [1, 2]], [(0, 1), (1, 0)], "positive even numbers"),
     # z2 with +-(1,1), of norm 2, in shell 1: it pairs to 4 with itself,
     # outside the range +-2 that the kernel checks for shell 1
-    ([[2, 0], [0, 2]], [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)],
-     "exceeds"),
+    ([[2, 0], [0, 2]], [(0, 1), (1, 0), (1, 1)], "exceeds"),
 ], ids=["a2-without-a-root", "z2-with-a-norm-2-vector"])
 def test_inconsistent_root_systems_raise(gram2, shell1, match):
     lat = validate_lattice(gram2)
@@ -718,12 +742,10 @@ def test_shell_one_without_some_root_pairs_is_rejected(name, drops):
     # the pairings with 2 rho are then not all positive and even, or the
     # orbit sizes do not add up to the shell
     good = _root_table(name)
-    shell1 = good.shell(1)
-    half = len(shell1) // 2
-    keep = np.ones(len(shell1), dtype=bool)
-    for i in drops:
-        keep[[half + i, half - 1 - i]] = False
-    table = ShellTable(good.lattice, 1, {0: good.shell(0), 1: shell1[keep]})
+    upper = good._shells[1]
+    keep = np.ones(len(upper), dtype=bool)
+    keep[list(drops)] = False
+    table = ShellTable(good.lattice, 1, {0: good.shell(0), 1: upper[keep]})
     with pytest.raises(ValueError, match="inconsistent"):
         table.orbits(1)
 
@@ -753,9 +775,9 @@ def test_orbit_histograms_on_block_sums_equal_the_oracles(names, seed):
 
 
 def _half_shell_orbits(table, k):
-    """The orbits of H = {+-I}: the upper half of shell k with weight 2."""
-    n = len(table.shell(k))
-    return np.arange(n // 2, n), np.full(n - n // 2, 2)
+    """The orbits of H = {+-I}: every row of U_k with weight 2."""
+    n = len(table._shells[k])
+    return np.arange(n), np.full(n, 2)
 
 
 @pytest.mark.parametrize("name, bound", [
@@ -801,18 +823,26 @@ def test_orbits_are_one_row_per_reflection_orbit_weighted_by_its_size(request, n
         base = validate_lattice(_block_sum([_ORBIT_BLOCKS["a2"], _ORBIT_BLOCKS["z1"]]))
     else:
         base = lattice_by_name(name)
+    # each orbit counts at the row of U_k that is its dominant vector or
+    # that vector's negation
     rng = random.Random(bound * 31 + len(name))
     for lat in (base, change_basis(base, random_unimodular(base.rank, rng))):
         table = enumerate_shells(lat, bound)
         shells = oracles.enumerate_shells(lat.gram2, bound)
+        shell1 = sorted(shells[1])
+        simple, _ = oracles.root_data(lat.gram2, shell1)
+        simple = [shell1[len(shell1) // 2 + i] for i in simple]
         for k in range(1, bound + 1):
-            orbits = oracles.reflection_orbits(lat.gram2, shells[1], shells[k])
+            want = {}
+            for orbit in oracles.reflection_orbits(lat.gram2, shells[1], shells[k]):
+                [d] = [v for v in orbit if all(lat.inner2(v, r) >= 0 for r in simple)]
+                d = max(d, tuple(-x for x in d))
+                want[d] = want.get(d, 0) + len(orbit)
             rows, weights = table.orbits(k)
-            reps = [tuple(table.shell(k)[r].tolist()) for r in rows]
-            assert len(reps) == len(orbits)
-            for orbit in orbits:
-                [weight] = [w for w, v in zip(weights.tolist(), reps) if v in orbit]
-                assert weight == len(orbit)
+            assert (np.diff(rows) > 0).all()
+            got = {tuple(table._shells[k][r].tolist()): w
+                   for r, w in zip(rows, weights.tolist())}
+            assert got == want
 
 
 def test_monomial_sums_are_exact_in_every_tier():
@@ -1107,7 +1137,7 @@ def test_shells_are_stored_narrow_sorted_and_read_only(e8_shells6):
 
 def test_tables_built_from_shell_views_store_plain_arrays(a2):
     table = enumerate_shells(a2, 3)
-    copy = ShellTable(a2, 3, {k: table.shell(k) for k in range(4)})
+    copy = ShellTable(a2, 3, {k: table._shells[k].view(Shell) for k in range(4)})
     assert {type(v) for v in copy._shells.values()} == {np.ndarray}
     assert type(copy.shell(1)) is Shell
 
@@ -1207,10 +1237,10 @@ def _edit_cached_doc(path, edit):
 
 
 def _scale_first_root(doc):
-    # the root and its negation, the first and last rows, so that the shell
-    # stays sorted and closed under negation and only its norms are wrong
+    # (0, 1), the first row of U_1 of a2, so that the shell stays sorted
+    # with positive leading coordinates and only its norms are wrong
     doc["shell_1"] = doc["shell_1"].astype(np.int64)
-    doc["shell_1"][[0, -1]] *= 7
+    doc["shell_1"][0] *= 7
 
 
 def _repeat_row(doc):
@@ -1218,7 +1248,10 @@ def _repeat_row(doc):
 
 
 def _drop_negation(doc):
-    doc["shell_3"] = doc["shell_3"][1:]
+    # the first row of U_3 negated: sorted, but its leading coordinate is
+    # negative, so the shell rebuilt from it would not be closed under
+    # negation
+    doc["shell_3"][0] *= -1
 
 
 def _scale_rows(name, rows):
@@ -1230,15 +1263,14 @@ def _scale_rows(name, rows):
 
 
 def _middle_pair(n):
-    # rows len // 2 - 1 and len // 2, the last row before the upper half and
-    # the first in it, are a vector and its negation: a norm check that began
-    # one row after len // 2 would miss them on shell 1, which stays sorted
-    return [n // 2 - 1, n // 2]
+    # the first stored row, which the whole shell holds in its middle pair,
+    # -U_k[0] then U_k[0]: a norm check that began on row 1 would miss it on
+    # shell 1, which stays sorted
+    return [0]
 
 
 def _last_row(n):
-    # the last row alone (a2 has no vector of norm 2): still sorted, no
-    # longer closed under negation
+    # the last stored row (a2 has no vector of norm 2): still sorted
     return [n - 1]
 
 
@@ -1304,35 +1336,58 @@ def test_shell_cache_round_trip_and_scaled_pairs_on_random_lattices(args, seed, 
             assert again.shell(k).dtype == table.shell(k).dtype
             assert again.shell(k).tolist() == table.shell(k).tolist()
         k = data.draw(st.sampled_from([k for k in range(1, bound + 1) if table.sizes()[k]]))
-        size = table.sizes()[k]
-        i = data.draw(st.integers(0, size // 2 - 1))
-        _edit_cached_doc(path, _scale_rows(f"shell_{k}", lambda _: [i, size - 1 - i]))
+        i = data.draw(st.integers(0, table.sizes()[k] // 2 - 1))
+        _edit_cached_doc(path, _scale_rows(f"shell_{k}", lambda _: [i]))
         assert load_shell_table(lat, bound, cache) is None
 
 
 def test_cached_shell_at_its_dtype_minimum_is_untrusted():
-    # -(-128) wraps to -128 in int8, so [[-128]] would pass the norm, order
-    # and negation checks as the norm-16384 shell of Z (gram2 [[2]])
+    # -(-128) wraps to -128 in int8, so [[-128]] would pass the norm check as
+    # the norm-16384 shell of Z (gram2 [[2]]); it is stored widened, where
+    # its leading coordinate is seen to be negative
     gram2 = np.array([[2]])
-    assert lattice_module._trusted_shell(np.array([[-128], [128]], dtype=np.int16),
-                                         16384, gram2)
-    assert not lattice_module._trusted_shell(np.array([[-128]], dtype=np.int8),
-                                             16384, gram2)
+    check = lattice_module._check_shell
+    stored = lattice_module._as_shell(np.array([[-128]], dtype=np.int8), 1)
+    assert stored.dtype == np.int16
+    with pytest.raises(ValueError, match="positive first nonzero coordinate"):
+        check(16384, stored)
+    upper = lattice_module._as_shell(np.array([[128]], dtype=np.int16), 1)
+    check(16384, upper)
+    assert lattice_module._trusted_shell(upper, 16384, gram2)
 
 
 def test_cached_pair_that_wraps_at_the_dtype_minimum_is_untrusted(tmp_path):
     # Z^2 on the basis b1 = e1 + 128 e2, b2 = e2, where e1 = b1 - 128 b2.  In
-    # int8 -(1, -128) wraps to (-1, -128), so the shell 1 written below is
-    # sorted and closed under the wrapped negation, and its upper half (0, 1),
-    # (1, -128) has norm 1; only (-1, -128), of norm 65537, does not
+    # int8 -(1, -128) wraps to (-1, -128).  A file of U_1 = (0, 1), (1, -128)
+    # in int8 is read widened, so the whole shell is negated without a wrap;
+    # one that also holds the wrapped negation (-1, -128), of norm 65537,
+    # is untrusted
     lat = change_basis(validate_lattice([[2, 0], [0, 2]]), [[1, 0], [128, 1]])
     cache = str(tmp_path)
     table = enumerate_shells(lat, 1)
     assert table.shell(1).tolist() == [[-1, 128], [0, -1], [0, 1], [1, -128]]
-    wrapped = np.array([[-1, -128], [0, -1], [0, 1], [1, -128]], dtype=np.int8)
+    path = save_shell_table(table, cache)
+    for rows, trusted in [([[0, 1], [1, -128]], True),
+                          ([[-1, -128], [0, 1], [1, -128]], False)]:
+        _edit_cached_doc(path, lambda doc: doc.__setitem__(
+            "shell_1", np.array(rows, dtype=np.int8)))
+        got = load_shell_table(lat, 1, cache)
+        assert (got is not None) == trusted
+        if trusted:
+            assert got.shell(1).tolist() == table.shell(1).tolist()
+
+
+def test_cached_shell_beyond_int64_after_narrowing_is_recomputed(tmp_path, a2):
+    # (1, -2^63) fits the int64 file but not the symmetric int64 range, so
+    # the table stores it in numpy object dtype; its norm is wrong
+    cache = str(tmp_path)
+    table = enumerate_shells(a2, 1)
+    upper = np.array([[0, 1], [1, -2**63]], dtype=np.int64)
     _edit_cached_doc(save_shell_table(table, cache),
-                     lambda doc: doc.__setitem__("shell_1", wrapped))
-    assert load_shell_table(lat, 1, cache) is None
+                     lambda doc: doc.__setitem__("shell_1", upper))
+    assert load_shell_table(a2, 1, cache) is None
+    assert enumerate_shells(a2, 1, cache_dir=cache).shell(1).tolist() == (
+        table.shell(1).tolist())
 
 
 _UNPICKLED = []
