@@ -18,10 +18,11 @@ below 2^62, and in Python integers beyond that.
 
 Every pair or tuple statistic depends only on the Gram matrix of each
 tuple, so a shell k >= 1 enters it only through one vector of each +-v
-pair: a table stores its upper half U_k, the vectors whose first nonzero
-coordinate is positive, as one integer numpy array, and the disk cache
-stores that array in an ``.npz`` file.  Slot 0 of a histogram runs over
-one vector per orbit of a group of isometries, weighted by the orbit
+pair: a table stores its upper half U_k, the vectors whose last nonzero
+coordinate is positive, in colex order (coordinate n-1 most significant),
+as the shell search finds them, in one integer numpy array, and the disk
+cache stores that array in an ``.npz`` file.  Slot 0 of a histogram runs
+over one vector per orbit of a group of isometries, weighted by the orbit
 size.  On a table with roots (the vectors of norm 1) that group is W,
 generated by the reflections in them, whose orbits come from the dominant
 vectors and the orders of the parabolic subgroups, each a product over
@@ -56,7 +57,7 @@ from .errors import (
 Vector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
-SHELL_CACHE_FORMAT = 3
+SHELL_CACHE_FORMAT = 4
 
 # int64 safety margin of the pairing kernel and of the shell search
 _INT64_LIMIT = 2**62
@@ -272,15 +273,10 @@ def _narrow(v: np.ndarray) -> np.ndarray:
     return v.astype(object, copy=False)
 
 
-def _leading(v: np.ndarray) -> np.ndarray:
-    """The first nonzero coordinate of each row of v (0 for a zero row)."""
-    return v[np.arange(len(v)), (v != 0).argmax(axis=1)]
-
-
 def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
     """The zero vector as shell 0 and, for 1 <= k <= bound, the upper half
-    U_k of shell k, sorted lexicographically: the Fincke-Pohst search run
-    level by level over numpy frontiers, in exact integers only.
+    U_k of shell k in colex order: the Fincke-Pohst search run level by
+    level over numpy frontiers, in exact integers only.
 
     The quadratic form is written as sum_i d_i (v_i + c_i(v))^2 from the LDL^T
     decomposition that the lattice's cached elimination gives; all
@@ -293,14 +289,11 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
     Every shell is closed under v -> -v, so the search finds only half of
     it (Fincke & Pohst, Math. Comp. 44, 1985): a chunk carries the index of
     its one all-zero row, if it has one, and that row takes only x >= 0.
-    The search so finds 0 and the vectors whose last nonzero coordinate is
-    positive.  Each leaf chunk then negates the rows whose first nonzero
-    coordinate is negative, which gives U_k, the vectors whose first
-    nonzero coordinate is positive, and each U_k is sorted.
-
-    The last coordinate stays outermost: with coordinate 0 outermost the
-    found half would come out sorted, but on the a2 basis [[1, 2^62],
-    [0, 1]] coordinate 0 alone ranges over about 2^62 values.
+    The search so finds 0 and U_k, the vectors whose last nonzero
+    coordinate is positive.  It sorts nothing: the search runs from the
+    last coordinate inward, every frontier is in colex order, each row's
+    children follow it in increasing x, and the chunks of each frontier
+    are popped in order, depth first, so every U_k comes out in colex order.
     """
     n = lattice.rank
     pivots, pivot_rows, _ = lattice._elimination
@@ -339,6 +332,7 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
     stack = [(n - 1, np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype), 0)]
     while stack:
         i, v, acc, zero = stack.pop()
+        chunks = []
         c = v[:, i + 1:] @ cvec[i]
         cd = cden[i]
         # a * (x*cd + c)^2 <= rem  <=>  |x*cd + c| <= s with s = isqrt(rem // a),
@@ -360,31 +354,29 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
         while start < len(v):
             first = ends[start] - counts[start]
             stop = max(start + 1, int(np.searchsorted(ends, first + _CHUNK, side="right")))
-            rows = np.repeat(np.arange(start, stop), counts[start:stop])
-            # the j-th child of row r takes x = lo[r] + j
-            x = lo[rows] + (np.arange(len(rows)) - (ends[rows] - counts[rows] - first))
-            t = x * cd + c[rows]
-            child = v[rows]
+            part, size = slice(start, stop), counts[start:stop]
+            # the j-th child of row r takes x = lo[r] + j, and row r's
+            # children begin at ends[r] - size[r] - first in the chunk
+            x = np.arange(ends[stop - 1] - first) + np.repeat(
+                lo[part] - (ends[part] - size - first), size)
+            t = x * cd + np.repeat(c[part], size)
+            child = np.repeat(v[part], size, axis=0)
             child[:, i] = x
-            child_acc = acc[rows] + mult[i] * t * t
+            child_acc = np.repeat(acc[part], size) + mult[i] * t * t
             if i:
                 # the all-zero row's first child, x = 0, is all zero again
                 child_zero = ends[zero] - counts[zero] - first if start <= zero < stop else -1
-                stack.append((i - 1, child, child_acc, child_zero))
+                chunks.append((i - 1, child, child_acc, child_zero))
             else:
                 assert not (child_acc % (2 * big)).any()
                 q = (child_acc // (2 * big)).astype(np.int64)
                 child = _narrow(child)
-                # the symmetric stored range makes this negation safe
-                child[_leading(child) < 0] *= -1
                 for k in range(bound + 1):
                     found[k].append(child[q == k])
             start = stop
-    shells = {}
-    for k, parts in found.items():
-        u = np.concatenate(parts)
-        shells[k] = u[np.lexsort(u.T[::-1])]
-    return shells
+        # the first chunk is popped first
+        stack.extend(reversed(chunks))
+    return {k: np.concatenate(parts) for k, parts in found.items()}
 
 
 def content_hash(gram2: IntMatrix, bound: int | None = None) -> str:
@@ -536,14 +528,21 @@ def _strictly_increasing(v: np.ndarray) -> bool:
 
 def _check_shell(k: int, v: np.ndarray) -> None:
     """Raise ValueError unless the stored shell 0 is the zero vector alone
-    and a stored shell k >= 1 is strictly increasing with a positive first
-    nonzero coordinate in every row."""
+    and a stored shell k >= 1 is strictly increasing in colex order with a
+    positive last nonzero coordinate in every row.
+
+    Colex order is the lexicographic order of the rows read from their last
+    coordinate, so the rows with the columns reversed are checked.  A row
+    is above zero in it exactly when its last nonzero coordinate is
+    positive, so in strictly increasing rows every row is when the first
+    one is."""
     if k == 0:
         if len(v) != 1 or v.any():
             raise ValueError("shell 0 must hold the zero vector alone")
-    elif not (_strictly_increasing(v) and (_leading(v) > 0).all()):
-        raise ValueError(f"shell {k} is not strictly increasing with a positive "
-                         f"first nonzero coordinate in every row")
+    elif not (_strictly_increasing(v[:, ::-1])
+              and all(row > [0] * len(row) for row in v[:1, ::-1].tolist())):
+        raise ValueError(f"shell {k} is not strictly increasing in colex order with a "
+                         f"positive last nonzero coordinate in every row")
 
 
 class ShellTable:
@@ -551,8 +550,8 @@ class ShellTable:
     lazily built pair statistics.
 
     ``shells`` maps 0 to the zero vector and each k >= 1 to the upper half
-    U_k of shell k: the vectors whose first nonzero coordinate is positive,
-    one of each +-v pair, sorted, which the constructor checks
+    U_k of shell k: the vectors whose last nonzero coordinate is positive,
+    one of each +-v pair, in colex order, which the constructor checks
     (``_check_shell``).  Each is stored as one integer array in the
     narrowest dtype that holds it (``_narrow``); only ``shell`` and
     ``sizes`` speak of whole shells.  Immutable after construction apart
@@ -576,8 +575,8 @@ class ShellTable:
         self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def shell(self, k: int) -> Shell:
-        """The vectors of norm k, one per row in lexicographic order, built
-        from U_k as -U_k reversed, then U_k (the symmetric stored range makes
+        """The vectors of norm k, one per row in colex order, built from
+        U_k as -U_k reversed, then U_k (the symmetric stored range makes
         that negation safe); ``.tolist()`` gives them as lists of Python ints."""
         if not 0 <= k <= self.bound:
             raise IndexError(f"shell {k} beyond enumeration bound {self.bound}")
@@ -627,8 +626,8 @@ class ShellTable:
 
         Every vector r of shell 1 has r^T A r = 2, so x -> x - (x^T A r) r is
         an isometry of the lattice: the reflection in r, whose coroot is r
-        itself.  Lexicographic order is compatible with addition, so the
-        stored upper half U_1 is a positive system.  The sum of U_1, twice
+        itself.  Colex order is compatible with addition, so the stored
+        upper half U_1 is a positive system.  The sum of U_1, twice
         the Weyl vector rho, pairs with every positive root to twice its height
         (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Sect. 1.10, Prop. 29),
         so the heights are the halved row sums of the pairing matrix of U_1,

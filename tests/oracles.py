@@ -21,9 +21,15 @@ from thetainv.harmonic import projector_coeffs
 from thetainv.theta import _moment_patterns, pair_term
 
 
+def colex(v) -> tuple[int, ...]:
+    """The colex sort key of a vector: its coordinates read from the last
+    one, which is the most significant."""
+    return tuple(reversed(v))
+
+
 def enumerate_shells(gram2, bound) -> dict[int, list[tuple[int, ...]]]:
     """Depth-first Fincke-Pohst enumeration of all v with norm <= bound,
-    by shell, each shell sorted.
+    by shell, each shell sorted in colex order (``colex``).
 
     The quadratic form is written as sum_i d_i (v_i + c_i(v))^2 from the LDL^T
     decomposition; all comparisons are cleared of denominators up front.
@@ -84,7 +90,7 @@ def enumerate_shells(gram2, bound) -> dict[int, list[tuple[int, ...]]]:
         v[i] = 0
 
     descend(n - 1, 0)
-    return {k: sorted(vs) for k, vs in shells.items()}
+    return {k: sorted(vs, key=colex) for k, vs in shells.items()}
 
 
 def invert_rational(a) -> list[list[Fraction]]:
@@ -108,12 +114,13 @@ def invert_rational(a) -> list[list[Fraction]]:
 
 
 def root_data(gram2, shell1) -> tuple[list[int], list[list[int]]]:
-    """The simple roots of the sorted shell 1, as indices into its positive
-    roots (rows len // 2 on, in order), and each positive root in the
-    simple roots, as its list of coefficients.
+    """The simple roots of shell 1 sorted in colex order, as indices into
+    its positive roots (rows len // 2 on, in order), and each positive root
+    in the simple roots, as its list of coefficients.
 
-    A positive root is simple exactly when no smaller positive root pairs
-    to 1 with it (their difference would be a positive root; Humphreys,
+    Colex order is compatible with addition, so a positive root is simple
+    exactly when no smaller positive root pairs to 1 with it (their
+    difference would be a positive root; Humphreys,
     Introduction to Lie Algebras, Sect. 10.1).  The coefficients solve the
     Cartan matrix of the simple roots exactly in Fractions; they must be
     nonnegative integers that give every positive root back.

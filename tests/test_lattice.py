@@ -416,15 +416,15 @@ def test_bilinear_sum_and_tuple_histogram_equal_oracles(skew3, diag246, a2):
 
 
 def test_inconsistent_shells_raise_instead_of_miscounting(a2):
-    # U_1 of a2 is (0, 1), (1, -1), (1, 0)
+    # U_1 of a2 is (1, 0), (-1, 1), (0, 1)
     good = enumerate_shells(a2, 2)
     shells = {k: good._shells[k].tolist() for k in range(3)}
-    shells[1][0] = (0, -1)
-    with pytest.raises(ValueError, match="positive first nonzero coordinate"):
+    shells[1][0] = (-1, 0)
+    with pytest.raises(ValueError, match="positive last nonzero coordinate"):
         ShellTable(a2, 2, shells)
-    # the last root scaled by 7: still sorted with positive leading
+    # the last root scaled by 7: still sorted with positive last nonzero
     # coordinates, but of norm 49, which only the kernel's range check sees
-    shells[1][0], shells[1][-1] = (0, 1), (7, 0)
+    shells[1][0], shells[1][-1] = (1, 0), (0, 7)
     table = ShellTable(a2, 2, shells)
     with pytest.raises(ValueError, match="inconsistent"):
         table.pair_histogram(1, 1)
@@ -441,10 +441,10 @@ def test_inconsistent_shells_raise_instead_of_miscounting(a2):
 
 
 @pytest.mark.parametrize("edit", [
-    # a row whose first nonzero coordinate is negative, still sorted
+    # a row whose last nonzero coordinate is negative, still sorted
     lambda shells: shells[1].__setitem__(0, (0, -1)),
     lambda shells: shells[1].reverse(),
-    # sorted, but the zero row has no positive leading coordinate
+    # sorted, but the zero row has no positive last nonzero coordinate
     lambda shells: shells[1].insert(0, (0, 0)),
     lambda shells: shells[0].extend([(0, 1)]),
     # a row twice: sorted but not strictly
@@ -465,7 +465,7 @@ def test_shell_table_requires_sorted_negation_closed_shells(a2, edit):
 
 def test_shell_table_rejects_a_closed_shell_unsorted_only_in_the_middle(a2):
     # the first two rows of U_1 are the first two from the middle of the
-    # whole shell on; swapped, every row keeps its positive leading
+    # whole shell on; swapped, every row keeps its positive last nonzero
     # coordinate, so only the order check can see it
     shells = {k: enumerate_shells(a2, 2)._shells[k].tolist() for k in range(3)}
     shells[1][0], shells[1][1] = shells[1][1], shells[1][0]
@@ -480,7 +480,7 @@ def test_shell_table_rejects_a_closed_shell_unsorted_only_in_the_middle(a2):
 def test_object_dtype_shells_are_checked_for_order(a2, edit):
     # in the 2^62 basis shell 3 holds Python ints, and its rows compare as
     # lists; both edits, to the first rows of U_3, the middle of the whole
-    # shell, keep every leading coordinate positive
+    # shell, keep every last nonzero coordinate positive
     skewed = change_basis(a2, [[1, 2**62], [0, 1]])
     shells = {k: enumerate_shells(skewed, 3)._shells[k].tolist() for k in range(4)}
     assert ShellTable(skewed, 3, shells).shell(3).dtype == object
@@ -709,12 +709,12 @@ def test_weyl_group_orders_and_minus_one_from_root_heights(name):
 
 
 @pytest.mark.parametrize("gram2, shell1, match", [
-    # a2 without +-(1,-1): (0,1) and (1,0) pair to 1, so each pairs to 3
+    # a2 without +-(1,-1): (1,0) and (0,1) pair to 1, so each pairs to 3
     # with their sum, 2 rho, which is twice no height
-    ([[2, 1], [1, 2]], [(0, 1), (1, 0)], "positive even numbers"),
+    ([[2, 1], [1, 2]], [(1, 0), (0, 1)], "positive even numbers"),
     # z2 with +-(1,1), of norm 2, in shell 1: it pairs to 4 with itself,
     # outside the range +-2 that the kernel checks for shell 1
-    ([[2, 0], [0, 2]], [(0, 1), (1, 0), (1, 1)], "exceeds"),
+    ([[2, 0], [0, 2]], [(1, 0), (0, 1), (1, 1)], "exceeds"),
 ], ids=["a2-without-a-root", "z2-with-a-norm-2-vector"])
 def test_inconsistent_root_systems_raise(gram2, shell1, match):
     lat = validate_lattice(gram2)
@@ -829,14 +829,14 @@ def test_orbits_are_one_row_per_reflection_orbit_weighted_by_its_size(request, n
     for lat in (base, change_basis(base, random_unimodular(base.rank, rng))):
         table = enumerate_shells(lat, bound)
         shells = oracles.enumerate_shells(lat.gram2, bound)
-        shell1 = sorted(shells[1])
+        shell1 = sorted(shells[1], key=oracles.colex)
         simple, _ = oracles.root_data(lat.gram2, shell1)
         simple = [shell1[len(shell1) // 2 + i] for i in simple]
         for k in range(1, bound + 1):
             want = {}
             for orbit in oracles.reflection_orbits(lat.gram2, shells[1], shells[k]):
                 [d] = [v for v in orbit if all(lat.inner2(v, r) >= 0 for r in simple)]
-                d = max(d, tuple(-x for x in d))
+                d = max(d, tuple(-x for x in d), key=oracles.colex)
                 want[d] = want.get(d, 0) + len(orbit)
             rows, weights = table.orbits(k)
             assert (np.diff(rows) > 0).all()
@@ -1106,6 +1106,48 @@ def test_enumeration_with_zero_trailing_coordinates_equals_dfs_oracle(request, n
     assert any(v[-2:] == [0, 0] and any(v) for v in shell)
 
 
+def _sheared(lat, s):
+    """lat on the basis whose last vector gains s times the first."""
+    n = lat.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u[0][n - 1] = s
+    return change_basis(lat, u)
+
+
+@pytest.mark.parametrize("name, shear, bound", [
+    ("e8", 0, 3), ("d4", 0, 5), ("skew3", 0, 6), ("a2", 2**62, 6), ("e8", 2**70, 2)])
+def test_the_search_sorts_nothing_and_finds_each_half_in_colex_order(
+        request, monkeypatch, name, shear, bound):
+    # each lattice on its own basis and moved by a seeded unimodular matrix;
+    # the shear comes last, because e8 sheared by 2^70 and then moved needs
+    # a search count past int64 (it exits 3); the 2^70 shear runs the search
+    # in Python ints (object dtype)
+    base = request.getfixturevalue(name)
+    moved = change_basis(base, random_unimodular(base.rank, random.Random(5)))
+    lats = [_sheared(lat, shear) for lat in (base, moved)]
+    wants = [oracles.enumerate_shells(lat.gram2, bound) for lat in lats]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shell search sorted")
+
+    for sort in ("lexsort", "argsort", "sort"):
+        monkeypatch.setattr(np, sort, refuse)
+    # frontiers of many chunks, so that the order they are popped in shows
+    monkeypatch.setattr(lattice_module, "_CHUNK", 16)
+    found = [lattice_module._enumerate(lat, bound) for lat in lats]
+    monkeypatch.undo()
+    n = base.rank
+    for got, want in zip(found, wants):
+        assert got[0].tolist() == [[0] * n]
+        for k in range(1, bound + 1):
+            rows = [tuple(v) for v in got[k].tolist()]
+            keys = [oracles.colex(v) for v in rows]
+            # strictly increasing in colex order, each row above zero there:
+            # its last nonzero coordinate is positive
+            assert all(a < b for a, b in zip([(0,) * n] + keys, keys))
+            assert [tuple(-x for x in v) for v in reversed(rows)] + rows == want[k]
+
+
 @pytest.mark.parametrize("name", ["e8e8", "d16plus"])
 def test_rank16_shells_and_pair_two_two_series(name):
     lat = lattice_by_name(name)
@@ -1130,7 +1172,7 @@ def test_shells_are_stored_narrow_sorted_and_read_only(e8_shells6):
     for k in range(7):
         v = e8_shells6.shell(k)
         assert v.dtype == np.int8
-        assert v.tolist() == sorted(v.tolist())
+        assert v.tolist() == sorted(v.tolist(), key=oracles.colex)
         with pytest.raises(ValueError):
             v[0, 0] = 0
 
@@ -1237,8 +1279,8 @@ def _edit_cached_doc(path, edit):
 
 
 def _scale_first_root(doc):
-    # (0, 1), the first row of U_1 of a2, so that the shell stays sorted
-    # with positive leading coordinates and only its norms are wrong
+    # (1, 0), the first row of U_1 of a2, so that the shell stays sorted
+    # with positive last nonzero coordinates and only its norms are wrong
     doc["shell_1"] = doc["shell_1"].astype(np.int64)
     doc["shell_1"][0] *= 7
 
@@ -1248,8 +1290,8 @@ def _repeat_row(doc):
 
 
 def _drop_negation(doc):
-    # the first row of U_3 negated: sorted, but its leading coordinate is
-    # negative, so the shell rebuilt from it would not be closed under
+    # the first row of U_3 negated: sorted, but its last nonzero coordinate
+    # is negative, so the shell rebuilt from it would not be closed under
     # negation
     doc["shell_3"][0] *= -1
 
@@ -1344,12 +1386,12 @@ def test_shell_cache_round_trip_and_scaled_pairs_on_random_lattices(args, seed, 
 def test_cached_shell_at_its_dtype_minimum_is_untrusted():
     # -(-128) wraps to -128 in int8, so [[-128]] would pass the norm check as
     # the norm-16384 shell of Z (gram2 [[2]]); it is stored widened, where
-    # its leading coordinate is seen to be negative
+    # its last nonzero coordinate is seen to be negative
     gram2 = np.array([[2]])
     check = lattice_module._check_shell
     stored = lattice_module._as_shell(np.array([[-128]], dtype=np.int8), 1)
     assert stored.dtype == np.int16
-    with pytest.raises(ValueError, match="positive first nonzero coordinate"):
+    with pytest.raises(ValueError, match="positive last nonzero coordinate"):
         check(16384, stored)
     upper = lattice_module._as_shell(np.array([[128]], dtype=np.int16), 1)
     check(16384, upper)
@@ -1357,18 +1399,18 @@ def test_cached_shell_at_its_dtype_minimum_is_untrusted():
 
 
 def test_cached_pair_that_wraps_at_the_dtype_minimum_is_untrusted(tmp_path):
-    # Z^2 on the basis b1 = e1 + 128 e2, b2 = e2, where e1 = b1 - 128 b2.  In
-    # int8 -(1, -128) wraps to (-1, -128).  A file of U_1 = (0, 1), (1, -128)
+    # Z^2 on the basis b1 = e1, b2 = 128 e1 + e2, where e2 = b2 - 128 b1.  In
+    # int8 -(-128, 1) wraps to (-128, -1).  A file of U_1 = (1, 0), (-128, 1)
     # in int8 is read widened, so the whole shell is negated without a wrap;
-    # one that also holds the wrapped negation (-1, -128), of norm 65537,
+    # one that also holds the wrapped negation (-128, -1), of norm 65537,
     # is untrusted
-    lat = change_basis(validate_lattice([[2, 0], [0, 2]]), [[1, 0], [128, 1]])
+    lat = change_basis(validate_lattice([[2, 0], [0, 2]]), [[1, 128], [0, 1]])
     cache = str(tmp_path)
     table = enumerate_shells(lat, 1)
-    assert table.shell(1).tolist() == [[-1, 128], [0, -1], [0, 1], [1, -128]]
+    assert table.shell(1).tolist() == [[128, -1], [-1, 0], [1, 0], [-128, 1]]
     path = save_shell_table(table, cache)
-    for rows, trusted in [([[0, 1], [1, -128]], True),
-                          ([[-1, -128], [0, 1], [1, -128]], False)]:
+    for rows, trusted in [([[1, 0], [-128, 1]], True),
+                          ([[-128, -1], [1, 0], [-128, 1]], False)]:
         _edit_cached_doc(path, lambda doc: doc.__setitem__(
             "shell_1", np.array(rows, dtype=np.int8)))
         got = load_shell_table(lat, 1, cache)
@@ -1378,11 +1420,11 @@ def test_cached_pair_that_wraps_at_the_dtype_minimum_is_untrusted(tmp_path):
 
 
 def test_cached_shell_beyond_int64_after_narrowing_is_recomputed(tmp_path, a2):
-    # (1, -2^63) fits the int64 file but not the symmetric int64 range, so
+    # (-2^63, 1) fits the int64 file but not the symmetric int64 range, so
     # the table stores it in numpy object dtype; its norm is wrong
     cache = str(tmp_path)
     table = enumerate_shells(a2, 1)
-    upper = np.array([[0, 1], [1, -2**63]], dtype=np.int64)
+    upper = np.array([[1, 0], [-2**63, 1]], dtype=np.int64)
     _edit_cached_doc(save_shell_table(table, cache),
                      lambda doc: doc.__setitem__("shell_1", upper))
     assert load_shell_table(a2, 1, cache) is None
@@ -1429,6 +1471,31 @@ def test_shell_cache_ignores_format_one_json(tmp_path, a2):
     assert table.sizes() == {0: 1, 1: 6, 2: 0}
     assert len(list(tmp_path.glob("shells-*.npz"))) == 1
     assert load_shell_table(a2, 2, cache) is not None
+
+
+def test_shell_cache_never_trusts_the_format_three_layout(tmp_path, a2):
+    # the halves of cache format 3, lexicographically sorted with a positive
+    # first nonzero coordinate, in a file labelled format 4 at the path that
+    # format 4 reads: their norms are right, but they are not U_k
+    cache = str(tmp_path)
+    table = enumerate_shells(a2, 3)
+    path = save_shell_table(table, cache)
+
+    def lex_halves(doc):
+        assert doc["format_version"] == 4
+        for k in range(1, 4):
+            rows = [v for v in sorted(table.shell(k).tolist()) if v > [0, 0]]
+            doc[f"shell_{k}"] = np.array(rows, dtype=np.int8).reshape(-1, 2)
+
+    _edit_cached_doc(path, lex_halves)
+    assert load_shell_table(a2, 3, cache) is None
+    again = enumerate_shells(a2, 3, cache_dir=cache)
+    assert [again.shell(k).tolist() for k in range(4)] == [
+        table.shell(k).tolist() for k in range(4)]
+    with np.load(path) as doc:
+        assert all(doc[f"shell_{k}"].tolist() == table._shells[k].tolist()
+                   for k in range(4))
+    assert load_shell_table(a2, 3, cache) is not None
 
 
 def test_object_dtype_table_is_computed_but_not_cached(tmp_path, a2):
