@@ -21,7 +21,8 @@ tuple, so a shell k >= 1 enters it only through one vector of each +-v
 pair: a table stores its upper half U_k, the vectors whose last nonzero
 coordinate is positive, in colex order (coordinate n-1 most significant),
 as the shell search finds them, in one integer numpy array, and the disk
-cache stores that array in an ``.npz`` file.  Slot 0 of a histogram runs
+cache stores every shell's rows in one array of an ``.npz`` file, each row
+read back into the shell of its own norm.  Slot 0 of a histogram runs
 over one vector per orbit of a group of isometries, weighted by the orbit
 size.  On a table with roots (the vectors of norm 1) that group is W,
 generated by the reflections in them, whose orbits come from the dominant
@@ -57,7 +58,7 @@ from .errors import (
 Vector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
-SHELL_CACHE_FORMAT = 4
+SHELL_CACHE_FORMAT = 5
 
 # int64 safety margin of the pairing kernel and of the shell search
 _INT64_LIMIT = 2**62
@@ -861,26 +862,28 @@ def enumerate_shells(lattice: IntegralLattice, bound: int,
 
 # -- shell cache -------------------------------------------------------------
 #
-# One .npz file per lattice and bound holds the 0-d arrays format_version
-# and bound, the (n, n) array gram2, and one (len, n) array shell_<k> per
-# norm k <= bound, the stored shell (U_k for k >= 1) in its stored dtype.
-# The file is read without pickle, so it never holds an object array: a
-# table whose coordinates or Gram entries exceed int64 is not cached.
+# One .npz file per lattice and bound holds two arrays: ``meta``, the int64
+# array [format, bound, *gram2 in row-major order], and ``rows``, the stored
+# shells U_0 (the zero row), U_1, ..., U_bound concatenated in their stored
+# order.  No shell boundaries are stored: a row belongs to the shell of its
+# own norm, which the loader computes exactly to trust the file.  The file
+# is read without pickle, so it never holds an object array: a table whose
+# coordinates or Gram entries exceed int64 is not cached.
 
 def _cache_path(gram2: IntMatrix, bound: int, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"shells-{content_hash(gram2, bound)[:20]}.npz")
 
 
 def save_shell_table(table: ShellTable, cache_dir: str) -> str | None:
-    """Write the table's shells to the cache through a private temporary
+    """Write the table's rows to the cache through a private temporary
     file, renamed into place, so that concurrent writers never clobber or
     truncate each other's output.  Returns the path written, or None for a
     table that needs object dtype, which is never cached."""
-    doc = {"format_version": np.int64(SHELL_CACHE_FORMAT),
-           "bound": np.int64(table.bound), "gram2": table._gram2}
-    doc.update((f"shell_{k}", v) for k, v in table._shells.items())
-    if any(a.dtype == object for a in doc.values()):
+    rows = np.concatenate(list(table._shells.values()))
+    if rows.dtype == object or table._gram2.dtype == object:
         return None
+    meta = np.array([SHELL_CACHE_FORMAT, table.bound, *table._gram2.ravel().tolist()],
+                    dtype=np.int64)
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(table.lattice.gram2, table.bound, cache_dir)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".",
@@ -892,7 +895,7 @@ def save_shell_table(table: ShellTable, cache_dir: str) -> str | None:
             os.close(fd)
             raise
         with fh:
-            np.savez(fh, **doc)
+            np.savez(fh, meta=meta, rows=rows)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -901,8 +904,8 @@ def save_shell_table(table: ShellTable, cache_dir: str) -> str | None:
 
 
 def _read_npz(path: str) -> dict[str, np.ndarray] | None:
-    """Every array of an .npz file, or None when it is unreadable, is not
-    an .npz archive or holds a pickled (object) array."""
+    """Every array of an .npz file, or None when it is missing or
+    unreadable, is not an .npz archive or holds a pickled (object) array."""
     try:
         # np.load leaves a path it opened open when the archive is bad, but
         # never closes a file it is handed, so the file is closed here
@@ -916,54 +919,38 @@ def _read_npz(path: str) -> dict[str, np.ndarray] | None:
         return None
 
 
-def _is_int(a: np.ndarray, shape: tuple[int, ...]) -> bool:
-    return a.dtype in _SHELL_DTYPES and a.shape == shape
-
-
-def _trusted_shell(v: np.ndarray, k: int, gram2: np.ndarray) -> bool:
-    """Every row of v has norm k, checked over row chunks cast to their
-    exact dtype, each row's sum taken as a product with a vector of ones
-    (BLAS in float64)."""
-    dtype = _exact_dtype(v, gram2, v.T)  # the diagonal of the pairing block
-    a = gram2.astype(dtype)
-    ones = np.ones(len(gram2), dtype=dtype)
-    step = max(1, _BLOCK // len(gram2))
-    for start in range(0, len(v), step):
-        c = v[start:start + step].astype(dtype)
-        if not (((c @ a) * c) @ ones == 2 * k).all():
-            return False
-    return True
-
-
 def load_shell_table(lattice: IntegralLattice, bound: int,
                      cache_dir: str) -> ShellTable | None:
     """The cached table of the lattice up to ``bound``, or None when there is
     none or the file cannot be trusted (then the caller recomputes).
 
-    Each stored shell is checked once.  The ``ShellTable`` constructor
-    narrows it (``_narrow``), which widens an entry at the minimum of its
-    file dtype so that no negation wraps, and checks it (``_check_shell``);
-    ``_trusted_shell`` then checks the norm of every stored row."""
-    path = _cache_path(lattice.gram2, bound, cache_dir)
-    if not os.path.exists(path):
+    One exact pass of v^T gram2 v over every stored row, in row chunks cast
+    to their exact dtype and each row's sum taken as a product with a vector
+    of ones (BLAS in float64), gives the doubled norms.  They must not
+    decrease or exceed 2 * bound, and they are compared in that dtype, so a
+    row whose norm lies beyond int64 is rejected, not cast.  Each shell is
+    then the slice of rows of its norm, a view, and the ``ShellTable``
+    constructor narrows it (``_narrow``), which widens an entry at the
+    minimum of its file dtype so that no negation wraps, and checks its
+    order, its signs and the zero row (``_check_shell``)."""
+    doc = _read_npz(_cache_path(lattice.gram2, bound, cache_dir))
+    if doc is None or set(doc) != {"meta", "rows"}:
         return None
-    doc = _read_npz(path)
-    n = lattice.rank
-    names = {"format_version", "bound", "gram2"} | {f"shell_{k}" for k in range(bound + 1)}
-    if doc is None or set(doc) != names:
+    meta, rows, n = doc["meta"], doc["rows"], lattice.rank
+    want = [SHELL_CACHE_FORMAT, bound, *(x for row in lattice.gram2 for x in row)]
+    if not (meta.dtype == np.int64 and meta.tolist() == want
+            and rows.dtype in _SHELL_DTYPES and rows.shape[1:] == (n,) and len(rows)):
         return None
-    if not (_is_int(doc["format_version"], ()) and doc["format_version"] == SHELL_CACHE_FORMAT
-            and _is_int(doc["bound"], ()) and doc["bound"] == bound
-            and _is_int(doc["gram2"], (n, n))
-            and doc["gram2"].tolist() == [list(r) for r in lattice.gram2]):
+    gram2 = meta[2:].reshape(n, n)
+    dtype = _exact_dtype(rows, gram2, rows.T)  # the diagonal of the pairing block
+    a, ones = gram2.astype(dtype), np.ones(n, dtype=dtype)
+    step = max(1, _BLOCK // n)
+    chunks = (rows[start:start + step].astype(dtype) for start in range(0, len(rows), step))
+    norms = np.concatenate([((c @ a) * c) @ ones for c in chunks])
+    if (norms[1:] < norms[:-1]).any() or norms[-1] > 2 * bound:
         return None
-    shells = {k: doc[f"shell_{k}"] for k in range(bound + 1)}
-    if not all(_is_int(v, (*v.shape[:1], n)) for v in shells.values()):
-        return None
+    starts = np.searchsorted(norms, 2 * np.arange(1, bound + 1))
     try:
-        table = ShellTable(lattice, bound, shells)
+        return ShellTable(lattice, bound, dict(enumerate(np.split(rows, starts))))
     except ValueError:
         return None
-    if not all(_trusted_shell(v, k, table._gram2) for k, v in table._shells.items()):
-        return None
-    return table

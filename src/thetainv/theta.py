@@ -155,16 +155,19 @@ def spherical_theta(lattice: IntegralLattice, h: Poly, order: int, *,
     table = _table(lattice, order, shells)
     den = lcm(*(Fraction(x).denominator for row in emb for x in row))
     scaled = _int_array([[int(Fraction(x) * den) for x in row] for row in emb], n)
-    exps = list(h.terms)
-    weights = [c / Fraction(den) ** sum(e) for e, c in h.terms.items()]
+    # shell k >= 1 is summed over its stored half U_k with weight 2, as
+    # h(u) + h(-u), where the monomials of odd degree cancel; at the zero
+    # vector of shell 0 they vanish
+    exps = [e for e in h.terms if sum(e) % 2 == 0]
+    weights = [h.terms[e] / Fraction(den) ** sum(e) for e in exps]
     coeffs = []
     for k in range(order + 1):
-        v = np.asarray(table.shell(k))
+        v = table._shells[k]
         dtype = _exact_dtype(v, scaled)
         points = v.astype(dtype) @ scaled.astype(dtype)
         if dtype is np.float64:
             points = points.astype(np.int64)
-        sums = monomial_sums(points, np.ones(len(v), dtype=np.int64), exps)
+        sums = monomial_sums(points, np.full(len(v), 2 if k else 1, dtype=np.int64), exps)
         coeffs.append(sum((w * s for w, s in zip(weights, sums)), Fraction(0)))
     weight = None
     if h.is_homogeneous() and not h.is_zero():

@@ -368,8 +368,9 @@ def test_cli_recomputes_over_an_edited_shell_cache(capsys, tmp_path):
     (path,) = tmp_path.glob("shells-*.npz")
     with np.load(path) as npz:
         doc = dict(npz)
-    doc["shell_1"] = doc["shell_1"].astype(np.int64)
-    doc["shell_1"][0] *= 7
+    # row 0 is the zero vector and row 1 the first root of U_1
+    doc["rows"] = doc["rows"].astype(np.int64)
+    doc["rows"][1] *= 7
     np.savez(path, **doc)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -382,7 +383,7 @@ def test_cli_recomputes_over_an_edited_shell_cache(capsys, tmp_path):
     (path,) = set(tmp_path.glob("shells-*.npz")) - {path}
     with np.load(path) as npz:
         doc = dict(npz)
-    doc["shell_0"] = doc["shell_0"][:0]
+    doc["rows"] = doc["rows"][1:]
     np.savez(path, **doc)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -1271,10 +1271,19 @@ def test_no_cache_flag_respected(tmp_path, a2):
     assert not list(tmp_path.iterdir())
 
 
-def _edit_cached_doc(path, edit):
+def _edit_cached_doc(path, table, edit):
+    # the file's meta and its rows split into shell_<k> by the table's stored
+    # sizes; after the edit, the shell_<k> left are written back as rows,
+    # concatenated in the order the doc holds them, and no rows member when
+    # none is left
     with np.load(path) as npz:
-        doc = dict(npz)
+        doc = {"meta": npz["meta"]}
+        ends = np.cumsum([len(v) for v in table._shells.values()])[:-1]
+        doc.update((f"shell_{k}", v) for k, v in enumerate(np.split(npz["rows"], ends)))
     edit(doc)
+    shells = [doc.pop(name) for name in list(doc) if name.startswith("shell_")]
+    if shells:
+        doc["rows"] = np.concatenate(shells)
     np.savez(path, **doc)
 
 
@@ -1304,6 +1313,39 @@ def _scale_rows(name, rows):
     return edit
 
 
+def _extra_column(doc):
+    for name in [name for name in doc if name.startswith("shell_")]:
+        doc[name] = np.pad(doc[name], ((0, 0), (0, 1)))
+
+
+def _shell_3_first(doc):
+    # U_3 stored where U_1 was and U_1 where U_3 was: each shell sorted
+    # with positive last nonzero coordinates, but the norms decrease
+    doc["shell_1"], doc["shell_3"] = doc["shell_3"], doc["shell_1"]
+
+
+def _u3_row_among_roots(doc):
+    # the first row (-2, 1) of U_3 stored after the first row (1, 0) of U_1:
+    # the norms decrease, and numpy's binary search of them splits the rows
+    # into (1, 0), (-2, 1), (-1, 1), (0, 1) and (1, 1), (-1, 2), each sorted
+    # with positive last coordinates, so only the norm order rejects the file
+    u1, u3 = doc["shell_1"], doc["shell_3"]
+    doc["shell_1"] = np.concatenate([u1[:1], u3[:1], u1[1:]])
+    doc["shell_3"] = u3[1:]
+
+
+def _append_norm_4(doc):
+    # (0, 2), of norm 4 = bound + 1, after the last row (-1, 2) of U_3: still
+    # strictly increasing in colex order with a positive last coordinate
+    doc["shell_4"] = np.array([[0, 2]], dtype=np.int8)
+
+
+def _edit_meta(i, value):
+    def edit(doc):
+        doc["meta"][i] = value
+    return edit
+
+
 def _middle_pair(n):
     # the first stored row, which the whole shell holds in its middle pair,
     # -U_k[0] then U_k[0]: a norm check that began on row 1 would miss it on
@@ -1318,9 +1360,9 @@ def _last_row(n):
 
 @pytest.mark.parametrize("edit", [
     lambda doc: [doc.pop(f"shell_{k}") for k in range(4)],
-    lambda doc: doc.pop("shell_2"),
+    lambda doc: doc.pop("meta"),
     lambda doc: doc.__setitem__("shell_1", np.array([[1.5, 0]] * 6)),
-    lambda doc: doc.__setitem__("shell_1", np.array([[1, 0, 0]] * 6)),
+    _extra_column,
     _scale_first_root,
     _repeat_row,
     _drop_negation,
@@ -1328,13 +1370,23 @@ def _last_row(n):
     _scale_rows("shell_3", _middle_pair),
     _scale_rows("shell_3", _last_row),
     lambda doc: doc.__setitem__("shell_0", doc["shell_0"][:0]),
+    _shell_3_first,
+    _u3_row_among_roots,
+    _append_norm_4,
+    _edit_meta(0, 4),
+    _edit_meta(1, 4),
+    _edit_meta(3, -1),
+    lambda doc: doc.__setitem__("bound", np.int64(3)),
 ], ids=["no-shells", "missing-shell", "float", "wrong-rank", "scaled-vector",
         "repeated-row", "not-negation-closed", "scaled-middle-pair-1",
-        "scaled-middle-pair-3", "scaled-upper-row-only", "empty-shell-0"])
+        "scaled-middle-pair-3", "scaled-upper-row-only", "empty-shell-0",
+        "norms-decrease", "norms-decrease-in-sorted-slices", "norm-above-bound",
+        "wrong-format", "wrong-bound", "wrong-gram2", "extra-member"])
 def test_shell_cache_rejects_untrustworthy_content(tmp_path, a2, edit):
+    # "no-shells" leaves no rows member and "missing-shell" no meta member
     cache = str(tmp_path)
     table = enumerate_shells(a2, 3, cache_dir=cache)
-    _edit_cached_doc(save_shell_table(table, cache), edit)
+    _edit_cached_doc(save_shell_table(table, cache), table, edit)
     assert load_shell_table(a2, 3, cache) is None
     again = enumerate_shells(a2, 3, cache_dir=cache)
     assert ([again.shell(k).tolist() for k in range(4)]
@@ -1345,16 +1397,17 @@ def test_shell_cache_rejects_untrustworthy_content(tmp_path, a2, edit):
 def test_cache_load_checks_the_norms_of_the_upper_halves_only(tmp_path, e8, monkeypatch):
     cache = str(tmp_path)
     save_shell_table(enumerate_shells(e8, 3), cache)
-    trusted, seen = lattice_module._trusted_shell, []
+    exact, seen = lattice_module._exact_dtype, []
 
-    def record(v, k, gram2):
-        seen.append(len(v))
-        return trusted(v, k, gram2)
+    def record(*factors):
+        seen.append(factors[0].shape)
+        return exact(*factors)
 
-    monkeypatch.setattr(lattice_module, "_trusted_shell", record)
+    # the norm pass takes the exact dtype of v^T gram2 v once, for all rows:
+    # 1 + 120 + 1080 + 3360, the zero row and U_1, U_2, U_3
+    monkeypatch.setattr(lattice_module, "_exact_dtype", record)
     assert load_shell_table(e8, 3, cache) is not None
-    assert seen == [1, 120, 1080, 3360]
-    assert sum(seen) == 4561
+    assert seen == [(4561, 8)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1379,15 +1432,15 @@ def test_shell_cache_round_trip_and_scaled_pairs_on_random_lattices(args, seed, 
             assert again.shell(k).tolist() == table.shell(k).tolist()
         k = data.draw(st.sampled_from([k for k in range(1, bound + 1) if table.sizes()[k]]))
         i = data.draw(st.integers(0, table.sizes()[k] // 2 - 1))
-        _edit_cached_doc(path, _scale_rows(f"shell_{k}", lambda _: [i]))
+        _edit_cached_doc(path, table, _scale_rows(f"shell_{k}", lambda _: [i]))
         assert load_shell_table(lat, bound, cache) is None
 
 
-def test_cached_shell_at_its_dtype_minimum_is_untrusted():
-    # -(-128) wraps to -128 in int8, so [[-128]] would pass the norm check as
-    # the norm-16384 shell of Z (gram2 [[2]]); it is stored widened, where
-    # its last nonzero coordinate is seen to be negative
-    gram2 = np.array([[2]])
+def test_cached_shell_at_its_dtype_minimum_is_untrusted(tmp_path):
+    # -(-128) wraps to -128 in int8, so a row -128 has the right norm for
+    # the upper half of the norm-16384 shell of Z (gram2 [[2]]); it is
+    # stored widened, where its last nonzero coordinate is seen to be
+    # negative
     check = lattice_module._check_shell
     stored = lattice_module._as_shell(np.array([[-128]], dtype=np.int8), 1)
     assert stored.dtype == np.int16
@@ -1395,7 +1448,18 @@ def test_cached_shell_at_its_dtype_minimum_is_untrusted():
         check(16384, stored)
     upper = lattice_module._as_shell(np.array([[128]], dtype=np.int16), 1)
     check(16384, upper)
-    assert lattice_module._trusted_shell(upper, 16384, gram2)
+    # the same through the cache: the rows 0..128 of Z load, and the rows
+    # 0..127, -128 in int8 pass the norm pass but not the constructor
+    z, cache = validate_lattice([[2]]), str(tmp_path)
+    table = enumerate_shells(z, 16384)
+    path = save_shell_table(table, cache)
+    with np.load(path) as doc:
+        meta, rows = doc["meta"], doc["rows"]
+    assert rows.dtype == np.int16 and rows.ravel().tolist() == list(range(129))
+    assert load_shell_table(z, 16384, cache).shell(16384).tolist() == [[-128], [128]]
+    wrapped = np.array([*range(128), -128], dtype=np.int8).reshape(-1, 1)
+    np.savez(path, meta=meta, rows=wrapped)
+    assert load_shell_table(z, 16384, cache) is None
 
 
 def test_cached_pair_that_wraps_at_the_dtype_minimum_is_untrusted(tmp_path):
@@ -1411,7 +1475,7 @@ def test_cached_pair_that_wraps_at_the_dtype_minimum_is_untrusted(tmp_path):
     path = save_shell_table(table, cache)
     for rows, trusted in [([[1, 0], [-128, 1]], True),
                           ([[-128, -1], [1, 0], [-128, 1]], False)]:
-        _edit_cached_doc(path, lambda doc: doc.__setitem__(
+        _edit_cached_doc(path, table, lambda doc: doc.__setitem__(
             "shell_1", np.array(rows, dtype=np.int8)))
         got = load_shell_table(lat, 1, cache)
         assert (got is not None) == trusted
@@ -1420,13 +1484,16 @@ def test_cached_pair_that_wraps_at_the_dtype_minimum_is_untrusted(tmp_path):
 
 
 def test_cached_shell_beyond_int64_after_narrowing_is_recomputed(tmp_path, a2):
-    # (-2^63, 1) fits the int64 file but not the symmetric int64 range, so
-    # the table stores it in numpy object dtype; its norm is wrong
+    # (-2^63, 1) fits the int64 file but not the symmetric int64 range, and
+    # its norm lies beyond int64: the norm pass runs in numpy object dtype
+    # and rejects it, with no OverflowError from a cast
     cache = str(tmp_path)
     table = enumerate_shells(a2, 1)
     upper = np.array([[1, 0], [-2**63, 1]], dtype=np.int64)
-    _edit_cached_doc(save_shell_table(table, cache),
-                     lambda doc: doc.__setitem__("shell_1", upper))
+    path = save_shell_table(table, cache)
+    _edit_cached_doc(path, table, lambda doc: doc.__setitem__("shell_1", upper))
+    with np.load(path) as doc:
+        assert doc["rows"].tolist() == [[0, 0], [1, 0], [-2**63, 1]]
     assert load_shell_table(a2, 1, cache) is None
     assert enumerate_shells(a2, 1, cache_dir=cache).shell(1).tolist() == (
         table.shell(1).tolist())
@@ -1448,13 +1515,17 @@ class _UnpickleAlarm:
 
 def test_shell_cache_never_unpickles(tmp_path, a2):
     cache = str(tmp_path)
-    path = save_shell_table(enumerate_shells(a2, 3), cache)
+    table = enumerate_shells(a2, 3)
+    path = save_shell_table(table, cache)
     alarm = np.empty((6, 2), dtype=object)
     alarm[:] = _UnpickleAlarm()
     pickle.loads(pickle.dumps(alarm))  # the alarm works
     assert _UNPICKLED
     _UNPICKLED.clear()
-    _edit_cached_doc(path, lambda doc: doc.__setitem__("shell_1", alarm))
+    # the rows member is then an object array of ints and alarms, pickled
+    _edit_cached_doc(path, table, lambda doc: doc.__setitem__("shell_1", alarm))
+    with np.load(path) as doc:
+        assert doc.files == ["meta", "rows"]
     assert load_shell_table(a2, 3, cache) is None
     assert enumerate_shells(a2, 3, cache_dir=cache).sizes()[1] == 6
     assert _UNPICKLED == []
@@ -1475,27 +1546,35 @@ def test_shell_cache_ignores_format_one_json(tmp_path, a2):
 
 def test_shell_cache_never_trusts_the_format_three_layout(tmp_path, a2):
     # the halves of cache format 3, lexicographically sorted with a positive
-    # first nonzero coordinate, in a file labelled format 4 at the path that
-    # format 4 reads: their norms are right, but they are not U_k
+    # first nonzero coordinate, in a format-5 file at the path that format 5
+    # reads: their norms are right, but they are not U_k.  A format-4 file,
+    # one member per shell, holding the right U_k at that path is not read
+    # either
     cache = str(tmp_path)
     table = enumerate_shells(a2, 3)
     path = save_shell_table(table, cache)
+    stored = np.concatenate(list(table._shells.values())).tolist()
 
     def lex_halves(doc):
-        assert doc["format_version"] == 4
+        assert doc["meta"][0] == 5
         for k in range(1, 4):
             rows = [v for v in sorted(table.shell(k).tolist()) if v > [0, 0]]
             doc[f"shell_{k}"] = np.array(rows, dtype=np.int8).reshape(-1, 2)
 
-    _edit_cached_doc(path, lex_halves)
-    assert load_shell_table(a2, 3, cache) is None
-    again = enumerate_shells(a2, 3, cache_dir=cache)
-    assert [again.shell(k).tolist() for k in range(4)] == [
-        table.shell(k).tolist() for k in range(4)]
-    with np.load(path) as doc:
-        assert all(doc[f"shell_{k}"].tolist() == table._shells[k].tolist()
-                   for k in range(4))
-    assert load_shell_table(a2, 3, cache) is not None
+    def format_four(path):
+        np.savez(path, format_version=np.int64(4), bound=np.int64(3),
+                 gram2=np.array(a2.gram2, dtype=np.int64),
+                 **{f"shell_{k}": v for k, v in table._shells.items()})
+
+    for edit in (lambda path: _edit_cached_doc(path, table, lex_halves), format_four):
+        edit(path)
+        assert load_shell_table(a2, 3, cache) is None
+        again = enumerate_shells(a2, 3, cache_dir=cache)
+        assert [again.shell(k).tolist() for k in range(4)] == [
+            table.shell(k).tolist() for k in range(4)]
+        with np.load(path) as doc:
+            assert doc.files == ["meta", "rows"] and doc["rows"].tolist() == stored
+        assert load_shell_table(a2, 3, cache) is not None
 
 
 def test_object_dtype_table_is_computed_but_not_cached(tmp_path, a2):
