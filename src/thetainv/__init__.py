@@ -21,7 +21,6 @@ from .errors import (
     UnsupportedWeightError,
 )
 from .harmonic import (
-    HarmonicProjector,
     Poly,
     binomial_delta,
     binomial_telescope,

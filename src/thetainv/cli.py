@@ -97,7 +97,8 @@ def _render(series: QSeries, lattice: IntegralLattice,
 def cmd_compute(args) -> int:
     lattice = get_lattice(args.lattice)
     request = _request(args, args.degrees)
-    series = compute(lattice, request, cache_dir=_resolve_cache(args))
+    shells = enumerate_shells(lattice, request.order, cache_dir=_resolve_cache(args))
+    series = compute(lattice, request, shells=shells)
     print(_render(series, lattice, request, args.format, args.decimal))
     return 0
 

@@ -1,5 +1,8 @@
 """Multivariate polynomials over Q with the differential pairing and the
-harmonic projection machinery.
+harmonic projection: ``projector_coeffs`` is the tuple of closed-form
+coefficients c_k of the projector sum_k c_k r^{2k} Laplacian^k, which the
+theta reductions read directly, and ``harmonic_project`` applies it to a
+homogeneous polynomial.
 
 Conventions in force throughout the package:
 
@@ -13,7 +16,6 @@ Conventions in force throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
@@ -203,38 +205,10 @@ def radial_eigenvalue(n: int, k: int, d: int, m: int) -> int:
     return prod((2 * l - 2 * d) * (n - 2 + 2 * d - 2 * l + 2 * m) for l in range(k))
 
 
-@dataclass(frozen=True)
-class HarmonicProjector:
-    """Coefficients c_k of the projection sum_k c_k r^{2k} Laplacian^k on
-    homogeneous polynomials of the stated degree."""
-
-    rank: int
-    degree: int
-    coeffs: tuple[Fraction, ...]
-
-    def apply(self, f: Poly) -> Poly:
-        if f.rank != self.rank:
-            raise RankMismatchError("projector rank does not match polynomial")
-        if f.is_zero():
-            return f
-        if not f.is_homogeneous() or f.degree() != self.degree:
-            raise NotHomogeneousError(
-                f"projector expects a homogeneous polynomial of degree {self.degree}")
-        r2 = radius_squared(self.rank)
-        out = Poly.zero(self.rank)
-        g = f
-        r2k = Poly.constant(self.rank, 1)
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                g = laplacian(g)
-                r2k = r2k * r2
-            if not g.is_zero():
-                out = out + (r2k * g).scale(c)
-        return out
-
-
-def projector_coeffs(n: int, m: int) -> HarmonicProjector:
-    """Closed-form coefficients 1 / (2^k k! prod_{l<k} (n + 2m - 4 - 2l))."""
+def projector_coeffs(n: int, m: int) -> tuple[Fraction, ...]:
+    """Coefficients c_k of the projection sum_k c_k r^{2k} Laplacian^k onto
+    the degree-m harmonics in n variables, in closed form
+    1 / (2^k k! prod_{l<k} (n + 2m - 4 - 2l))."""
     coeffs = []
     for k in range(m // 2 + 1):
         den = 2**k * factorial(k)
@@ -244,7 +218,7 @@ def projector_coeffs(n: int, m: int) -> HarmonicProjector:
                 raise SingularProjectorError(n, m, l)
             den *= factor
         coeffs.append(Fraction(1, den))
-    return HarmonicProjector(n, m, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def harmonic_project(f: Poly) -> Poly:
@@ -254,7 +228,17 @@ def harmonic_project(f: Poly) -> Poly:
         return f
     if not f.is_homogeneous():
         raise NotHomogeneousError("harmonic projection needs a homogeneous input")
-    return projector_coeffs(f.rank, f.degree()).apply(f)
+    r2 = radius_squared(f.rank)
+    out = Poly.zero(f.rank)
+    g = f
+    r2k = Poly.constant(f.rank, 1)
+    for k, c in enumerate(projector_coeffs(f.rank, f.degree())):
+        if k > 0:
+            g = laplacian(g)
+            r2k = r2k * r2
+        if not g.is_zero():
+            out = out + (r2k * g).scale(c)
+    return out
 
 
 def harmonic_dimension(n: int, m: int) -> int:

@@ -593,30 +593,29 @@ class ShellTable:
 
     # -- the pairing kernel ------------------------------------------------
 
-    def pairings(self, k1: int, k2: int, rows: slice | np.ndarray = slice(None),
-                 cols: slice | np.ndarray = slice(None)) -> Iterator[np.ndarray]:
+    def pairings(self, k1: int, k2: int,
+                 rows: slice | np.ndarray = slice(None)) -> Iterator[np.ndarray]:
         """Exact blocks of v^T A w for v in ``rows`` of U_k1 (block rows)
-        and w in consecutive chunks of ``cols`` of U_k2 (block columns),
-        A = gram2; ``rows`` and ``cols`` are slices or arrays of row indices.
+        and w in consecutive chunks of U_k2 (block columns), A = gram2;
+        ``rows`` is a slice or an array of row indices.
 
         A block has at most about _BLOCK entries.  Its dtype is the one
         ``_exact_dtype`` proves exact: float64 (BLAS) or int64, holding
         integers either way, or numpy object.  The rows and each chunk of
-        ``cols`` are cast to it as they are needed, never a whole shell.
-        Empty ``cols`` give one block without columns.
+        U_k2 are cast to it as they are needed, never a whole shell.
+        An empty U_k2 gives one block without columns.
         """
-        v, w = self._shells[k1][rows], self._shells[k2][cols]
+        v, w = self._shells[k1][rows], self._shells[k2]
         dtype = _exact_dtype(v, self._gram2, w.T)
         va = v.astype(dtype) @ self._gram2.astype(dtype)
         step = max(1, _BLOCK // max(len(v), 1))
         for start in range(0, len(w) or 1, step):
             yield va @ w[start:start + step].T.astype(dtype)
 
-    def _pair_matrix(self, k1: int, k2: int, rows: slice | np.ndarray,
-                     cols: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """The pairings of ``rows`` of U_k1 with ``cols`` of U_k2 as one
-        int64 matrix, range-checked by ``_checked``."""
-        return np.concatenate(list(_checked(self.pairings(k1, k2, rows, cols), k1, k2)),
+    def _pair_matrix(self, k1: int, k2: int, rows: slice | np.ndarray) -> np.ndarray:
+        """The pairings of ``rows`` of U_k1 with all of U_k2 as one int64
+        matrix, range-checked by ``_checked``."""
+        return np.concatenate(list(_checked(self.pairings(k1, k2, rows), k1, k2)),
                               axis=1)
 
     # -- orbits of slot 0 ----------------------------------------------------

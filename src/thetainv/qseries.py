@@ -1,15 +1,17 @@
 """Truncated q-expansions with exact rational coefficients.
 
-A QSeries stores the coefficients of q^0 .. q^K for an explicit truncation
-order K, together with optional modular-form metadata (weight, level).
-Arithmetic never invents coefficients beyond the truncation: combining
-series of different orders truncates to the smaller one.
+A QSeries is an explicit truncation order K and the coefficients of
+q^0 .. q^K, nothing more: the weight, level and character of an invariant
+belong to its lattice and degree list, and come from
+``theta.invariant_metadata``.  Arithmetic never invents coefficients beyond
+the truncation: combining series of different orders truncates to the
+smaller one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 from typing import Sequence
 
 from .errors import UnsupportedWeightError
@@ -21,30 +23,18 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 class QSeries:
     """Power series in q truncated at an explicit order, coefficients in Q."""
 
-    __slots__ = ("order", "coeffs", "weight", "level")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(
-        self,
-        order: int,
-        coeffs: Sequence[Rational],
-        weight: Rational | None = None,
-        level: int | None = None,
-    ):
+    def __init__(self, order: int, coeffs: Sequence[Rational]):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         if len(coeffs) != order + 1:
             raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
         self.order = order
         self.coeffs: tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
-        self.weight = None if weight is None else Fraction(weight)
-        self.level = level
 
     @classmethod
     def zero(cls, order: int) -> QSeries:
@@ -62,28 +52,21 @@ class QSeries:
     def truncate(self, order: int) -> QSeries:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(order, self.coeffs[: order + 1], self.weight, self.level)
+        return QSeries(order, self.coeffs[: order + 1])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _meta_add(self, other: QSeries) -> tuple[Fraction | None, int | None]:
-        w = self.weight if self.weight == other.weight else None
-        lv = self.level if self.level == other.level else None
-        return w, lv
-
     def __add__(self, other: QSeries) -> QSeries:
         K = min(self.order, other.order)
-        w, lv = self._meta_add(other)
-        return QSeries(K, [self.coeffs[k] + other.coeffs[k] for k in range(K + 1)], w, lv)
+        return QSeries(K, [self.coeffs[k] + other.coeffs[k] for k in range(K + 1)])
 
     def __sub__(self, other: QSeries) -> QSeries:
         K = min(self.order, other.order)
-        w, lv = self._meta_add(other)
-        return QSeries(K, [self.coeffs[k] - other.coeffs[k] for k in range(K + 1)], w, lv)
+        return QSeries(K, [self.coeffs[k] - other.coeffs[k] for k in range(K + 1)])
 
     def __neg__(self) -> QSeries:
-        return QSeries(self.order, [-c for c in self.coeffs], self.weight, self.level)
+        return QSeries(self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
@@ -96,13 +79,7 @@ class QSeries:
                     b = other.coeffs[j]
                     if b:
                         out[i + j] += a * b
-            w = None
-            if self.weight is not None and other.weight is not None:
-                w = self.weight + other.weight
-            lv = None
-            if self.level is not None and other.level is not None:
-                lv = lcm(self.level, other.level)
-            return QSeries(K, out, w, lv)
+            return QSeries(K, out)
         return self.scale(other)
 
     def __rmul__(self, other) -> QSeries:
@@ -110,7 +87,7 @@ class QSeries:
 
     def scale(self, c: Rational) -> QSeries:
         c = Fraction(c)
-        return QSeries(self.order, [c * a for a in self.coeffs], self.weight, self.level)
+        return QSeries(self.order, [c * a for a in self.coeffs])
 
     def __pow__(self, e: int) -> QSeries:
         if e < 0:
@@ -124,7 +101,6 @@ class QSeries:
             e >>= 1
         return out
 
-    # Equality compares the numerical content only, not metadata.
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -147,18 +123,7 @@ class QSeries:
         return f"QSeries[K={self.order}]({body})"
 
     def to_json_dict(self) -> dict:
-        d = {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
-        if self.weight is not None:
-            d["weight"] = format_rational(self.weight)
-        if self.level is not None:
-            d["level"] = self.level
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> QSeries:
-        weight = parse_rational(d["weight"]) if "weight" in d else None
-        return cls(d["order"], [parse_rational(c) for c in d["coeffs"]],
-                   weight=weight, level=d.get("level"))
+        return {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
 
 
 def sigma(k: int, n: int) -> int:
@@ -190,7 +155,7 @@ def eisenstein(weight: int, order: int) -> QSeries:
         raise UnsupportedWeightError(f"no Eisenstein series for weight {weight}")
     coeffs = [_EISENSTEIN_CONSTANTS[weight]]
     coeffs += [Fraction(sigma(weight - 1, n)) for n in range(1, order + 1)]
-    return QSeries(order, coeffs, weight=weight, level=1)
+    return QSeries(order, coeffs)
 
 
 def delta_series(order: int) -> QSeries:
@@ -208,4 +173,4 @@ def delta_series(order: int) -> QSeries:
                     out[i + shift] += f[i] * b
         f = out
     coeffs = [Fraction(0)] + f[:K]
-    return QSeries(K, coeffs, weight=12, level=1)
+    return QSeries(K, coeffs)

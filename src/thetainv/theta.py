@@ -28,6 +28,10 @@ coefficient, never one per cell, bucket or vector.  The integer totals are
 the paper's scaled series: pair_scale(n, m) times the pair series, 8/n times
 the triple series, and the general series times the composition denominator
 of its degree list.
+
+Every route returns a QSeries, that is a truncation order and coefficients.
+The weight, level and character belong to the invariant, its lattice and
+degree list, and come from invariant_metadata alone.
 """
 
 from __future__ import annotations
@@ -69,14 +73,6 @@ def _table(lattice: IntegralLattice, order: int,
     return enumerate_shells(lattice, order)
 
 
-def _invariant(lattice: IntegralLattice, degrees: Sequence[int],
-               coeffs: Sequence[Fraction]) -> QSeries:
-    """The series of the degree-list invariant with these coefficients."""
-    meta = invariant_metadata(lattice, degrees)
-    return QSeries(len(coeffs) - 1, coeffs, weight=meta["weight"],
-                   level=meta["level"])
-
-
 def _cells(sizes: Mapping[int, int], order: int, degrees: Sequence[int]):
     """(k, comp, mult) for each composition comp of k <= order into nonempty
     shells, one per slot, with comp non-decreasing within each run of equal
@@ -97,7 +93,7 @@ def theta_series(lattice: IntegralLattice, order: int, *,
                  shells: ShellTable | None = None) -> QSeries:
     """Vector counts by norm: coefficient of q^k is the size of shell k."""
     sizes = _table(lattice, order, shells).sizes()
-    return _invariant(lattice, (0,), [Fraction(sizes[k]) for k in range(order + 1)])
+    return QSeries(order, [sizes[k] for k in range(order + 1)])
 
 
 # -- spherical theta series ----------------------------------------------
@@ -143,6 +139,8 @@ def spherical_theta(lattice: IntegralLattice, h: Poly, order: int, *,
     denominators, so that each shell's coordinates P_v = D x_v are integer
     rows; each monomial x^alpha of h is then summed over a shell as the
     integer power sum of P_v^alpha, divided by D^|alpha| once.
+    The series is modular of weight deg h + n/2 when h is harmonic; for
+    other h it need not be modular at all, so no weight is attached.
     """
     if h.rank != lattice.rank:
         raise RankMismatchError("polynomial rank does not match the lattice")
@@ -169,10 +167,7 @@ def spherical_theta(lattice: IntegralLattice, h: Poly, order: int, *,
             points = points.astype(np.int64)
         sums = monomial_sums(points, np.full(len(v), 2 if k else 1, dtype=np.int64), exps)
         coeffs.append(sum((w * s for w, s in zip(weights, sums)), Fraction(0)))
-    weight = None
-    if h.is_homogeneous() and not h.is_zero():
-        weight = Fraction(h.degree()) + Fraction(n, 2)
-    return QSeries(order, coeffs, weight=weight, level=lattice.level())
+    return QSeries(order, coeffs)
 
 
 # -- pair invariant --------------------------------------------------------
@@ -235,7 +230,7 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
         totals[k] += mult * sum(s * (k1 * k2) ** j * p[m - j]
                                 for j, s in enumerate(scaled))
     scale = pair_scale(n, m)
-    return _invariant(lattice, (m, m), [Fraction(t, scale) for t in totals])
+    return QSeries(order, [Fraction(t, scale) for t in totals])
 
 
 def _even_power_sums(hist: Mapping[int, int], m: int) -> list[int]:
@@ -305,7 +300,7 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
     for k, comp, mult in _cells(sizes, order, (1, 1, 1)):
         if all(c in p for c in comp):
             totals[k] += mult * cell(*comp)
-    return _invariant(lattice, (1, 1, 1), [Fraction(n * t, 8) for t in totals])
+    return QSeries(order, [Fraction(n * t, 8) for t in totals])
 
 
 # -- general invariant ------------------------------------------------------
@@ -423,7 +418,7 @@ def _composition_table(n: int, degrees: tuple[int, ...]
     monomial coefficient absorbs a power of two.  The norms stay symbolic,
     so the Fraction work is done once per degree list, not per composition.
     """
-    slots = [[Fraction((-1) ** j) * projector_coeffs(n, 2 * m).coeffs[j]
+    slots = [[Fraction((-1) ** j) * projector_coeffs(n, 2 * m)[j]
               / factorial(2 * m - 2 * j) for j in range(m + 1)] for m in degrees]
     terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for js in product(*(range(m + 1) for m in degrees)):
@@ -502,22 +497,18 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
 
     scale = _scale(n, degrees, request.normalization)
     den, _ = _composition_table(n, degrees)
-    return _invariant(lattice, degrees, [Fraction(scale * t, den) for t in totals])
+    return QSeries(order, [Fraction(scale * t, den) for t in totals])
 
 
 def compute(lattice: IntegralLattice, request: InvariantRequest, *,
-            shells: ShellTable | None = None,
-            cache_dir: str | None = None) -> QSeries:
+            shells: ShellTable | None = None) -> QSeries:
     """The invariant a request names, through the route its degrees choose
     (_route): vector counts for (0,), pair histograms for (m, m), the triple
     contraction for (1, 1, 1) and the general reduction otherwise.  The
     normalization only rescales (_scale); max_tuples bounds the last route.
-
-    Without ``shells`` the table is enumerated, through the shell cache in
-    ``cache_dir`` when one is given.
+    Without ``shells`` the route enumerates the table, with no shell cache;
+    ``enumerate_shells`` with a ``cache_dir`` gives a cached one to pass.
     """
-    if shells is None:
-        shells = enumerate_shells(lattice, request.order, cache_dir=cache_dir)
     degrees, order, route = request.degrees, request.order, _route(request.degrees)
     if degrees == (0,):
         return theta_series(lattice, order, shells=shells)
@@ -544,7 +535,8 @@ def first_non_integral(series: QSeries, scale: int | Fraction
 
 
 def invariant_metadata(lattice: IntegralLattice, degrees: Sequence[int]) -> dict:
-    """Weight, level and character flag attached to a computed invariant.
+    """Weight, level and character of the degree-list invariant on this
+    lattice, the one place that decides them: a series holds none.
 
     For an odd number k of degrees and even rank n the character is the
     Kronecker symbol of (-1)^(n/2) det(gram2) (Miyake, Modular Forms,

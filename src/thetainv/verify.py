@@ -292,7 +292,7 @@ def check_combinatorial_lemmas() -> list[CheckResult]:
     for n in range(1, 13):
         for d in range(1, 7):
             for m in range(2 * d, 2 * d + 7):
-                rk = projector_coeffs(n, m).coeffs
+                rk = projector_coeffs(n, m)
                 total = Fraction(0)
                 for kk in range(d + 1):
                     f = Fraction(1)
@@ -376,16 +376,16 @@ def check_projectors(seed: int) -> list[CheckResult]:
 
     bad = []
     for n in range(2, 9):
-        if projector_coeffs(n, 2).coeffs != (Fraction(1), Fraction(1, 2 * n)):
+        if projector_coeffs(n, 2) != (Fraction(1), Fraction(1, 2 * n)):
             bad.append(f"n={n} m=2")
         want4 = (Fraction(1), Fraction(1, 2 * (n + 4)),
                  Fraction(1, 8 * (n + 2) * (n + 4)))
-        if projector_coeffs(n, 4).coeffs != want4:
+        if projector_coeffs(n, 4) != want4:
             bad.append(f"n={n} m=4")
         want6 = (Fraction(1), Fraction(1, 2 * (n + 8)),
                  Fraction(1, 8 * (n + 6) * (n + 8)),
                  Fraction(1, 48 * (n + 4) * (n + 6) * (n + 8)))
-        if projector_coeffs(n, 6).coeffs != want6:
+        if projector_coeffs(n, 6) != want6:
             bad.append(f"n={n} m=6")
     results.append(CheckResult(
         "projector-closed-forms", not bad,

@@ -233,7 +233,7 @@ def composition_poly(n, degrees, norms) -> dict[tuple[int, ...], Fraction]:
     (x . v)^{2m_l - 2j}; the product is averaged with _moment_patterns, the
     diagonal s_aa are the norms and s_ab = t_ab / 2.
     """
-    slots = [[Fraction((-1) ** j) * projector_coeffs(n, 2 * m).coeffs[j]
+    slots = [[Fraction((-1) ** j) * projector_coeffs(n, 2 * m)[j]
               * Fraction(a) ** j / factorial(2 * m - 2 * j) for j in range(m + 1)]
              for m, a in zip(degrees, norms)]
     poly = {}

@@ -150,6 +150,26 @@ def test_cli_compute_json_deterministic(capsys):
     assert len(doc["coeffs"]) == 4
 
 
+@pytest.mark.parametrize("lattice, degrees, order, want", [
+    # odd rank: weight 3/2 and the character of det(gram2) = 8
+    ("z3", "0", 2, {"character": "kronecker(8|.)", "coeffs": ["1", "6", "12"],
+                    "invariant": [0], "lattice": "z3", "level": 4,
+                    "normalization": "general", "order": 2, "weight": "3/2"}),
+    # an even number of degrees: no character key
+    ("e8", "4,4", 3, {"coeffs": ["0", "0", "3/896", "-9/56"],
+                      "invariant": [4, 4], "lattice": "e8", "level": 1,
+                      "normalization": "pair", "order": 3, "weight": "24"}),
+])
+def test_cli_compute_json_document(capsys, lattice, degrees, order, want):
+    # every key and value of the document, so that no field appears, goes
+    # or changes unnoticed
+    code, out, _ = run_cli(capsys, "compute", "--lattice", lattice,
+                           "--degrees", degrees, "--order", str(order),
+                           "--format", "json", "--no-cache")
+    assert code == 0
+    assert json.loads(out) == want
+
+
 def test_cli_compute_decimal_labeled(capsys):
     code, out, _ = run_cli(capsys, "compute", "--lattice", "e8",
                            "--degrees", "4,4", "--order", "2",

@@ -132,10 +132,10 @@ def test_radial_eigenvalue_matches_operator(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_projector_closed_forms(n):
-    assert projector_coeffs(n, 2).coeffs == (Fraction(1), Fraction(1, 2 * n))
-    assert projector_coeffs(n, 4).coeffs == (
+    assert projector_coeffs(n, 2) == (Fraction(1), Fraction(1, 2 * n))
+    assert projector_coeffs(n, 4) == (
         Fraction(1), Fraction(1, 2 * (n + 4)), Fraction(1, 8 * (n + 2) * (n + 4)))
-    assert projector_coeffs(n, 6).coeffs == (
+    assert projector_coeffs(n, 6) == (
         Fraction(1), Fraction(1, 2 * (n + 8)), Fraction(1, 8 * (n + 6) * (n + 8)),
         Fraction(1, 48 * (n + 4) * (n + 6) * (n + 8)))
 
@@ -145,7 +145,7 @@ def test_projector_defined_and_satisfies_recurrence(n):
     # closed form must solve the defining recurrence
     # c_d = -(1/b(d,d,m-2d)) sum_{k<d} c_k b(k,d,m-2d) for every even degree
     for m in range(0, 19, 2):
-        coeffs = projector_coeffs(n, m).coeffs
+        coeffs = projector_coeffs(n, m)
         for d in range(1, m // 2 + 1):
             acc = sum((coeffs[k] * radial_eigenvalue(n, k, d, m - 2 * d)
                        for k in range(d)), Fraction(0))

@@ -18,7 +18,7 @@ from thetainv.errors import (
     NoRationalEmbeddingError,
     ResourceLimitError,
 )
-from thetainv.harmonic import Poly, harmonic_project, pair_poly
+from thetainv.harmonic import Poly, harmonic_project, laplacian, pair_poly
 from thetainv.lattice import change_basis, enumerate_shells, random_unimodular, validate_lattice
 from thetainv.qseries import QSeries
 from thetainv.theta import (
@@ -53,14 +53,16 @@ def z(n):
 def test_theta_z1():
     s = theta_series(z(1), 4)
     assert s.coeffs == (1, 2, 0, 0, 2)
-    assert s.weight == Fraction(1, 2)
-    assert s.level == 4
+    meta = invariant_metadata(z(1), (0,))
+    assert meta["weight"] == Fraction(1, 2)
+    assert meta["level"] == 4
 
 
 def test_theta_e8(e8, e8_shells6):
     s = theta_series(e8, 2, shells=e8_shells6)
     assert s.coeffs == (1, 240, 2160)
-    assert s.weight == 4 and s.level == 1
+    meta = invariant_metadata(e8, (0,))
+    assert meta["weight"] == 4 and meta["level"] == 1
 
 
 def test_theta_a2_brute(a2):
@@ -152,9 +154,10 @@ def test_e8_spherical_theta_of_degree_two_harmonics_vanishes(e8, e8_shells6):
     h1 = harmonic_project(Poly.monomial(8, (2, 0, 0, 0, 0, 0, 0, 0)))
     h2 = Poly.monomial(8, (1, 1, 0, 0, 0, 0, 0, 0))
     for h in (h1, h2):
+        # h is harmonic, so the series is a modular form of weight 2 + 8/2
+        assert laplacian(h).is_zero()
         s = spherical_theta(e8, h, 3, embedding=emb, shells=e8_shells6)
         assert s.is_zero()
-        assert s.weight == Fraction(2) + Fraction(8, 2)
 
 
 # -- pair terms -------------------------------------------------------------------
@@ -219,7 +222,8 @@ def test_pair_z1_degree_one_vanishes():
 def test_pair_e8_q2(e8, e8_shells6):
     s = theta_pair(e8, 4, 2, shells=e8_shells6)
     assert s.coeff(2) == Fraction(3, 896)
-    assert s.weight == 4 * 4 + 8 and s.level == 1
+    meta = invariant_metadata(e8, (4, 4))
+    assert meta["weight"] == 4 * 4 + 8 and meta["level"] == 1
 
 
 def test_pair_vanishing_threshold(skew3, diag246):
@@ -379,7 +383,7 @@ def test_triple_asymmetric_lattices_nonzero(diag246, skew3):
     assert list(got246.coeffs) == _triple_brute(diag246, 4) == [0, 0, 0, 48, -144]
     got3 = theta_triple(skew3, 4)
     assert list(got3.coeffs) == _triple_brute(skew3, 4) == [0, 0, 0, 48, -180]
-    assert got3.weight == Fraction(3 * 3 + 12, 2)
+    assert invariant_metadata(skew3, (1, 1, 1))["weight"] == Fraction(3 * 3 + 12, 2)
 
 
 def test_triple_equals_general_route_across_bases(skew2, skew3, diag246):
@@ -605,7 +609,9 @@ def test_compute_is_the_route_with_metadata(request, monkeypatch, name, degrees,
                                             normalization, reference):
     # compute takes the route of the degrees; its value equals the reference
     # route called directly, so a (1,1), (2,2) or (1,1,1) "general" request
-    # read through the pair or triple route equals the general reduction
+    # read through the pair or triple route equals the general reduction;
+    # the series is coefficients only, and its weight, level and character
+    # come from invariant_metadata, which is tested on its own below
     lat = request.getfixturevalue(name)
     order = 3
     route = _TAKEN[degrees]
@@ -617,21 +623,22 @@ def test_compute_is_the_route_with_metadata(request, monkeypatch, name, degrees,
         monkeypatch.setattr(thetamod, other, wrong_route)
     got = compute(lat, InvariantRequest(degrees, order, normalization))
     assert got == _route(reference, lat, degrees, order)
-    meta = invariant_metadata(lat, degrees)
-    assert got.weight == meta["weight"] and got.level == meta["level"]
     assert compute_invariant(lat, degrees, order, normalization) == got
 
 
 def test_compute_writes_and_reuses_one_cache_file(tmp_path, skew2, monkeypatch):
     req = InvariantRequest((1, 1), 4, "auto")
-    first = compute(skew2, req, cache_dir=str(tmp_path))
+
+    def cached():
+        return enumerate_shells(skew2, req.order, cache_dir=str(tmp_path))
+    first = compute(skew2, req, shells=cached())
     files = list(tmp_path.iterdir())
     assert len(files) == 1 and files[0].suffix == ".npz"
 
     def no_search(*args):
         raise AssertionError("shells enumerated despite a cached table")
     monkeypatch.setattr(latmod, "_enumerate", no_search)
-    assert compute(skew2, req, cache_dir=str(tmp_path)) == first
+    assert compute(skew2, req, shells=cached()) == first
     assert list(tmp_path.iterdir()) == files
 
 
