@@ -282,10 +282,14 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
     The quadratic form is written as sum_i d_i (v_i + c_i(v))^2 from the LDL^T
     decomposition that the lattice's cached elimination gives; all
     comparisons are cleared of denominators up front.  A frontier row holds
-    the coordinates i+1..n-1 chosen so far (the others 0) and ``acc``, their
-    part of 2 * big * norm.  Frontier chunks wait on a stack, and no chunk
-    expands to more than _CHUNK rows at once (unless one row alone has more
-    children), so transient memory stays bounded.
+    the coordinates i+1..n-1 chosen so far (the others 0), in the narrowest
+    of int8..int64 that holds every bound vmax, and ``acc``, their part of
+    2 * big * norm.  Its centre c = v[:, i+1:] @ cvec[i] is a float64 (BLAS)
+    product while ``limit`` < 2^53: each partial sum is at most cmax <= limit
+    in magnitude, an integer float64 holds exactly whatever order BLAS sums
+    in, as in ``_exact_dtype``.  Frontier chunks wait on a stack, and no
+    chunk expands to more than _CHUNK rows at once (unless one row alone has
+    more children), so transient memory stays bounded.
 
     Every shell is closed under v -> -v, so the search finds only half of
     it (Fincke & Pohst, Math. Comp. 44, 1985): a chunk carries the index of
@@ -326,15 +330,16 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
         limit = max(limit, (smax + 1) ** 2, vmax[i] * cden[i] + cmax + smax)
     dtype = np.int64 if limit < _INT64_LIMIT else object
     root = _isqrt_int64 if dtype is np.int64 else _isqrt_object
-    cvec = [np.array(row, dtype=dtype) for row in cnum]
+    cvec = [np.array(row, dtype=_bound_dtype(limit)) for row in cnum]
 
     found: dict[int, list[np.ndarray]] = {k: [] for k in range(bound + 1)}
     # a stack entry is (level, rows, acc, index of the all-zero row or -1)
-    stack = [(n - 1, np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype), 0)]
+    rows = np.zeros((1, n), dtype=_narrow(np.array(vmax)).dtype)
+    stack = [(n - 1, rows, np.zeros(1, dtype=dtype), 0)]
     while stack:
         i, v, acc, zero = stack.pop()
         chunks = []
-        c = v[:, i + 1:] @ cvec[i]
+        c = (v[:, i + 1:] @ cvec[i]).astype(dtype, copy=False)
         cd = cden[i]
         # a * (x*cd + c)^2 <= rem  <=>  |x*cd + c| <= s with s = isqrt(rem // a),
         # so x runs over [lo, hi] = [ceil((-c - s)/cd), floor((-c + s)/cd)]
@@ -494,8 +499,9 @@ class Shell(np.ndarray):
     def __iter__(self) -> Iterator:
         if self.ndim != 2:
             return iter(self.tolist())
-        return (tuple(row) for start in range(0, len(self), _CHUNK)
-                for row in self[start:start + _CHUNK].tolist())
+        # each chunk's Python ints, flat, cut into row tuples by zip
+        return (row for start in range(0, len(self), _CHUNK) for row in
+                zip(*[iter(self[start:start + _CHUNK].ravel().tolist())] * self.shape[1]))
 
     def __array_wrap__(self, array, context=None, return_scalar=False):
         return array[()] if return_scalar else array.view(np.ndarray)

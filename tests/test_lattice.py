@@ -3,6 +3,7 @@ import pickle
 import random
 import tempfile
 import threading
+import tracemalloc
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, product
@@ -1146,6 +1147,81 @@ def test_the_search_sorts_nothing_and_finds_each_half_in_colex_order(
             # its last nonzero coordinate is positive
             assert all(a < b for a, b in zip([(0,) * n] + keys, keys))
             assert [tuple(-x for x in v) for v in reversed(rows)] + rows == want[k]
+
+
+def _stored_dtype(rows) -> np.dtype:
+    """The narrowest of int8..int64 whose symmetric range holds every entry."""
+    top = max((abs(x) for v in rows for x in v), default=0)
+    return np.dtype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                         if top <= np.iinfo(t).max))
+
+
+def _spied(monkeypatch, name):
+    """Record every argument of lattice_module.<name> while calling it."""
+    seen, real = [], getattr(lattice_module, name)
+
+    def spy(x):
+        seen.append(x)
+        return real(x)
+    monkeypatch.setattr(lattice_module, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("shear, limit, tier", [
+    (2**50 - 2, 2**53 - 1, np.float64), (2**50 - 1, 2**53 + 7, np.int64),
+    (2**52 + 1, 2**55 + 23, np.int64)])
+def test_the_centre_term_is_exact_on_both_sides_of_the_float64_bound(
+        monkeypatch, skew3, shear, limit, tier):
+    # the search bound of skew3 sheared by 2^50 - 2 is just below 2^53, so
+    # the centre term is a float64 product; one more and it is just above,
+    # so it is int64; shells 3 and 4 hold coordinates near the shear.  At the
+    # shear 2^52 + 1 a float64 centre term would be inexact (the leaf check
+    # on the norms fails then)
+    lat = _sheared(skew3, shear)
+    limits = _spied(monkeypatch, "_bound_dtype")
+    found = lattice_module._enumerate(lat, 4)
+    monkeypatch.undo()
+    assert set(limits) == {limit} and lattice_module._bound_dtype(limit) is tier
+    want = oracles.enumerate_shells(lat.gram2, 4)
+    table = enumerate_shells(lat, 4)
+    assert found[0].tolist() == [[0, 0, 0]]
+    for k in range(1, 5):
+        rows = [tuple(v) for v in found[k].tolist()]
+        assert [tuple(-x for x in v) for v in reversed(rows)] + rows == want[k]
+        assert table.shell(k).tolist() == [list(v) for v in want[k]]
+        assert table.shell(k).dtype == _stored_dtype(want[k])
+    assert table.shell(4).dtype == np.int64
+
+
+def test_shells_are_stored_in_the_dtype_of_their_entries_not_of_the_search_bound(monkeypatch):
+    # a basis of D4 on which the search bounds |v_i| by up to 194, past int8,
+    # while every vector of norm <= 2 has coordinates of at most 41
+    lat = validate_lattice([[22, 48, -38, 35], [48, 116, -102, 86],
+                            [-38, -102, 98, -77], [35, 86, -77, 66]])
+    narrowed = _spied(monkeypatch, "_narrow")
+    lattice_module._enumerate(lat, 2)
+    monkeypatch.undo()
+    # the first call narrows the bounds vmax, the others the leaf frontiers
+    assert narrowed[0].max() > 127
+    assert {v.dtype for v in narrowed[1:]} == {np.dtype(np.int16)}
+    want = oracles.enumerate_shells(lat.gram2, 2)
+    table = enumerate_shells(lat, 2)
+    assert table.sizes() == {0: 1, 1: 24, 2: 24}
+    for k in range(3):
+        assert table.shell(k).tolist() == [list(v) for v in want[k]]
+        assert table.shell(k).dtype == np.int8
+
+
+def test_the_rank16_search_stays_under_30_mb():
+    # int8 frontier rows hold the e8e8 search to about 22 MB of Python-
+    # tracked memory (numpy reports its buffers); int64 rows took 45 MB
+    tracemalloc.start()
+    try:
+        lattice_module._enumerate(lattice_by_name("e8e8"), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
 
 
 @pytest.mark.parametrize("name", ["e8e8", "d16plus"])
