@@ -120,19 +120,10 @@ class Poly:
         c = Fraction(c)
         return Poly(self.rank, {e: c * v for e, v in self.terms.items()})
 
-    def __pow__(self, e: int) -> Poly:
-        out = Poly.constant(self.rank, 1)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.rank == other.rank and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
         if len(point) != self.rank:

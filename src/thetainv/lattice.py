@@ -292,13 +292,15 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
     more children), so transient memory stays bounded.
 
     Every shell is closed under v -> -v, so the search finds only half of
-    it (Fincke & Pohst, Math. Comp. 44, 1985): a chunk carries the index of
-    its one all-zero row, if it has one, and that row takes only x >= 0.
-    The search so finds 0 and U_k, the vectors whose last nonzero
-    coordinate is positive.  It sorts nothing: the search runs from the
-    last coordinate inward, every frontier is in colex order, each row's
-    children follow it in increasing x, and the chunks of each frontier
-    are popped in order, depth first, so every U_k comes out in colex order.
+    it (Fincke & Pohst, Math. Comp. 44, 1985): the all-zero row takes only
+    x >= 0, so the search finds 0 and U_k, the vectors whose last nonzero
+    coordinate is positive.  Every nonzero partial row so has a positive
+    last nonzero coordinate and follows the all-zero row in colex order: a
+    chunk carries whether its row 0 is the all-zero row.  The search sorts
+    nothing: it runs from the last coordinate inward, every frontier is in
+    colex order, each row's children follow it in increasing x, and the
+    chunks of each frontier are popped in order, depth first, so every U_k
+    comes out in colex order.
     """
     n = lattice.rank
     pivots, pivot_rows, _ = lattice._elimination
@@ -333,9 +335,9 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
     cvec = [np.array(row, dtype=_bound_dtype(limit)) for row in cnum]
 
     found: dict[int, list[np.ndarray]] = {k: [] for k in range(bound + 1)}
-    # a stack entry is (level, rows, acc, index of the all-zero row or -1)
+    # a stack entry is (level, rows, acc, whether row 0 is the all-zero row)
     rows = np.zeros((1, n), dtype=_narrow(np.array(vmax)).dtype)
-    stack = [(n - 1, rows, np.zeros(1, dtype=dtype), 0)]
+    stack = [(n - 1, rows, np.zeros(1, dtype=dtype), True)]
     while stack:
         i, v, acc, zero = stack.pop()
         chunks = []
@@ -345,10 +347,10 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
         # so x runs over [lo, hi] = [ceil((-c - s)/cd), floor((-c + s)/cd)]
         s = root((target - acc) // mult[i])
         lo = -((c + s) // cd)
-        if zero >= 0:
+        if zero:
             # c = 0 on the all-zero row, so its range is [-hi, hi] with
             # hi >= 0: its children x >= 0 are one of each +-v pair
-            lo[zero] = 0
+            lo[0] = 0
         counts = (s - c) // cd - lo + 1
         try:
             counts = counts.astype(np.int64)
@@ -371,8 +373,7 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
             child_acc = np.repeat(acc[part], size) + mult[i] * t * t
             if i:
                 # the all-zero row's first child, x = 0, is all zero again
-                child_zero = ends[zero] - counts[zero] - first if start <= zero < stop else -1
-                chunks.append((i - 1, child, child_acc, child_zero))
+                chunks.append((i - 1, child, child_acc, zero and not start))
             else:
                 assert not (child_acc % (2 * big)).any()
                 q = (child_acc // (2 * big)).astype(np.int64)
@@ -847,6 +848,26 @@ class ShellTable:
             cached = tuple(tuple(2 * int(x) for x in row) for row in total.tolist())
             self._moments[k] = cached
         return cached
+
+    def power_sums(self, k: int, matrix: Sequence[Sequence[int]],
+                   monomials: Sequence[Sequence[int]]) -> list[int]:
+        """Exact sums over the whole shell k of prod_j (v M)_j^e_j, one for
+        each exponent tuple e in ``monomials``, with M an integer n x n
+        matrix given by its rows, as Python ints.
+
+        v M is formed in the dtype that ``_exact_dtype`` proves exact.  The
+        shell is U_k and -U_k, so a monomial of odd degree sums to 0 and one
+        of even degree to twice its sum over U_k (``monomial_sums`` with
+        weight 2); shell 0 is its zero row once."""
+        v, m = self._shells[k], _int_array(matrix, self.lattice.rank)
+        dtype = _exact_dtype(v, m)
+        points = v.astype(dtype) @ m.astype(dtype)
+        if dtype is np.float64:
+            points = points.astype(np.int64)
+        even = [e for e in monomials if sum(e) % 2 == 0]
+        sums = iter(monomial_sums(points, np.full(len(v), 2 if k else 1, dtype=np.int64),
+                                  even))
+        return [next(sums) if sum(e) % 2 == 0 else 0 for e in monomials]
 
 
 def enumerate_shells(lattice: IntegralLattice, bound: int,

@@ -20,7 +20,8 @@ products of P_k = gram2 M_k, with M_k the moment matrix of shell k, so it
 pairs no two vectors at all.
 
 Every route sums each shell composition once per reordering of its slots of
-equal degree, times the number of such reorderings (_cells).
+equal degree, times the number of such reorderings, and no composition with
+the zero vector in a slot of positive degree (_cells).
 Every reduction runs in exact integers: each polynomial is held as integer
 numerators over one closed-form denominator, its monomials are summed over a
 histogram or a shell as integer power sums, and one Fraction is formed per
@@ -42,6 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
 from math import factorial, isqrt, lcm, prod
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -53,14 +55,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .harmonic import Poly, pair_poly, projector_coeffs
-from .lattice import (
-    IntegralLattice,
-    ShellTable,
-    _exact_dtype,
-    _int_array,
-    enumerate_shells,
-    monomial_sums,
-)
+from .lattice import IntegralLattice, ShellTable, enumerate_shells, monomial_sums
 from .qseries import QSeries
 
 
@@ -77,10 +72,13 @@ def _cells(sizes: Mapping[int, int], order: int, degrees: Sequence[int]):
     """(k, comp, mult) for each composition comp of k <= order into nonempty
     shells, one per slot, with comp non-decreasing within each run of equal
     (non-decreasing) degrees and mult its number of distinct reorderings
-    within the runs.  Every summand is symmetric in slots of equal degree."""
+    within the runs.  Every summand is symmetric in slots of equal degree.
+    This is the one place that decides which cells a route sums."""
     shells = [s for s in range(order + 1) if sizes[s]]
-    runs = [len(list(run)) for _, run in groupby(degrees)]
-    for parts in product(*(combinations_with_replacement(shells, r) for r in runs)):
+    # a harmonic polynomial of positive degree vanishes at 0: its slots start at shell 1
+    runs = [([s for s in shells if s or not m], len(list(run)))
+            for m, run in groupby(degrees)]
+    for parts in product(*(combinations_with_replacement(s, r) for s, r in runs)):
         comp = sum(parts, ())
         if sum(comp) <= order:
             # the distinct orderings of each run's multiset of shells
@@ -149,25 +147,13 @@ def spherical_theta(lattice: IntegralLattice, h: Poly, order: int, *,
         raise NoRationalEmbeddingError(
             "no rational coordinates available; pass an explicit embedding")
     _check_embedding(lattice, emb)
-    n = lattice.rank
     table = _table(lattice, order, shells)
     den = lcm(*(Fraction(x).denominator for row in emb for x in row))
-    scaled = _int_array([[int(Fraction(x) * den) for x in row] for row in emb], n)
-    # shell k >= 1 is summed over its stored half U_k with weight 2, as
-    # h(u) + h(-u), where the monomials of odd degree cancel; at the zero
-    # vector of shell 0 they vanish
-    exps = [e for e in h.terms if sum(e) % 2 == 0]
+    scaled = [[int(Fraction(x) * den) for x in row] for row in emb]
+    exps = list(h.terms)
     weights = [h.terms[e] / Fraction(den) ** sum(e) for e in exps]
-    coeffs = []
-    for k in range(order + 1):
-        v = table._shells[k]
-        dtype = _exact_dtype(v, scaled)
-        points = v.astype(dtype) @ scaled.astype(dtype)
-        if dtype is np.float64:
-            points = points.astype(np.int64)
-        sums = monomial_sums(points, np.full(len(v), 2 if k else 1, dtype=np.int64), exps)
-        coeffs.append(sum((w * s for w, s in zip(weights, sums)), Fraction(0)))
-    return QSeries(order, coeffs)
+    sums = (table.power_sums(k, scaled, exps) for k in range(order + 1))
+    return QSeries(order, [sum(map(mul, weights, s), Fraction(0)) for s in sums])
 
 
 # -- pair invariant --------------------------------------------------------
@@ -284,7 +270,7 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
     n = lattice.rank
     table = _table(lattice, order, shells)
     sizes = table.sizes()
-    gram2 = table._gram2.astype(object)
+    gram2 = np.array(lattice.gram2, dtype=object)
     p = {k: gram2 @ np.array(table.moment_matrix(k), dtype=object)
          for k in range(1, order - 1) if sizes[k]}
 
@@ -298,8 +284,7 @@ def theta_triple(lattice: IntegralLattice, order: int, *,
 
     totals = [0] * (order + 1)
     for k, comp, mult in _cells(sizes, order, (1, 1, 1)):
-        if all(c in p for c in comp):
-            totals[k] += mult * cell(*comp)
+        totals[k] += mult * cell(*comp)
     return QSeries(order, [Fraction(n * t, 8) for t in totals])
 
 
@@ -443,17 +428,12 @@ def _composition_poly(n: int, degrees: tuple[int, ...], norms: tuple[int, ...]
     """Per-tuple value of the collapsed kernel sum for vectors with the given
     norms, as integer numerators over one denominator: (constant numerator,
     ((pairing exponents, numerator) of each non-constant monomial), den).
-    A slot of norm 0 holds the zero vector, whose pairings t_ab vanish, so
-    the monomials in them are dropped.  Immutable, since every caller shares
-    the memoised value."""
+    Immutable, since every caller shares the memoised value."""
     den, table = _composition_table(n, degrees)
-    k = len(degrees)
-    zero = [not (norms[i] and norms[j]) for i in range(k) for j in range(i + 1, k)]
     nums = {off: sum(c * prod(a**e for a, e in zip(norms, norm_exps))
                      for norm_exps, c in terms)
-            for off, terms in table.items()
-            if not any(e and z for e, z in zip(off, zero))}
-    const = nums.get((0,) * len(zero), 0)
+            for off, terms in table.items()}
+    const = sum(c for off, c in nums.items() if not any(off))
     return const, tuple((off, c) for off, c in nums.items() if c and any(off)), den
 
 

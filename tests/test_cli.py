@@ -251,7 +251,7 @@ def test_e8_pair_general_within_the_default_budget(capsys, e8, e8_shells6):
     want = theta_general(e8, InvariantRequest((4, 4), 5, max_tuples=10**9),
                          shells=e8_shells6)
     assert got == want and got.coeff(5) == Fraction(-47, 1589575680)
-    with pytest.raises(ResourceLimitError, match="needs 46539361 lattice tuples"):
+    with pytest.raises(ResourceLimitError, match="needs 46425600 lattice tuples"):
         theta_general(e8, req, shells=e8_shells6)
     code, out, _ = run_cli(capsys, "compute", "--lattice", "e8",
                            "--degrees", "4,4", "--order", "5",

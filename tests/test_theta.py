@@ -510,25 +510,85 @@ def _canonical(degrees, comp):
        order=st.integers(0, 6))
 @example(degrees=[1, 1, 1, 1], sizes=[1, 2, 0, 2, 2, 2, 2], order=4)
 def test_cells_cover_each_ordered_composition_once(degrees, sizes, order):
+    # every ordered composition into nonempty shells whose slots of positive
+    # degree hold no shell 0: a harmonic polynomial of positive degree
+    # vanishes at the zero vector
+    def reached(comp):
+        return all(sizes[c] and (c or not m) for c, m in zip(comp, degrees))
+
     sizes = dict(enumerate(sizes))
     cells = list(thetamod._cells(sizes, order, degrees))
     got = Counter()
     for k, comp, mult in cells:
-        assert k == sum(comp) <= order and all(sizes[c] for c in comp)
+        assert k == sum(comp) <= order and reached(comp)
         assert comp == _canonical(degrees, comp)
         got[comp] += mult
     assert len({comp for _, comp, _ in cells}) == len(cells)
     ordered = [comp for comp in product(range(order + 1), repeat=len(degrees))
-               if sum(comp) <= order and all(sizes[c] for c in comp)]
+               if sum(comp) <= order and reached(comp)]
     assert got == Counter(_canonical(degrees, comp) for comp in ordered)
     assert sum(mult for _, _, mult in cells) == len(ordered)
 
 
 def test_general_budget_counts_ordered_tuples(e8, e8_shells6):
-    # ordered tuples by composition: (0,0,0), 3 x (0,0,1), 3 x (0,0,2), 3 x (0,1,1),
-    # 3 x (0,0,3), 6 x (0,1,2) and (1,1,1) over shells of 1, 240, 2160, 6720
-    with pytest.raises(ResourceLimitError, match="needs 17134561 lattice tuples"):
+    # no slot of positive degree holds shell 0, so the one cell to q^3 is
+    # (1,1,1) over the 240 roots
+    with pytest.raises(ResourceLimitError, match="needs 13824000 lattice tuples"):
         theta_general(e8, InvariantRequest((1, 1, 1), 3), shells=e8_shells6)
+
+
+def test_general_budget_boundary(e8, e8_shells6):
+    # (2,2,2) to q^3 sums the 240^3 tuples of its one cell (1,1,1), to 0
+    got = theta_general(e8, InvariantRequest((2, 2, 2), 3, max_tuples=13_824_000),
+                        shells=e8_shells6)
+    assert got == QSeries(3, [0, 0, 0, 0])
+    with pytest.raises(ResourceLimitError, match="needs 13824000 lattice tuples"):
+        theta_general(e8, InvariantRequest((2, 2, 2), 3, max_tuples=13_823_999),
+                      shells=e8_shells6)
+
+
+def test_no_route_asks_for_the_zero_vector_in_a_slot_of_positive_degree(
+        monkeypatch, e8, e8_shells6, skew3):
+    calls = []
+
+    def spy(owner, name):
+        wrapped = getattr(owner, name)
+
+        def call(*args):
+            calls.append((name, args[-2:] if name == "pair_histogram" else args[-1]))
+            return wrapped(*args)
+        monkeypatch.setattr(owner, name, call)
+
+    spy(latmod.ShellTable, "pair_histogram")
+    spy(latmod.ShellTable, "tuple_histogram")
+    spy(thetamod, "_composition_poly")
+    skew3_shells = enumerate_shells(skew3, 4)
+    for lat, table, order in ((e8, e8_shells6, 3), (skew3, skew3_shells, 4)):
+        for degrees in [(1, 1), (2, 2), (1, 1, 1), (1, 2), (0, 1, 1), (0, 0, 1, 1),
+                        (1, 1, 2), (2, 2, 2)]:
+            calls.clear()
+            if len(degrees) == 2 and degrees[0] == degrees[1]:
+                theta_pair(lat, degrees[0], order, shells=table)
+            if degrees == (1, 1, 1):
+                theta_triple(lat, order, shells=table)
+            theta_general(lat, InvariantRequest(degrees, order, max_tuples=10**9),
+                          shells=table)
+            assert any(name == "_composition_poly" for name, _ in calls)
+            for name, shells in calls:
+                if name == "pair_histogram":
+                    # a two-slot tuple histogram reads its pair histogram
+                    assert 0 not in shells or min(degrees) == 0
+                else:
+                    assert all(c or not m for c, m in zip(shells, degrees)), (name, shells)
+    # the dropped cells were zero: the route equals the oracle's sum over
+    # every ordered composition, from the oracle's own shells
+    whole = oracles.enumerate_shells(skew3.gram2, 4)
+    for degrees in [(0, 1, 1), (0, 0, 1, 1)]:
+        got = compute(skew3, InvariantRequest(degrees, 4), shells=skew3_shells)
+        assert list(got.coeffs) == oracles.general_coeffs(
+            3, degrees, 4,
+            lambda comp: oracles.tuple_histogram(skew3, [whole[c] for c in comp]))
+        assert any(got.coeffs)
 
 
 def test_integer_reductions_equal_the_bucket_by_bucket_fractions(e8, e8_shells6, skew3,
@@ -721,18 +781,14 @@ def test_invariant_metadata_character(request, name, want):
 
 def test_composition_poly_equals_the_fraction_expansion():
     # the library expands once per degree list with symbolic norms; the
-    # oracle substitutes the norms first, composition by composition.  Both
-    # keep the monomials that can be nonzero: none in a pairing with a
-    # norm-0 slot, which holds the zero vector
-    cases = [(8, (1, 2), (1, 1)), (8, (4, 4), (2, 3)), (3, (1, 1, 2, 2), (0, 1, 2, 1)),
-             (2, (2, 2, 2), (3, 1, 2)), (3, (1, 1, 1), (1, 0, 0)), (4, (3,), (5,))]
+    # oracle substitutes the norms first, composition by composition.  Only
+    # a slot of degree 0 holds norm 0 (_cells), and it enters no pairing
+    cases = [(8, (1, 2), (1, 1)), (8, (4, 4), (2, 3)), (3, (0, 1, 1), (0, 1, 2)),
+             (2, (2, 2, 2), (3, 1, 2)), (3, (0, 0, 1, 1), (0, 3, 1, 2)), (4, (3,), (5,))]
     for n, degrees, norms in cases:
         const, cross, den = _composition_poly(n, degrees, norms)
-        k = len(degrees)
-        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-        want = {e: c for e, c in oracles.composition_poly(n, degrees, norms).items()
-                if all(norms[a] and norms[b] for x, (a, b) in zip(e, pairs) if x)}
-        zero = (0,) * len(pairs)
+        want = oracles.composition_poly(n, degrees, norms)
+        zero = (0,) * (len(degrees) * (len(degrees) - 1) // 2)
         assert Fraction(const, den) == want.get(zero, 0)
         assert {e: Fraction(c, den) for e, c in cross} == {
             e: c for e, c in want.items() if e != zero}
