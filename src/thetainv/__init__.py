@@ -15,8 +15,6 @@ from .errors import (
     OddDiagonalError,
     RankMismatchError,
     ResourceLimitError,
-    SingularCoefficientError,
-    SingularProjectorError,
     ThetaInvError,
     UnsupportedWeightError,
 )
@@ -50,7 +48,6 @@ from .theta import (
     invariant_metadata,
     pair_scale,
     pair_term,
-    pair_term_scaled,
     spherical_theta,
     theta_general,
     theta_pair,

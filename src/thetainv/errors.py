@@ -29,23 +29,6 @@ class NotHomogeneousError(ThetaInvError, ValueError):
     """Operation requires a homogeneous polynomial."""
 
 
-class SingularProjectorError(ThetaInvError, ArithmeticError):
-    """A harmonic projector coefficient has a vanishing denominator factor."""
-
-    def __init__(self, rank: int, degree: int, index: int):
-        self.rank = rank
-        self.degree = degree
-        self.index = index
-        super().__init__(
-            f"projector undefined for rank {rank}, degree {degree}: "
-            f"factor at l={index} vanishes"
-        )
-
-
-class SingularCoefficientError(ThetaInvError, ArithmeticError):
-    """A pair-polynomial coefficient has a vanishing denominator factor."""
-
-
 class NoRationalEmbeddingError(ThetaInvError, ValueError):
     """No rational realization of the lattice coordinates is available."""
 

@@ -21,12 +21,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from typing import Iterator, Mapping, Sequence
 
-from .errors import (
-    NotHomogeneousError,
-    RankMismatchError,
-    SingularCoefficientError,
-    SingularProjectorError,
-)
+from .errors import NotHomogeneousError, RankMismatchError
 
 MultiIndex = tuple[int, ...]
 Rational = int | Fraction
@@ -199,15 +194,15 @@ def radial_eigenvalue(n: int, k: int, d: int, m: int) -> int:
 def projector_coeffs(n: int, m: int) -> tuple[Fraction, ...]:
     """Coefficients c_k of the projection sum_k c_k r^{2k} Laplacian^k onto
     the degree-m harmonics in n variables, in closed form
-    1 / (2^k k! prod_{l<k} (n + 2m - 4 - 2l))."""
+    1 / (2^k k! prod_{l<k} (n + 2m - 4 - 2l)).  As l <= m//2 - 1, each factor
+    is >= n + m - 2 >= n, so a rank n >= 1 keeps every denominator nonzero."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     coeffs = []
     for k in range(m // 2 + 1):
         den = 2**k * factorial(k)
         for l in range(k):
-            factor = n + 2 * m - 4 - 2 * l
-            if factor == 0:
-                raise SingularProjectorError(n, m, l)
-            den *= factor
+            den *= n + 2 * m - 4 - 2 * l
         coeffs.append(Fraction(1, den))
     return tuple(coeffs)
 
@@ -270,17 +265,16 @@ def pair_poly(n: int, m: int) -> tuple[Fraction, ...]:
     collapses sums of products of harmonic basis values over vector pairs.
 
     Entry k is the coefficient of c^(2m - 2k):
-    (-1)^k / ((2m-2k)! k! 2^k prod_{l<k} (n + 4m - 4 - 2l)).
+    (-1)^k / ((2m-2k)! k! 2^k prod_{l<k} (n + 4m - 4 - 2l)).  As l <= m - 1,
+    each factor is >= n + 2m - 2 >= n: a rank n >= 1 keeps it nonzero.
     """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     out = []
     for k in range(m + 1):
         den = factorial(2 * m - 2 * k) * factorial(k) * 2**k
         for l in range(k):
-            factor = n + 4 * m - 4 - 2 * l
-            if factor == 0:
-                raise SingularCoefficientError(
-                    f"pair polynomial undefined for n={n}, m={m} (l={l})")
-            den *= factor
+            den *= n + 4 * m - 4 - 2 * l
         out.append(Fraction((-1) ** k, den))
     return tuple(out)
 

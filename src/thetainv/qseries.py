@@ -61,13 +61,6 @@ class QSeries:
         K = min(self.order, other.order)
         return QSeries(K, [self.coeffs[k] + other.coeffs[k] for k in range(K + 1)])
 
-    def __sub__(self, other: QSeries) -> QSeries:
-        K = min(self.order, other.order)
-        return QSeries(K, [self.coeffs[k] - other.coeffs[k] for k in range(K + 1)])
-
-    def __neg__(self) -> QSeries:
-        return QSeries(self.order, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, QSeries):
             K = min(self.order, other.order)
@@ -105,9 +98,6 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
 
     def __repr__(self) -> str:
         terms = []

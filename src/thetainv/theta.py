@@ -183,17 +183,6 @@ def pair_scaled_coeffs(n: int, m: int) -> tuple[int, ...]:
                  for j in range(m + 1))
 
 
-def pair_term_scaled(lattice: IntegralLattice, v: Sequence[int],
-                     w: Sequence[int], m: int) -> int:
-    """The integer pair_scale(n, m) * pair_term for two explicit vectors:
-    pair_scaled_coeffs evaluated at their norms a, b and t = v^T A w."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    a, b, t = lattice.norm(v), lattice.norm(w), lattice.inner2(v, w)
-    return sum(s * t ** (2 * m - 2 * j) * (a * b) ** j
-               for j, s in enumerate(pair_scaled_coeffs(lattice.rank, m)))
-
-
 def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
                shells: ShellTable | None = None) -> QSeries:
     """Degree-(m,m) pair invariant, normalized as a plain sum of squared
@@ -352,13 +341,11 @@ def _moment_patterns(n: int, exps: tuple[int, ...]):
     prod_{a<b} s_ab^{off_{ab}} with its rational coefficient.  Derived from
     the perfect-matching expansion of spherical monomial averages: each
     matching matrix c contributes prod e_a! / (prod_{a<b} c_ab! prod_a
-    2^{c_aa} c_aa!) over prod_{j < p} (n + 2j).
+    2^{c_aa} c_aa!) over prod_{j < p} (n + 2j).  Callers pass even exponents
+    2m - 2j; an odd total has no matching, so it gives no patterns.
     """
     k = len(exps)
-    total = sum(exps)
-    if total % 2:
-        return ()
-    p = total // 2
+    p = sum(exps) // 2
     den = prod(n + 2 * j for j in range(p))
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
     out = []
@@ -402,14 +389,13 @@ def _composition_table(n: int, degrees: tuple[int, ...]
     whose diagonal s_aa are the norms.  Off-diagonal s_ab = t_ab / 2, so each
     monomial coefficient absorbs a power of two.  The norms stay symbolic,
     so the Fraction work is done once per degree list, not per composition.
+    No slot coefficient is zero; monomials whose terms cancel are dropped.
     """
     slots = [[Fraction((-1) ** j) * projector_coeffs(n, 2 * m)[j]
               / factorial(2 * m - 2 * j) for j in range(m + 1)] for m in degrees]
     terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for js in product(*(range(m + 1) for m in degrees)):
         coef = prod((slot[j] for slot, j in zip(slots, js)), start=Fraction(1))
-        if not coef:
-            continue
         exps = tuple(2 * m - 2 * j for m, j in zip(degrees, js))
         for diag, off, w in _moment_patterns(n, exps):
             key = (off, tuple(j + d for j, d in zip(js, diag)))

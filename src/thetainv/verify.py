@@ -175,11 +175,10 @@ def check_pair_identities(budget: int, e8_shells) -> list[CheckResult]:
 
 
 def check_pair_integrality(budget: int, seed: int, e8_shells) -> list[CheckResult]:
-    """pair_scaled_coeffs, the integer list that theta_pair and
-    pair_term_scaled sum, against pair_scale times the pair_poly
-    coefficients for every n <= 32, m <= 9, then the scaled pair and triple
-    series.  ``seed`` is unused; it stays for the callers that pass
-    run_verification's arguments to every check."""
+    """pair_scaled_coeffs, the integer list that theta_pair sums, against
+    pair_scale times the pair_poly coefficients for every n <= 32, m <= 9,
+    then the scaled pair and triple series.  ``seed`` is unused; it stays
+    for the callers that pass run_verification's arguments to every check."""
     bad = []
     for n in range(1, 33):
         for m in range(1, 10):

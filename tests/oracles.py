@@ -7,8 +7,12 @@ arithmetic with the numpy code.  The reduction loops sum their polynomials
 bucket by bucket (or vector by vector) in Fractions, where the library forms
 integer power sums.  The pair oracle evaluates ``harmonic.pair_poly``
 through ``pair_term``, so it shares no coefficient list with ``theta_pair``,
-which reads ``pair_scaled_coeffs``.  The tests require the library to equal
-these exactly.
+which reads ``pair_scaled_coeffs``.  The general oracle shares two things
+with ``theta_general``: ``projector_coeffs`` and the matching formula
+``theta._moment_patterns`` for sphere averages.  The test
+``test_moment_patterns_equal_the_sphere_average_of_the_expanded_product``
+checks that formula against ``harmonic.spherical_integral`` on expanded
+products.  The tests require the library to equal these exactly.
 """
 
 from collections import Counter

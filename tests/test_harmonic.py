@@ -293,6 +293,14 @@ def test_pair_poly_first_cases(n):
         Fraction(1, 8 * (n + 4) * (n + 2)))
 
 
+def test_projector_and_pair_poly_need_a_positive_rank():
+    # every denominator factor is at least the rank, so rank >= 1 is the one check
+    for call in (lambda: projector_coeffs(0, 2), lambda: pair_poly(0, 1),
+                 lambda: pair_poly(-1, 2)):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            call()
+
+
 def test_pair_poly_implicit_system():
     # sum_k p_{m-k} / a_{k,m} == c^{2m} / (2m)! as exact polynomials
     from math import factorial

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from thetainv.errors import (
     NoRationalEmbeddingError,
     ResourceLimitError,
 )
-from thetainv.harmonic import Poly, harmonic_project, laplacian, pair_poly
+from thetainv.harmonic import Poly, harmonic_project, laplacian, pair_poly, spherical_integral
 from thetainv.lattice import change_basis, enumerate_shells, random_unimodular, validate_lattice
 from thetainv.qseries import QSeries
 from thetainv.theta import (
@@ -30,7 +31,6 @@ from thetainv.theta import (
     pair_scale,
     pair_scaled_coeffs,
     pair_term,
-    pair_term_scaled,
     spherical_theta,
     theta_general,
     theta_pair,
@@ -166,23 +166,7 @@ def test_pair_term_zero_vector_contributes_nothing(a2):
     zero = (0, 0)
     v = (1, 0)
     for m in (1, 2, 3):
-        assert pair_term_scaled(a2, zero, v, m) == 0
         assert pair_term(a2.rank, m, 0, a2.norm(v), 0) == 0
-
-
-def test_pair_term_scaled_matches_displayed_sum():
-    # worked example on the square lattice: v=(1,0), w=(1,1), m=1
-    from math import factorial
-    lat = z(2)
-    v, w, m, n = (1, 0), (1, 1), 1, 2
-    a, b, t = lat.norm(v), lat.norm(w), lat.inner2(v, w)
-    direct = sum(
-        (-1) ** k * factorial(2 * m) // (factorial(2 * m - 2 * k) * factorial(k))
-        * 2 ** (2 * m - k) * Fraction(t, 2) ** (2 * m - 2 * k) * (a * b) ** k
-        * prod(n + 4 * m - 4 - 2 * l for l in range(k, m))
-        for k in range(m + 1))
-    got = pair_term_scaled(lat, v, w, m)
-    assert got == direct == 0
 
 
 def test_pair_term_scaled_is_scale_times_pair_term(a2, skew3):
@@ -193,9 +177,11 @@ def test_pair_term_scaled_is_scale_times_pair_term(a2, skew3):
             m = rng.randint(1, 4)
             v = tuple(rng.randint(-3, 3) for _ in range(n))
             w = tuple(rng.randint(-3, 3) for _ in range(n))
-            scaled = pair_term_scaled(lat, v, w, m)
+            ab, t = lat.norm(v) * lat.norm(w), lat.inner2(v, w)
+            scaled = sum(s * t ** (2 * m - 2 * j) * ab ** j
+                         for j, s in enumerate(pair_scaled_coeffs(n, m)))
             assert isinstance(scaled, int)
-            term = pair_term(n, m, lat.norm(v), lat.norm(w), lat.inner2(v, w))
+            term = pair_term(n, m, lat.norm(v), lat.norm(w), t)
             assert Fraction(scaled) == pair_scale(n, m) * term
 
 
@@ -792,6 +778,32 @@ def test_composition_poly_equals_the_fraction_expansion():
         assert Fraction(const, den) == want.get(zero, 0)
         assert {e: Fraction(c, den) for e, c in cross} == {
             e: c for e, c in want.items() if e != zero}
+
+
+def test_moment_patterns_equal_the_sphere_average_of_the_expanded_product():
+    # oracles.composition_poly averages with _moment_patterns too, so the
+    # matching formula is checked here against an expansion of
+    # prod_l (x . y_l)^{e_l} averaged monomial by monomial; odd exponents
+    # (no caller passes them) have no matching and must average to 0
+    rng = random.Random(29)
+    for _ in range(40):
+        n, k = rng.randint(1, 4), rng.randint(1, 3)
+        ys = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        exps = tuple(rng.randint(0, 4) for _ in range(k))
+        s = [[sum(map(mul, ya, yb)) for yb in ys] for ya in ys]
+        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        got = sum(w * prod(s[a][a] ** d for a, d in enumerate(diag))
+                  * prod(s[a][b] ** c for (a, b), c in zip(pairs, off))
+                  for diag, off, w in thetamod._moment_patterns(n, exps))
+        product_poly = Poly.constant(n, 1)
+        for y, e in zip(ys, exps):
+            form = Poly(n, {tuple(int(i == j) for j in range(n)): c
+                            for i, c in enumerate(y)})
+            for _ in range(e):
+                product_poly = product_poly * form
+        want = sum(c * spherical_integral(n, mono)
+                   for mono, c in product_poly.terms.items())
+        assert got == want, (n, ys, exps)
 
 
 def test_composition_poly_is_memoised_and_read_only():
