@@ -8,13 +8,15 @@ doubled pairing v^T gram2 w keeps all pair statistics integral.
 
 One fraction-free integer elimination of gram2, run once per lattice and
 cached, gives the positive-definiteness check, the discriminant, the
-adjugate that the level is read from, and the LDL^T decomposition that
-drives the shell search.  The search runs in integers with integer square
-roots; a float64 square root enters only where integer steps then correct
-it.  Products of integer arrays run in float64 (BLAS) only when
-a bound shows that every partial sum is an integer below 2^53, which float64
-represents exactly whatever order the sum is taken in; otherwise in int64
-below 2^62, and in Python integers beyond that.
+adjugate that the level is read from, and the pivot rows r_k that the
+shell search reads as its integer constants: with D_k the leading
+principal minors (D_0 = 1), v^T gram2 v = sum_k (r_k . v)^2 / (D_k D_{k+1}).
+The search runs in integers with integer square roots; a float64 square
+root enters only where integer steps then correct it.  Products of
+integer arrays run in float64 (BLAS) only when a bound shows that every
+partial sum is an integer below 2^53, which float64 represents exactly
+whatever order the sum is taken in; otherwise in int64 below 2^62, and in
+Python integers beyond that.
 
 Every pair or tuple statistic depends only on the Gram matrix of each
 tuple, so a shell k >= 1 enters it only through one vector of each +-v
@@ -40,7 +42,6 @@ import os
 import tempfile
 import zipfile
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -106,7 +107,7 @@ class _Elimination(NamedTuple):
 
 
 def _eliminate(a: IntMatrix) -> _Elimination:
-    """Fraction-free Gauss-Jordan elimination of [A | I] without pivoting
+    """Gauss-Jordan elimination of [A | I] without pivoting, fraction-free
     (Bareiss, Math. Comp. 22, 1968), stopped at the first pivot that is not
     positive.
 
@@ -116,7 +117,8 @@ def _eliminate(a: IntMatrix) -> _Elimination:
     of rows 0..k and columns 0..k-1, j.  When all n pivots are positive, A
     is positive definite, the last pivot is det A, the right-hand block
     ends as adj A, and A = U^T D U with d_k = D_{k+1} / D_k and
-    u_kj = r_kj / D_{k+1}.  ``adj`` is None after a stop.
+    u_kj = r_kj / D_{k+1}, that is A = sum_k r_k^T r_k / (D_k D_{k+1}).
+    ``adj`` is None after a stop.
     """
     n = len(a)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
@@ -279,9 +281,12 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
     U_k of shell k in colex order: the Fincke-Pohst search run level by
     level over numpy frontiers, in exact integers only.
 
-    The quadratic form is written as sum_i d_i (v_i + c_i(v))^2 from the LDL^T
-    decomposition that the lattice's cached elimination gives; all
-    comparisons are cleared of denominators up front.  A frontier row holds
+    Its constants are the pivot rows r_i of the lattice's cached
+    elimination, read as integers.  r_ij = 0 for j < i and r_ii = D_{i+1},
+    so v^T gram2 v = sum_i (r_i . v)^2 / (D_i D_{i+1}) (``_eliminate``).
+    With big the lcm of the D_i D_{i+1} and mult_i = big / (D_i D_{i+1}),
+    2 * big * norm is sum_i mult_i t_i^2, where t_i = D_{i+1} v_i + c and
+    the centre c = r_i[i+1:] . v[i+1:] is an integer.  A frontier row holds
     the coordinates i+1..n-1 chosen so far (the others 0), in the narrowest
     of int8..int64 that holds every bound vmax, and ``acc``, their part of
     2 * big * norm.  Its centre c = v[:, i+1:] @ cvec[i] is a float64 (BLAS)
@@ -304,32 +309,22 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
     """
     n = lattice.rank
     pivots, pivot_rows, _ = lattice._elimination
-    d = [Fraction(p, q) for p, q in zip(pivots, [1, *pivots])]
-    dn = [x.numerator for x in d]
-    dd = [x.denominator for x in d]
-    cden = []
-    cnum = []
-    for i in range(n):
-        u = [Fraction(r, pivots[i]) for r in pivot_rows[i][i + 1:]]
-        den = lcm(*(x.denominator for x in u))
-        cden.append(den)
-        cnum.append([int(x * den) for x in u])
-    big = 1
-    for i in range(n):
-        big = lcm(big, dd[i] * cden[i] * cden[i])
-    mult = [dn[i] * (big // (dd[i] * cden[i] * cden[i])) for i in range(n)]
+    cnum = [row[i + 1:] for i, row in enumerate(pivot_rows)]
+    dens = [p * q for p, q in zip([1, *pivots], pivots)]
+    big = lcm(*dens)
+    mult = [big // den for den in dens]
     target = 2 * bound * big
 
     # Bound every intermediate: at level i, |s| <= smax, |c| <= cmax and
     # |v_i| <= vmax[i], so that |x * cd + c| and |c + s| stay below limit;
-    # acc and mult * t^2 never exceed target.
+    # acc and mult * t^2 never exceed target, and mult <= big.
     vmax = [0] * n
-    limit = max(target, 2 * big, *mult)
+    limit = max(target, 2 * big)
     for i in reversed(range(n)):
         cmax = sum(abs(x) * vmax[j] for j, x in enumerate(cnum[i], i + 1))
         smax = isqrt(target // mult[i])
-        vmax[i] = (cmax + smax) // cden[i] + 1
-        limit = max(limit, (smax + 1) ** 2, vmax[i] * cden[i] + cmax + smax)
+        vmax[i] = (cmax + smax) // pivots[i] + 1
+        limit = max(limit, (smax + 1) ** 2, vmax[i] * pivots[i] + cmax + smax)
     dtype = np.int64 if limit < _INT64_LIMIT else object
     root = _isqrt_int64 if dtype is np.int64 else _isqrt_object
     cvec = [np.array(row, dtype=_bound_dtype(limit)) for row in cnum]
@@ -342,7 +337,7 @@ def _enumerate(lattice: IntegralLattice, bound: int) -> dict[int, np.ndarray]:
         i, v, acc, zero = stack.pop()
         chunks = []
         c = (v[:, i + 1:] @ cvec[i]).astype(dtype, copy=False)
-        cd = cden[i]
+        cd = pivots[i]
         # a * (x*cd + c)^2 <= rem  <=>  |x*cd + c| <= s with s = isqrt(rem // a),
         # so x runs over [lo, hi] = [ceil((-c - s)/cd), floor((-c + s)/cd)]
         s = root((target - acc) // mult[i])
@@ -394,16 +389,6 @@ def content_hash(gram2: IntMatrix, bound: int | None = None) -> str:
         payload.update(bound=bound, format=SHELL_CACHE_FORMAT)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _int_array(rows, n: int) -> np.ndarray:
-    """Integer rows as an (len(rows), n) array: int64 when every entry fits,
-    numpy object (Python ints) otherwise."""
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        arr = np.array(rows, dtype=object)
-    return arr.reshape(len(rows), n)
 
 
 def _exact_dtype(*factors: np.ndarray) -> type:
@@ -511,8 +496,9 @@ class Shell(np.ndarray):
 def _as_shell(rows, n: int) -> np.ndarray:
     """Rows of one shell as a plain read-only (len, n) ndarray of a stored
     dtype, whatever ndarray subclass (such as ``Shell``) ``rows`` is."""
-    rows = np.asarray(rows) if isinstance(rows, np.ndarray) else _int_array(rows, n)
-    v = _narrow(rows).view()
+    if not isinstance(rows, np.ndarray):
+        rows = np.array(rows, dtype=object).reshape(len(rows), n)
+    v = _narrow(np.asarray(rows)).view()
     v.flags.writeable = False
     return v
 
@@ -577,7 +563,7 @@ class ShellTable:
             k: _as_shell(shells.get(k, ()), lattice.rank) for k in range(bound + 1)}
         for k, v in self._shells.items():
             _check_shell(k, v)
-        self._gram2 = _int_array(lattice.gram2, lattice.rank)
+        self._gram2 = _narrow(np.array(lattice.gram2, dtype=object))
         self._pair_hists: dict[tuple[int, int], dict[int, int]] = {}
         self._moments: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -859,7 +845,7 @@ class ShellTable:
         shell is U_k and -U_k, so a monomial of odd degree sums to 0 and one
         of even degree to twice its sum over U_k (``monomial_sums`` with
         weight 2); shell 0 is its zero row once."""
-        v, m = self._shells[k], _int_array(matrix, self.lattice.rank)
+        v, m = self._shells[k], _narrow(np.array(matrix, dtype=object))
         dtype = _exact_dtype(v, m)
         points = v.astype(dtype) @ m.astype(dtype)
         if dtype is np.float64:

@@ -37,6 +37,7 @@ from thetainv.lattice import (
 )
 from thetainv.qseries import sigma
 from thetainv.theta import InvariantRequest, compute, theta_general
+from thetainv.verify import e8_pair_form
 
 import oracles
 import thetainv.lattice as lattice_module
@@ -196,6 +197,10 @@ def test_elimination_facts_against_sympy_and_oracles(gram2):
     assert all(u[i][i] == 1 for i in range(n))
     assert [[sum(u[k][i] * d[k] * u[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)] == gram2
+    # the same as sum_k r_k^T r_k / (D_k D_{k+1}), the form the shell search reads
+    assert [[sum(Fraction(rows[k][i] * rows[k][j], q * p)
+                 for k, (q, p) in enumerate(zip([1, *pivots], pivots)))
+             for j in range(n)] for i in range(n)] == gram2
     table = enumerate_shells(lat, 3)
     expected = oracles.enumerate_shells(gram2, 3)
     for k in range(4):
@@ -1191,6 +1196,32 @@ def test_the_centre_term_is_exact_on_both_sides_of_the_float64_bound(
         assert table.shell(k).tolist() == [list(v) for v in want[k]]
         assert table.shell(k).dtype == _stored_dtype(want[k])
     assert table.shell(4).dtype == np.int64
+
+
+def test_random_bases_of_e8_search_in_float64(monkeypatch, e8):
+    # the basis of e8 from random_unimodular(8, random.Random(81)): its
+    # leading minors 10, 31, 58, 77, 52, 251, 10, 1 share few factors, so
+    # clearing each row of U^T D U of denominators on its own took the
+    # search bound at q^5 to 68 bits, a search in Python ints; the pivot
+    # rows keep it below 2^53
+    gram2 = [[10, -3, 1, 1, -2, -4, -4, 2], [-3, 4, 0, 1, 2, -1, 1, 0],
+             [1, 0, 2, 0, 0, 0, 0, 0], [1, 1, 0, 2, 1, 0, 0, 0],
+             [-2, 2, 0, 1, 2, 0, 1, 0], [-4, -1, 0, 0, 0, 10, 2, -4],
+             [-4, 1, 0, 0, 1, 2, 2, -1], [2, 0, 0, 0, 0, -4, -1, 2]]
+    lat = validate_lattice(gram2)
+    assert lat.gram2 == change_basis(e8, random_unimodular(8, random.Random(81))).gram2
+    moved = [change_basis(e8, random_unimodular(8, random.Random(s))) for s in range(100)]
+    limits = _spied(monkeypatch, "_bound_dtype")
+    found = lattice_module._enumerate(lat, 5)
+    for other in moved:
+        lattice_module._enumerate(other, 2)
+    monkeypatch.undo()
+    assert max(limits) < 2**53
+    want = oracles.enumerate_shells(gram2, 5)
+    for k in range(1, 6):
+        rows = [tuple(v) for v in found[k].tolist()]
+        assert [tuple(-x for x in v) for v in reversed(rows)] + rows == want[k]
+    assert compute(lat, InvariantRequest((4, 4), 5, "auto")) == e8_pair_form(4, 5)
 
 
 def test_shells_are_stored_in_the_dtype_of_their_entries_not_of_the_search_bound(monkeypatch):
