@@ -30,9 +30,9 @@ def _default_cache_dir() -> str:
 
 
 def _resolve_cache(args) -> str | None:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         return args.cache_dir
     return os.environ.get(CACHE_ENV) or _default_cache_dir()
 

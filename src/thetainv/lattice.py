@@ -549,10 +549,10 @@ class ShellTable:
     (``_check_shell``).  Each is stored as one integer array in the
     narrowest dtype that holds it (``_narrow``); only ``shell`` and
     ``sizes`` speak of whole shells.  Immutable after construction apart
-    from the caches of pair histograms, moment matrices and orbit data,
-    which are deterministic functions of the shells.  Every pairing goes
-    through one kernel, ``pairings``, which casts the stored arrays chunk
-    by chunk to its exact dtype.
+    from the caches of read-only pair histograms, moment matrices and orbit
+    data, deterministic functions of the shells.  Every pairing goes through
+    one kernel, ``pairings``, which casts the stored arrays chunk by chunk
+    to its exact dtype.
     """
 
     def __init__(self, lattice: IntegralLattice, bound: int,
@@ -564,7 +564,7 @@ class ShellTable:
         for k, v in self._shells.items():
             _check_shell(k, v)
         self._gram2 = _narrow(np.array(lattice.gram2, dtype=object))
-        self._pair_hists: dict[tuple[int, int], dict[int, int]] = {}
+        self._pair_hists: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._moments: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._orbits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -705,8 +705,11 @@ class ShellTable:
 
     # -- pair statistics ---------------------------------------------------
 
-    def pair_histogram(self, k1: int, k2: int) -> dict[int, int]:
-        """Counts of the doubled pairing t = v^T A w over shell k1 x shell k2.
+    def pair_histogram(self, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
+        """The tuple histogram of two slots: the distinct doubled pairings
+        t = v^T A w over shell k1 x shell k2, in increasing order, as int64
+        keys of shape (buckets, 1), and their int64 counts, both read-only
+        and cached under the sorted shell pair.
 
         Shell 0 is the zero vector, which pairs to 0 with every w.
         Otherwise, with k1 <= k2, slot 0 runs over the rows of ``slot_zero``
@@ -724,8 +727,7 @@ class ShellTable:
         if hist is None:
             k1, k2 = key
             if k1 == 0:
-                pairs = self.sizes()[k2]
-                hist = {0: pairs} if pairs else {}
+                tmax, counts = 0, np.array([self.sizes()[k2]], dtype=np.int64)
             else:
                 tmax = isqrt(4 * k1 * k2)
                 size = 2 * tmax + 1
@@ -744,7 +746,10 @@ class ShellTable:
                 except (ValueError, OverflowError):
                     raise ValueError(_inconsistent(k1, k2, tmax)) from None
                 counts += counts[::-1]
-                hist = {t - tmax: c for t, c in enumerate(counts.tolist()) if c}
+            hit = np.flatnonzero(counts)
+            hist = (hit - tmax).reshape(-1, 1), counts[hit]
+            for a in hist:
+                a.flags.writeable = False
             self._pair_hists[key] = hist
         return hist
 
@@ -758,21 +763,19 @@ class ShellTable:
         ``comp``, with t_ab = v_a^T A v_b: (keys, counts), one int64 row of
         keys per distinct pairing vector and its int64 count.
 
-        Two slots read the cached pair histogram.  From three slots on,
-        slot 0 runs over the rows of ``slot_zero`` and the others over whole
-        shells, U_k then -U_k, never built: with P a slot's pairings with
-        U_k, they are [P, -P] from slot 0 and [[P, -P], [-P, P]] between two
-        later slots (shell 0 is its zero row alone).  The tuples are counted
-        in chunks of slot-0 rows of one weight: each pairing vector is packed
-        into one integer key in mixed radix 2 tmax_ab + 1, and each count is
-        multiplied by the weight.
+        Two slots return the cached, read-only ``pair_histogram`` itself.
+        From three slots on, slot 0 runs over the rows of ``slot_zero`` and
+        the others over whole shells, U_k then -U_k, never built: with P a
+        slot's pairings with U_k, they are [P, -P] from slot 0 and
+        [[P, -P], [-P, P]] between two later slots (shell 0 is its zero row
+        alone).  The tuples are counted in chunks of slot-0 rows of one
+        weight: each pairing vector is packed into one integer key in mixed
+        radix 2 tmax_ab + 1, and each count is multiplied by the weight.
         """
         k = len(comp)
-        slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
         if k == 2:
-            hist = self.pair_histogram(*comp)
-            return (np.array(list(hist), dtype=np.int64).reshape(-1, 1),
-                    np.array(list(hist.values()), dtype=np.int64))
+            return self.pair_histogram(*comp)
+        slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
         whole = self.sizes()
         sizes = [whole[c] for c in comp]
         if not all(sizes):

@@ -14,21 +14,21 @@ the same element at v equals the harmonic projection (in x) of
 values (x . v_l), and its sphere average is a universal polynomial in the
 pairwise inner products of the v_l, evaluated here from the Gram data.  The
 pair/triple routes below serve (m, m) and (1, 1, 1), with this reduction as
-their oracle: the pair invariant combines power sums of the doubled
-pairing over pair histograms, and the triple invariant is a sum of traces of
-products of P_k = gram2 M_k, with M_k the moment matrix of shell k, so it
-pairs no two vectors at all.
+their oracle: the pair invariant evaluates a polynomial in the doubled
+pairing at the buckets of pair histograms, and the triple invariant is a
+sum of traces of products of P_k = gram2 M_k, with M_k the moment matrix of
+shell k, so it pairs no two vectors at all.
 
 Every route sums each shell composition once per reordering of its slots of
 equal degree, times the number of such reorderings, and no composition with
 the zero vector in a slot of positive degree (_cells).
 Every reduction runs in exact integers: each polynomial is held as integer
-numerators over one closed-form denominator, its monomials are summed over a
-histogram or a shell as integer power sums, and one Fraction is formed per
-coefficient, never one per cell, bucket or vector.  The integer totals are
-the paper's scaled series: pair_scale(n, m) times the pair series, 8/n times
-the triple series, and the general series times the composition denominator
-of its degree list.
+numerators over one closed-form denominator, it is summed over a histogram
+or a shell in integers, and one Fraction is formed per coefficient, never
+one per cell, bucket or vector.  The integer totals are the paper's scaled
+series: pair_scale(n, m) times the pair series, 8/n times the triple
+series, and the general series times the composition denominator of its
+degree list.
 
 Every route returns a QSeries, that is a truncation order and coefficients.
 The weight, level and character belong to the invariant, its lattice and
@@ -190,10 +190,11 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
 
     Coefficient of q^k: the sum of pair_term(n, m, k1, k2, t) over the pair
     histograms of the shell pairs (k1, k2) with k1 + k2 = k.  With the
-    integers s_j = pair_scaled_coeffs(n, m) and the power sums
-    p_j = sum cnt t^{2j} of a histogram, a cell contributes
-    sum_j s_j (k1 k2)^j p_{m-j} in Python ints, and each coefficient is
-    one Fraction over pair_scale(n, m).
+    integers s_j = pair_scaled_coeffs(n, m), a cell's polynomial
+    sum_j s_j (k1 k2)^j t^{2m-2j} is evaluated by Horner in t^2 at each of
+    its at most 2 isqrt(4 k1 k2) + 1 buckets, in Python ints (too few for
+    numpy's per-call cost to pay), and each coefficient is one Fraction
+    over pair_scale(n, m).
     """
     n = lattice.rank
     table = _table(lattice, order, shells)
@@ -201,25 +202,15 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
     scaled = pair_scaled_coeffs(n, m)
     totals = [0] * (order + 1)
     for k, (k1, k2), mult in _cells(sizes, order, (m, m)):
-        p = _even_power_sums(table.pair_histogram(k1, k2), m)
-        totals[k] += mult * sum(s * (k1 * k2) ** j * p[m - j]
-                                for j, s in enumerate(scaled))
+        poly = [s * (k1 * k2) ** j for j, s in enumerate(scaled)]
+        keys, counts = table.pair_histogram(k1, k2)
+        for t, cnt in zip(keys.ravel().tolist(), counts.tolist()):
+            t2, value = t * t, 0
+            for c in poly:
+                value = value * t2 + c
+            totals[k] += mult * cnt * value
     scale = pair_scale(n, m)
     return QSeries(order, [Fraction(t, scale) for t in totals])
-
-
-def _even_power_sums(hist: Mapping[int, int], m: int) -> list[int]:
-    """p_j = sum of cnt t^{2j} over the buckets of a pair histogram, j <= m.
-
-    A pair histogram has at most 2 isqrt(4 k1 k2) + 1 buckets, too few for
-    numpy's per-call cost to pay off, so this loops in Python ints."""
-    p = [0] * (m + 1)
-    for t, cnt in hist.items():
-        t2 = t * t
-        for j in range(m + 1):
-            p[j] += cnt
-            cnt *= t2
-    return p
 
 
 # -- triple invariant -------------------------------------------------------
@@ -429,11 +420,13 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
     route, and compute's for all lists but (0,), (m, m) and (1, 1, 1).
 
     Each composition is reduced once per reordering of its equal-degree
-    slots (_cells); max_tuples bounds the ordered tuples, sum mult prod |S_c|.
+    slots (_cells); max_tuples bounds the ordered tuples, sum mult prod
+    |S_c|, of the cells whose polynomial has a pairing monomial, the only
+    cells that build a histogram.
     The raw normalization is the plain orthonormal-basis sum; "pair" and
     "triple" multiply it by _scale, to the conventions used by the explicit
     identities.  Cells are summed as integer numerators, over the one
-    denominator that _composition_table gives every composition of the
+    denominator that _composition_poly gives every composition of the
     degree list, and each coefficient is one Fraction.
     """
     degrees = request.degrees
@@ -442,16 +435,17 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
     table = _table(lattice, order, shells)
     sizes = table.sizes()
 
-    cells = list(_cells(sizes, order, degrees))
-    budget = sum(mult * prod(sizes[c] for c in comp) for _, comp, mult in cells)
+    cells = [(kap, comp, mult, _composition_poly(n, degrees, comp))
+             for kap, comp, mult in _cells(sizes, order, degrees)]
+    budget = sum(mult * prod(sizes[c] for c in comp)
+                 for _, comp, mult, (_, cross, _) in cells if cross)
     if budget > request.max_tuples:
         raise ResourceLimitError(
             f"invariant needs {budget} lattice tuples, over the budget of "
             f"{request.max_tuples}")
 
-    totals = [0] * (order + 1)
-    for kap, comp, mult in cells:
-        const, cross, _ = _composition_poly(n, degrees, comp)
+    den, totals = 1, [0] * (order + 1)  # den stays 1 only when no cell is summed
+    for kap, comp, mult, (const, cross, den) in cells:
         total = const * prod(sizes[c] for c in comp)
         if cross:
             # bucket the tuples by their vector of doubled pairings, and sum
@@ -462,7 +456,6 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
         totals[kap] += mult * total
 
     scale = _scale(n, degrees, request.normalization)
-    den, _ = _composition_table(n, degrees)
     return QSeries(order, [Fraction(scale * t, den) for t in totals])
 
 

@@ -173,12 +173,6 @@ def _times_gram(matrix, vectors):
     return [tuple(sum(map(mul, row, w)) for row in matrix) for w in vectors]
 
 
-def pair_histogram(lattice, s1, s2) -> dict[int, int]:
-    """Counts of v^T gram2 w over s1 x s2."""
-    rows = _times_gram(lattice.gram2, s2)
-    return dict(Counter(sum(map(mul, v, aw)) for v in s1 for aw in rows))
-
-
 def bilinear_sum(lattice, metric, s1, s2) -> int:
     """Sum of (v^T gram2 w)(v^T metric w) over s1 x s2: the reference for
     the moment-matrix traces of the triple invariant."""
@@ -196,7 +190,8 @@ def moment_matrix(vectors, n) -> tuple[tuple[int, ...], ...]:
 
 def tuple_histogram(lattice, shells) -> dict[tuple[int, ...], int]:
     """Counts of (inner2(v_a, v_b) for a < b) over every tuple of vectors
-    drawn from ``shells``, one shell per slot."""
+    drawn from ``shells``, one shell per slot; with two shells it is the
+    pair histogram, keyed by 1-tuples (t,)."""
     k = len(shells)
     slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
     return dict(Counter(
@@ -216,13 +211,13 @@ def as_dict(hist) -> dict[tuple[int, ...], int]:
 
 def pair_coeffs(n, m, order, hist) -> list[Fraction]:
     """theta_pair's coefficients, with hist(k1, k2) the pair histogram of
-    shells k1 and k2: one pair_term, the pair_poly coefficients evaluated in
-    Fractions, per bucket."""
+    shells k1 and k2 as a dict like ``tuple_histogram``'s: one pair_term,
+    the pair_poly coefficients evaluated in Fractions, per bucket."""
     coeffs = []
     for k in range(order + 1):
         total = Fraction(0)
         for k1 in range(k + 1):
-            for t, cnt in hist(k1, k - k1).items():
+            for (t,), cnt in hist(k1, k - k1).items():
                 total += cnt * pair_term(n, m, k1, k - k1, t)
         coeffs.append(total)
     return coeffs

@@ -178,6 +178,20 @@ def test_cli_compute_decimal_labeled(capsys):
     assert "(~0.00334821428571)" in out
 
 
+def test_cli_compute_decimal_in_json_and_csv(capsys):
+    argv = ("compute", "--lattice", "e8", "--degrees", "4,4", "--order", "2",
+            "--decimal", "--no-cache", "--format")
+    code, out, _ = run_cli(capsys, *argv, "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["coeffs"] == ["0", "0", "3/896"]
+    assert doc["decimal_approx"] == ["0", "0", "0.00334821428571"]
+    code, out, _ = run_cli(capsys, *argv, "csv")
+    assert code == 0
+    assert out.splitlines() == ["power,coefficient,decimal_approx", "0,0,0", "1,0,0",
+                                "2,3/896,0.00334821428571"]
+
+
 def test_cli_bad_lattice_exit_2(capsys):
     code, _, err = run_cli(capsys, "compute", "--lattice", "nosuch",
                            "--degrees", "0", "--order", "2", "--no-cache")
@@ -271,11 +285,12 @@ def test_cli_character_of_even_rank_theta(capsys):
 
 
 def test_cli_resource_limit_exit_3(capsys):
+    # (1,2) vanishes and is charged nothing; (1,1,2) needs 1512 tuples
     code, _, err = run_cli(capsys, "compute", "--lattice", "z3",
-                           "--degrees", "1,2", "--order", "4",
+                           "--degrees", "1,1,2", "--order", "4",
                            "--max-tuples", "5", "--no-cache")
     assert code == 3
-    assert "budget" in err
+    assert "needs 1512 lattice tuples" in err and "budget" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -377,6 +392,26 @@ def test_cli_cache_env_var(capsys, tmp_path, monkeypatch):
                          "--degrees", "0", "--order", "3")
     assert code == 0
     assert list(tmp_path.glob("shells-*.npz"))
+
+
+@pytest.mark.parametrize("xdg", [True, False], ids=["xdg-cache-home", "home"])
+def test_cli_default_cache_dir(capsys, tmp_path, monkeypatch, xdg):
+    # without THETAINV_CACHE_DIR the cache is $XDG_CACHE_HOME/thetainv, or
+    # else ~/.cache/thetainv; HOME points into tmp_path either way, so that
+    # nothing is written to the real home
+    monkeypatch.delenv("THETAINV_CACHE_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    if xdg:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        where = tmp_path / "xdg" / "thetainv"
+    else:
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        where = tmp_path / "home" / ".cache" / "thetainv"
+    code, _, _ = run_cli(capsys, "compute", "--lattice", "a2",
+                         "--degrees", "0", "--order", "3")
+    assert code == 0
+    [path] = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert path.parent == where and path.name.startswith("shells-")
 
 
 def test_cli_recomputes_over_an_edited_shell_cache(capsys, tmp_path):

@@ -279,10 +279,10 @@ def test_inner2_rank_mismatch(a2):
 def test_e8_minimal_vector_pairings(e8_shells6):
     # doubled pairings between norm-one vectors take values 0, +-1, +-2 only,
     # with squares {4, 1, 0} hit 480, 26880 and 30240 times over the 240^2 pairs
-    hist = e8_shells6.pair_histogram(1, 1)
-    assert set(hist) <= {-2, -1, 0, 1, 2}
+    hist = oracles.as_dict(e8_shells6.pair_histogram(1, 1))
+    assert set(hist) <= {(-2,), (-1,), (0,), (1,), (2,)}
     squares = {}
-    for t, c in hist.items():
+    for (t,), c in hist.items():
         squares[t * t] = squares.get(t * t, 0) + c
     assert squares == {4: 480, 1: 26880, 0: 30240}
     assert sum(hist.values()) == 240 * 240
@@ -370,11 +370,18 @@ def test_shell_invariants_random_lattices(args):
 
 
 def test_pair_histogram_total_and_symmetry(a2):
+    # the format of every tuple histogram: int64 keys of shape (buckets, 1)
+    # in increasing order and their counts, read-only because they are
+    # cached, and returned as they are for two slots; a2 has no norm 2
     table = enumerate_shells(a2, 4)
-    for k1, k2 in [(1, 1), (1, 3), (3, 4)]:
-        hist = table.pair_histogram(k1, k2)
-        assert sum(hist.values()) == len(table.shell(k1)) * len(table.shell(k2))
-        assert hist == table.pair_histogram(k2, k1)
+    for k1, k2 in [(1, 1), (1, 3), (3, 4), (3, 1), (0, 3), (4, 0), (2, 2), (1, 2)]:
+        keys, counts = hist = table.pair_histogram(k1, k2)
+        assert keys.dtype == counts.dtype == np.int64
+        assert keys.shape == (len(counts), 1) and (np.diff(keys[:, 0]) > 0).all()
+        assert not keys.flags.writeable and not counts.flags.writeable
+        assert table.tuple_histogram((k1, k2)) is hist
+        assert counts.sum() == len(table.shell(k1)) * len(table.shell(k2))
+        assert oracles.as_dict(hist) == oracles.as_dict(table.pair_histogram(k2, k1))
 
 
 def test_pair_histogram_fast_path_equals_naive(e8_shells6, a2, d4, skew2, diag246):
@@ -384,9 +391,9 @@ def test_pair_histogram_fast_path_equals_naive(e8_shells6, a2, d4, skew2, diag24
     cases += [(enumerate_shells(lat, 4), small_cells) for lat in (a2, d4, skew2, diag246)]
     for table, cells in cases:
         for k1, k2 in cells:
-            naive = oracles.pair_histogram(table.lattice, table.shell(k1).tolist(),
-                                           table.shell(k2).tolist())
-            assert table.pair_histogram(k1, k2) == naive
+            naive = oracles.tuple_histogram(table.lattice, [table.shell(k1).tolist(),
+                                                            table.shell(k2).tolist()])
+            assert oracles.as_dict(table.pair_histogram(k1, k2)) == naive
 
 
 def _matmul(x, y):
@@ -409,8 +416,8 @@ def test_bilinear_sum_and_tuple_histogram_equal_oracles(skew3, diag246, a2):
         p = {k: _matmul(a, table.moment_matrix(k)) for k in range(1, 5)}
         shell = {k: table.shell(k).tolist() for k in range(1, 5)}
         for x, y in [(1, 1), (1, 2), (2, 3), (3, 4)]:
-            hist = oracles.pair_histogram(lat, shell[x], shell[y])
-            assert _trace(p[x], p[y]) == sum(c * t * t for t, c in hist.items())
+            hist = oracles.tuple_histogram(lat, [shell[x], shell[y]])
+            assert _trace(p[x], p[y]) == sum(c * t * t for (t,), c in hist.items())
         for ka, kb, kc in [(1, 1, 1), (1, 2, 3), (3, 1, 4), (3, 3, 2), (4, 4, 1)]:
             want = oracles.bilinear_sum(lat, _matmul(p[ka], a), shell[kb], shell[kc])
             assert _trace(p[ka], p[kb], p[kc]) == want
@@ -503,8 +510,8 @@ def test_pair_histogram_with_shell_zero_runs_no_kernel(e8, monkeypatch):
 
     monkeypatch.setattr(ShellTable, "pairings", refuse)
     for k in range(4):
-        assert table.pair_histogram(0, k) == {0: len(table.shell(k))}
-        assert table.pair_histogram(k, 0) == {0: len(table.shell(k))}
+        assert oracles.as_dict(table.pair_histogram(0, k)) == {(0,): len(table.shell(k))}
+        assert oracles.as_dict(table.pair_histogram(k, 0)) == {(0,): len(table.shell(k))}
     with pytest.raises(AssertionError):
         table.pair_histogram(1, 1)
 
@@ -597,8 +604,8 @@ def test_object_dtype_tables_read_w_orbits(a2, e8):
         mp.setattr(lattice_module, "_ORBIT_PAIRS", 1)
         for k1 in range(1, 4):
             for k2 in range(k1, 4 - k1):
-                assert table.pair_histogram(k1, k2) == oracles.pair_histogram(
-                    skewed, shell[k1], shell[k2])
+                assert oracles.as_dict(table.pair_histogram(k1, k2)) == (
+                    oracles.tuple_histogram(skewed, [shell[k1], shell[k2]]))
         assert oracles.as_dict(table.tuple_histogram((1, 1, 1))) == oracles.tuple_histogram(
             skewed, [shell[1]] * 3)
 
@@ -629,8 +636,8 @@ def test_a_row_orthogonal_to_every_root_stands_for_both_of_its_signs(diag246):
         mp.setattr(lattice_module, "_ORBIT_PAIRS", 1)
         for k1 in range(1, 5):
             for k2 in range(k1, 5):
-                assert table.pair_histogram(k1, k2) == oracles.pair_histogram(
-                    diag246, shell[k1], shell[k2])
+                assert oracles.as_dict(table.pair_histogram(k1, k2)) == (
+                    oracles.tuple_histogram(diag246, [shell[k1], shell[k2]]))
         for comp in [(2, 1, 1), (2, 2, 1), (2, 1, 3)]:
             assert oracles.as_dict(table.tuple_histogram(comp)) == oracles.tuple_histogram(
                 diag246, [shell[c] for c in comp])
@@ -773,8 +780,8 @@ def test_orbit_histograms_on_block_sums_equal_the_oracles(names, seed):
         mp.setattr(lattice_module, "_TUPLE_KEYS", 64)
         for k1 in range(1, 4):
             for k2 in range(k1, 4):
-                assert table.pair_histogram(k1, k2) == oracles.pair_histogram(
-                    lat, shell[k1], shell[k2])
+                assert oracles.as_dict(table.pair_histogram(k1, k2)) == (
+                    oracles.tuple_histogram(lat, [shell[k1], shell[k2]]))
         for comp in [(1, 1, 1), (2, 1, 1), (3, 1, 0)]:
             assert oracles.as_dict(table.tuple_histogram(comp)) == oracles.tuple_histogram(
                 lat, [shell[c] for c in comp])
@@ -806,13 +813,13 @@ def test_orbit_histograms_equal_the_half_shell_kernel(request, name, bound):
             # every cell reads the orbits
             mp.setattr(lattice_module, "_ORBIT_PAIRS", 1)
             table = ShellTable(lat, bound, shells)
-            got = [table.pair_histogram(*c) for c in cells]
+            got = [oracles.as_dict(table.pair_histogram(*c)) for c in cells]
             got_tuples = [oracles.as_dict(table.tuple_histogram(c)) for c in comps]
         with pytest.MonkeyPatch.context() as mp:
             # H = {+-I} in every cell
             mp.setattr(ShellTable, "orbits", _half_shell_orbits)
             half = ShellTable(lat, bound, shells)
-            assert got == [half.pair_histogram(*c) for c in cells]
+            assert got == [oracles.as_dict(half.pair_histogram(*c)) for c in cells]
             assert got_tuples == [oracles.as_dict(half.tuple_histogram(c)) for c in comps]
 
 
@@ -888,12 +895,12 @@ def test_half_shell_histograms_match_moment_traces(request, cells, name, bound):
         table = enumerate_shells(lattice_by_name(name), bound)
     gram2 = table.lattice.gram2
     for a, b in cells:
-        hist = table.pair_histogram(a, b)
+        hist = oracles.as_dict(table.pair_histogram(a, b))
         assert sum(hist.values()) == len(table.shell(a)) * len(table.shell(b))
-        assert sum(c * t for t, c in hist.items()) == 0
+        assert sum(c * t for (t,), c in hist.items()) == 0
         want = _trace(_matmul(gram2, table.moment_matrix(a)),
                       _matmul(gram2, table.moment_matrix(b)))
-        assert sum(c * t * t for t, c in hist.items()) == want
+        assert sum(c * t * t for (t,), c in hist.items()) == want
 
 
 # -- the exact dtype tiers ---------------------------------------------------------
@@ -955,8 +962,8 @@ def test_kernel_is_exact_on_both_sides_of_the_float64_bound(tmp_path, a2, s):
     for t in (table, loaded):
         shell = {k: t.shell(k).tolist() for k in range(5)}
         for k1, k2 in _SKEW_CELLS + [(0, 4)]:
-            assert t.pair_histogram(k1, k2) == oracles.pair_histogram(lat, shell[k1],
-                                                                      shell[k2])
+            assert oracles.as_dict(t.pair_histogram(k1, k2)) == oracles.tuple_histogram(
+                lat, [shell[k1], shell[k2]])
         for k in range(5):
             assert t.moment_matrix(k) == oracles.moment_matrix(shell[k], 2)
     assert ([loaded.shell(k).tolist() for k in range(5)]
@@ -1018,13 +1025,13 @@ def test_large_gram_entries_in_every_dtype_tier_equal_the_oracles():
             seen.update(_tiers(table, cells)[0])
 
             def pair_hist(k1, k2):
-                return oracles.pair_histogram(lat, shell[k1], shell[k2])
+                return oracles.tuple_histogram(lat, [shell[k1], shell[k2]])
 
             def tuple_hist(comp):
                 return oracles.tuple_histogram(lat, [shell[c] for c in comp])
 
             for k1, k2 in cells:
-                assert table.pair_histogram(k1, k2) == pair_hist(k1, k2)
+                assert oracles.as_dict(table.pair_histogram(k1, k2)) == pair_hist(k1, k2)
             assert oracles.as_dict(table.tuple_histogram((1, 1, 1))) == tuple_hist((1, 1, 1))
             for m in (1, 2):
                 got = compute(lat, InvariantRequest((m, m), 3, "pair"), shells=table)

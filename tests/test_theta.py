@@ -250,9 +250,9 @@ def test_object_dtype_kernel_matches_int64_results(a2, shift):
     table = enumerate_shells(skewed, 4)
     assert next(table.pairings(1, 1)).dtype == object
     for k1, k2 in [(1, 1), (1, 3), (3, 4)]:
-        want = oracles.pair_histogram(skewed, table.shell(k1).tolist(),
-                                      table.shell(k2).tolist())
-        assert table.pair_histogram(k1, k2) == want
+        want = oracles.tuple_histogram(skewed, [table.shell(k1).tolist(),
+                                                table.shell(k2).tolist()])
+        assert oracles.as_dict(table.pair_histogram(k1, k2)) == want
     want = oracles.tuple_histogram(skewed, [table.shell(c).tolist() for c in (1, 1, 3)])
     assert oracles.as_dict(table.tuple_histogram((1, 1, 3))) == want
     assert theta_pair(skewed, 3, 4, shells=table) == theta_pair(a2, 3, 4)
@@ -290,8 +290,8 @@ def test_sheared_bases_keep_histograms_and_series(name, s):
     shell = {k: table.shell(k).tolist() for k in range(_SHEAR_ORDER + 1)}
     for k1 in range(1, _SHEAR_ORDER + 1):
         for k2 in range(k1, _SHEAR_ORDER + 1):
-            assert table.pair_histogram(k1, k2) == oracles.pair_histogram(
-                lat, shell[k1], shell[k2])
+            assert oracles.as_dict(table.pair_histogram(k1, k2)) == oracles.tuple_histogram(
+                lat, [shell[k1], shell[k2]])
     for comp in [(1, 1, 2), (2, 1, 1), (0, 1, 2), (1, 2, 1, 0)]:
         assert oracles.as_dict(table.tuple_histogram(comp)) == oracles.tuple_histogram(
             lat, [shell[c] for c in comp])
@@ -533,6 +533,25 @@ def test_general_budget_boundary(e8, e8_shells6):
                       shells=e8_shells6)
 
 
+def test_lists_of_unequal_degrees_vanish_by_orthogonality(monkeypatch, e8, e8_shells6):
+    # harmonics of different degrees are orthogonal on the sphere, so the
+    # composition polynomial of (m1, m2), m1 != m2, is empty in every rank
+    for n in range(1, 17):
+        for m1 in range(5):
+            for m2 in range(m1 + 1, 5):
+                assert thetamod._composition_table(n, (m1, m2)) == (1, {})
+    # so e8 (1,2) to q^4 builds no histogram and is charged no tuples: it is
+    # zero within the default budget, which its 8985600 tuples used to overrun
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vanishing polynomial built a tuple histogram")
+
+    monkeypatch.setattr(latmod.ShellTable, "tuple_histogram", refuse)
+    req = InvariantRequest((1, 2), 4, "general")
+    assert compute(e8, req, shells=e8_shells6) == QSeries.zero(4)
+    assert compute(e8, req) == QSeries.zero(4)
+
+
 def test_no_route_asks_for_the_zero_vector_in_a_slot_of_positive_degree(
         monkeypatch, e8, e8_shells6, skew3):
     calls = []
@@ -582,7 +601,8 @@ def test_integer_reductions_equal_the_bucket_by_bucket_fractions(e8, e8_shells6,
     # the same histograms, reduced bucket by bucket in Fractions
     for m in (1, 4, 9):
         got = theta_pair(e8, m, 5, shells=e8_shells6)
-        assert list(got.coeffs) == oracles.pair_coeffs(8, m, 5, e8_shells6.pair_histogram)
+        assert list(got.coeffs) == oracles.pair_coeffs(
+            8, m, 5, lambda k1, k2: oracles.as_dict(e8_shells6.pair_histogram(k1, k2)))
     got = theta_general(e8, InvariantRequest((6, 6), 3), shells=e8_shells6)
     assert list(got.coeffs) == oracles.general_coeffs(8, (6, 6), 3,
                                                       _library_histograms(e8_shells6))
