@@ -24,14 +24,17 @@ pair: a table stores its upper half U_k, the vectors whose last nonzero
 coordinate is positive, in colex order (coordinate n-1 most significant),
 as the shell search finds them, in one integer numpy array, and the disk
 cache stores every shell's rows in one array of an ``.npz`` file, each row
-read back into the shell of its own norm.  Slot 0 of a histogram runs
-over one vector per orbit of a group of isometries, weighted by the orbit
-size.  On a table with roots (the vectors of norm 1) that group is W,
-generated by the reflections in them, whose orbits come from the dominant
-vectors and the orders of the parabolic subgroups, each a product over
-the heights of its positive roots, their pairings with the Weyl vector
-(``ShellTable.orbits``).  Small cells and tables without roots use {+-I},
-whose orbits are the pairs +-v, one row of U_k each (``ShellTable.slot_zero``).
+read back into the shell of its own norm.  Every summand is even in each
+of its vectors (each slot carries a harmonic of even degree), so a
+histogram runs each later slot over U_k alone, which its caller doubles,
+and slot 0 over one vector per orbit of a group of isometries, weighted
+by the orbit size.  On a table with roots (the vectors of norm 1) that
+group is W, generated by the reflections in them, whose orbits come from
+the dominant vectors and the orders of the parabolic subgroups, each a
+product over the heights of its positive roots, their pairings with the
+Weyl vector (``ShellTable.orbits``).  Small cells and tables without roots
+use {+-I}, whose orbits are the pairs +-v, one row of U_k each
+(``ShellTable.slot_zero``).
 """
 
 from __future__ import annotations
@@ -233,10 +236,10 @@ def change_basis(lattice: IntegralLattice, u: Iterable[Iterable[int]]) -> Integr
     return moved
 
 
-def random_unimodular(rank: int, rng, steps: int = 12) -> list[list[int]]:
-    """Random determinant +-1 integer matrix built from elementary operations."""
+def random_unimodular(rank: int, rng) -> list[list[int]]:
+    """Random determinant +-1 integer matrix built from 12 elementary operations."""
     u = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for _ in range(steps):
+    for _ in range(12):
         op = rng.randrange(3)
         i = rng.randrange(rank)
         j = rng.randrange(rank)
@@ -650,7 +653,7 @@ class ShellTable:
         the positive roots of W_J, whose heights there are their heights in
         W.  So |W_J| comes from each dominant row's own pairings with the
         positive roots.  d is a row u of U_k or its negation, and a summand
-        with the other slots over whole shells is the same at u and -u, so
+        is even in each of its vectors, so it is the same at u and -u, and
         u counts once if it is dominant and once more if -u is: its weight
         is that count times |W| / |W_J|, and a row orthogonal to every root
         stands for both {u} and {-u}.  ValueError unless the weights add up
@@ -707,45 +710,40 @@ class ShellTable:
 
     def pair_histogram(self, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
         """The tuple histogram of two slots: the distinct doubled pairings
-        t = v^T A w over shell k1 x shell k2, in increasing order, as int64
-        keys of shape (buckets, 1), and their int64 counts, both read-only
-        and cached under the sorted shell pair.
+        t = v^T A w over shell min(k1, k2) x U_max(k1, k2), in increasing
+        order, as int64 keys of shape (buckets, 1), and their int64 counts,
+        both read-only and cached under the sorted shell pair.
 
-        Shell 0 is the zero vector, which pairs to 0 with every w.
-        Otherwise, with k1 <= k2, slot 0 runs over the rows of ``slot_zero``
-        and slot 1 over U_2, the stored upper half of its shell: the rest of
-        the shell negates U_2, and negating w negates t.  With c_r the
-        counts of representative r against U_2 and w_r its weight, the
-        histogram is the sum of w_r (c_r(t) + c_r(-t)).  Under H = {+-I}
-        that is the quarter cell U_1 x U_2 with weight 2; under the root
-        reflections of e8 it is one vector of shell 1 against U_2.  A
-        pairing outside the Cauchy-Schwarz range +-isqrt(4 k1 k2) raises
-        ValueError, as in ``_checked``.
+        With k1 <= k2, slot 0 runs over the rows of ``slot_zero``, each with
+        its weight, and slot 1 over U_k2, the stored half of its shell (the
+        zero row for k2 = 0): every summand is even in each vector, so the
+        rest of the shell, -U_k2, adds as much again, and the caller doubles
+        the cell when k2 >= 1.  Under H = {+-I} that is the quarter cell
+        U_k1 x U_k2 with weight 2; under the root reflections of e8 it is
+        one vector of shell 1 against U_k2.  A pairing outside the
+        Cauchy-Schwarz range +-isqrt(4 k1 k2) raises ValueError, as in
+        ``_checked``.
         """
         key = (min(k1, k2), max(k1, k2))
         hist = self._pair_hists.get(key)
         if hist is None:
             k1, k2 = key
-            if k1 == 0:
-                tmax, counts = 0, np.array([self.sizes()[k2]], dtype=np.int64)
-            else:
-                tmax = isqrt(4 * k1 * k2)
-                size = 2 * tmax + 1
-                counts = np.zeros(size, dtype=np.int64)
-                groups = self.slot_zero(k1, len(self._shells[k2]))
-                try:
-                    for w, group in groups:
-                        for start in range(0, len(group), _TILE_ROWS):
-                            tile = group[start:start + _TILE_ROWS]
-                            for block in self.pairings(k1, k2, tile):
-                                # a t below -tmax makes bincount raise, one
-                                # above +tmax lengthens its output so that
-                                # += raises
-                                counts += w * np.bincount(
-                                    (block.astype(np.int64) + tmax).ravel(), minlength=size)
-                except (ValueError, OverflowError):
-                    raise ValueError(_inconsistent(k1, k2, tmax)) from None
-                counts += counts[::-1]
+            tmax = isqrt(4 * k1 * k2)
+            size = 2 * tmax + 1
+            counts = np.zeros(size, dtype=np.int64)
+            groups = self.slot_zero(k1, len(self._shells[k2]))
+            try:
+                for w, group in groups:
+                    for start in range(0, len(group), _TILE_ROWS):
+                        tile = group[start:start + _TILE_ROWS]
+                        for block in self.pairings(k1, k2, tile):
+                            # a t below -tmax makes bincount raise, one
+                            # above +tmax lengthens its output so that
+                            # += raises
+                            counts += w * np.bincount(
+                                (block.astype(np.int64) + tmax).ravel(), minlength=size)
+            except (ValueError, OverflowError):
+                raise ValueError(_inconsistent(k1, k2, tmax)) from None
             hit = np.flatnonzero(counts)
             hist = (hit - tmax).reshape(-1, 1), counts[hit]
             for a in hist:
@@ -759,43 +757,39 @@ class ShellTable:
 
     def tuple_histogram(self, comp: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Counts of the pairing vectors (t_ab for slot pairs a < b, in
-        lexicographic order) over all tuples of vectors from the shells
-        ``comp``, with t_ab = v_a^T A v_b: (keys, counts), one int64 row of
+        lexicographic order) over the tuples whose slot 0 runs over shell
+        comp[0] and each later slot b over U_comp[b], the stored half of its
+        shell, with t_ab = v_a^T A v_b: (keys, counts), one int64 row of
         keys per distinct pairing vector and its int64 count.
 
-        Two slots return the cached, read-only ``pair_histogram`` itself.
-        From three slots on, slot 0 runs over the rows of ``slot_zero`` and
-        the others over whole shells, U_k then -U_k, never built: with P a
-        slot's pairings with U_k, they are [P, -P] from slot 0 and
-        [[P, -P], [-P, P]] between two later slots (shell 0 is its zero row
-        alone).  The tuples are counted in chunks of slot-0 rows of one
-        weight: each pairing vector is packed into one integer key in mixed
-        radix 2 tmax_ab + 1, and each count is multiplied by the weight.
+        Every summand is even in each vector, so the caller doubles the
+        cell once for each later slot of positive norm.  Two slots return
+        the cached, read-only ``pair_histogram`` itself, whose slot 0 is the
+        smaller shell.  From three slots on, slot 0 runs over the rows of
+        ``slot_zero`` and each later slot over its stored rows.  The tuples
+        are counted in chunks of slot-0 rows of one weight: each pairing
+        vector is packed into one integer key in mixed radix 2 tmax_ab + 1,
+        and each count is multiplied by the weight.
         """
         k = len(comp)
         if k == 2:
             return self.pair_histogram(*comp)
         slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
-        whole = self.sizes()
-        sizes = [whole[c] for c in comp]
-        if not all(sizes):
+        lens = [len(self._shells[c]) for c in comp]
+        if not all(lens):
             return np.zeros((0, len(slots)), dtype=np.int64), np.zeros(0, dtype=np.int64)
         tmaxes = [isqrt(4 * comp[a] * comp[b]) for a, b in slots]
         radices = [2 * t + 1 for t in tmaxes]
         key_dtype = np.int64 if prod(radices) < _INT64_LIMIT else object
-        step = max(1, _TUPLE_KEYS // prod(sizes[1:]))
+        step = max(1, _TUPLE_KEYS // prod(lens[1:]))
         values: dict[tuple[int, int], np.ndarray] = {}
         packed, counts = [], []
-        for w, group in self.slot_zero(comp[0], prod(sizes[1:])):
+        for w, group in self.slot_zero(comp[0], prod(lens[1:])):
             # slot 0's pairings for this group; the others once
             for a, b in slots:
                 if a == 0 or (a, b) not in values:
-                    p = self._pair_matrix(comp[a], comp[b], group if a == 0 else slice(None))
-                    if comp[b]:
-                        p = np.concatenate([p, -p], axis=1)
-                    if a and comp[a]:
-                        p = np.concatenate([p, -p], axis=0)
-                    values[a, b] = p
+                    values[a, b] = self._pair_matrix(comp[a], comp[b],
+                                                     group if a == 0 else slice(None))
             for start in range(0, len(group), step):
                 chunk = slice(start, start + step)
                 key = np.zeros((len(group[chunk]),) + (1,) * (k - 1), dtype=key_dtype)

@@ -189,7 +189,8 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
     spherical theta series over an orthonormal harmonic basis.
 
     Coefficient of q^k: the sum of pair_term(n, m, k1, k2, t) over the pair
-    histograms of the shell pairs (k1, k2) with k1 + k2 = k.  With the
+    histograms of the shell pairs (k1, k2) with k1 + k2 = k, doubled for
+    k2 >= 1: slot 1 runs over the stored half of shell k2.  With the
     integers s_j = pair_scaled_coeffs(n, m), a cell's polynomial
     sum_j s_j (k1 k2)^j t^{2m-2j} is evaluated by Horner in t^2 at each of
     its at most 2 isqrt(4 k1 k2) + 1 buckets, in Python ints (too few for
@@ -202,13 +203,14 @@ def theta_pair(lattice: IntegralLattice, m: int, order: int, *,
     scaled = pair_scaled_coeffs(n, m)
     totals = [0] * (order + 1)
     for k, (k1, k2), mult in _cells(sizes, order, (m, m)):
-        poly = [s * (k1 * k2) ** j for j, s in enumerate(scaled)]
+        weight = mult * (2 if k2 else 1)
+        poly = [weight * s * (k1 * k2) ** j for j, s in enumerate(scaled)]
         keys, counts = table.pair_histogram(k1, k2)
         for t, cnt in zip(keys.ravel().tolist(), counts.tolist()):
             t2, value = t * t, 0
             for c in poly:
                 value = value * t2 + c
-            totals[k] += mult * cnt * value
+            totals[k] += cnt * value
     scale = pair_scale(n, m)
     return QSeries(order, [Fraction(t, scale) for t in totals])
 
@@ -449,10 +451,12 @@ def theta_general(lattice: IntegralLattice, request: InvariantRequest, *,
         total = const * prod(sizes[c] for c in comp)
         if cross:
             # bucket the tuples by their vector of doubled pairings, and sum
-            # each monomial over the buckets
+            # each monomial over the buckets; each later slot of positive norm
+            # ran over its stored half (_cells puts the shells 0 first)
             keys, counts = table.tuple_histogram(comp)
             sums = monomial_sums(keys, counts, [e for e, _ in cross])
-            total += sum(c * s for (_, c), s in zip(cross, sums))
+            total += 2 ** sum(map(bool, comp[1:])) * sum(
+                c * s for (_, c), s in zip(cross, sums))
         totals[kap] += mult * total
 
     scale = _scale(n, degrees, request.normalization)

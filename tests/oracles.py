@@ -191,28 +191,55 @@ def moment_matrix(vectors, n) -> tuple[tuple[int, ...], ...]:
 def tuple_histogram(lattice, shells) -> dict[tuple[int, ...], int]:
     """Counts of (inner2(v_a, v_b) for a < b) over every tuple of vectors
     drawn from ``shells``, one shell per slot; with two shells it is the
-    pair histogram, keyed by 1-tuples (t,)."""
+    pair histogram, keyed by 1-tuples (t,).  Each vector w is multiplied by
+    gram2 once, and v pairs with it as v . (gram2 w)."""
     k = len(shells)
     slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    tagged = [list(zip(s, _times_gram(lattice.gram2, s))) for s in shells]
     return dict(Counter(
-        tuple(lattice.inner2(vs[a], vs[b]) for a, b in slots)
-        for vs in product(*shells)))
+        tuple(sum(map(mul, vs[a][0], vs[b][1])) for a, b in slots)
+        for vs in product(*tagged)))
 
 
 def as_dict(hist) -> dict[tuple[int, ...], int]:
-    """A library tuple histogram, (keys, counts) arrays, as the dict that
-    ``tuple_histogram`` returns; its keys must be distinct and its counts
-    positive."""
+    """A library tuple histogram, (keys, counts) arrays, as a dict like the
+    one ``tuple_histogram`` returns; its keys must be distinct and its
+    counts positive."""
     keys, counts = hist
     got = dict(zip(map(tuple, keys.tolist()), counts.tolist()))
     assert len(got) == len(keys) and all(c > 0 for c in got.values())
     return got
 
 
+def whole(table, comp) -> dict[tuple[int, ...], int]:
+    """The library's histogram of the shells ``comp``,
+    ``table.tuple_histogram(comp)``, as the dict ``tuple_histogram``
+    returns over the whole shells.
+
+    The library runs each later slot of positive norm over the stored half
+    of its shell, one vector of each +-v pair, and slot 0 over the whole
+    shell; of two slots, slot 0 is the smaller shell.  Negating the vector
+    of slot b negates every t_ab, so each key is summed over the sign
+    changes of those slots; with two slots that is the fold of t onto -t."""
+    hist = table.tuple_histogram(comp)
+    comp = sorted(comp) if len(comp) == 2 else list(comp)
+    k = len(comp)
+    slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    later = [b for b in range(1, k) if comp[b]]
+    out = Counter()
+    for key, count in as_dict(hist).items():
+        for signs in product((1, -1), repeat=len(later)):
+            sign = dict(zip(later, signs))
+            out[tuple(t * sign.get(a, 1) * sign.get(b, 1)
+                      for t, (a, b) in zip(key, slots))] += count
+    return dict(out)
+
+
 def pair_coeffs(n, m, order, hist) -> list[Fraction]:
     """theta_pair's coefficients, with hist(k1, k2) the pair histogram of
-    shells k1 and k2 as a dict like ``tuple_histogram``'s: one pair_term,
-    the pair_poly coefficients evaluated in Fractions, per bucket."""
+    the whole shells k1 and k2 as a dict like ``tuple_histogram``'s: one
+    pair_term, the pair_poly coefficients evaluated in Fractions, per
+    bucket."""
     coeffs = []
     for k in range(order + 1):
         total = Fraction(0)
@@ -247,8 +274,8 @@ def composition_poly(n, degrees, norms) -> dict[tuple[int, ...], Fraction]:
 
 def general_coeffs(n, degrees, order, hist) -> list[Fraction]:
     """theta_general's raw ("general") coefficients, with hist(comp) the
-    tuple histogram of the shells comp: the composition polynomial evaluated
-    at every bucket."""
+    tuple histogram of the whole shells comp: the composition polynomial
+    evaluated at every bucket."""
     coeffs = [Fraction(0)] * (order + 1)
     for comp in product(range(order + 1), repeat=len(degrees)):
         if sum(comp) > order:

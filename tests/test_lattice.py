@@ -279,7 +279,7 @@ def test_inner2_rank_mismatch(a2):
 def test_e8_minimal_vector_pairings(e8_shells6):
     # doubled pairings between norm-one vectors take values 0, +-1, +-2 only,
     # with squares {4, 1, 0} hit 480, 26880 and 30240 times over the 240^2 pairs
-    hist = oracles.as_dict(e8_shells6.pair_histogram(1, 1))
+    hist = oracles.whole(e8_shells6, (1, 1))
     assert set(hist) <= {(-2,), (-1,), (0,), (1,), (2,)}
     squares = {}
     for (t,), c in hist.items():
@@ -372,15 +372,18 @@ def test_shell_invariants_random_lattices(args):
 def test_pair_histogram_total_and_symmetry(a2):
     # the format of every tuple histogram: int64 keys of shape (buckets, 1)
     # in increasing order and their counts, read-only because they are
-    # cached, and returned as they are for two slots; a2 has no norm 2
+    # cached, and returned as they are for two slots; a2 has no norm 2.
+    # Slot 0 is the smaller shell, whole, and slot 1 the stored rows of the
+    # larger, U_k for k >= 1 and the zero row for k = 0
     table = enumerate_shells(a2, 4)
-    for k1, k2 in [(1, 1), (1, 3), (3, 4), (3, 1), (0, 3), (4, 0), (2, 2), (1, 2)]:
+    for k1, k2 in [(1, 1), (1, 3), (3, 4), (3, 1), (0, 3), (4, 0), (2, 2), (1, 2), (0, 0)]:
         keys, counts = hist = table.pair_histogram(k1, k2)
         assert keys.dtype == counts.dtype == np.int64
         assert keys.shape == (len(counts), 1) and (np.diff(keys[:, 0]) > 0).all()
         assert not keys.flags.writeable and not counts.flags.writeable
         assert table.tuple_histogram((k1, k2)) is hist
-        assert counts.sum() == len(table.shell(k1)) * len(table.shell(k2))
+        low, high = sorted((k1, k2))
+        assert counts.sum() == len(table.shell(low)) * len(table._shells[high])
         assert oracles.as_dict(hist) == oracles.as_dict(table.pair_histogram(k2, k1))
 
 
@@ -393,7 +396,7 @@ def test_pair_histogram_fast_path_equals_naive(e8_shells6, a2, d4, skew2, diag24
         for k1, k2 in cells:
             naive = oracles.tuple_histogram(table.lattice, [table.shell(k1).tolist(),
                                                             table.shell(k2).tolist()])
-            assert oracles.as_dict(table.pair_histogram(k1, k2)) == naive
+            assert oracles.whole(table, (k1, k2)) == naive
 
 
 def _matmul(x, y):
@@ -425,7 +428,7 @@ def test_bilinear_sum_and_tuple_histogram_equal_oracles(skew3, diag246, a2):
         table = enumerate_shells(lat, 4)
         for comp in [(1, 2), (0, 1, 2), (1, 1, 2), (2, 2, 2), (1, 1, 1, 1), (0, 1, 1, 2)]:
             want = oracles.tuple_histogram(lat, [table.shell(c).tolist() for c in comp])
-            assert oracles.as_dict(table.tuple_histogram(comp)) == want
+            assert oracles.whole(table, comp) == want
 
 
 def test_inconsistent_shells_raise_instead_of_miscounting(a2):
@@ -502,18 +505,15 @@ def test_object_dtype_shells_are_checked_for_order(a2, edit):
         ShellTable(skewed, 3, shells)
 
 
-def test_pair_histogram_with_shell_zero_runs_no_kernel(e8, monkeypatch):
+def test_pair_histograms_of_shell_zero_count_the_stored_rows_at_zero(e8):
+    # the zero vector pairs to 0 with every vector: shell 0 against U_k,
+    # the 1, 120, 1080 and 3360 stored rows of e8's shells 0 to 3, and
+    # against the whole shell once the stored half is summed over its signs
     table = enumerate_shells(e8, 3)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("shell 0 went through the pairing kernel")
-
-    monkeypatch.setattr(ShellTable, "pairings", refuse)
-    for k in range(4):
-        assert oracles.as_dict(table.pair_histogram(0, k)) == {(0,): len(table.shell(k))}
-        assert oracles.as_dict(table.pair_histogram(k, 0)) == {(0,): len(table.shell(k))}
-    with pytest.raises(AssertionError):
-        table.pair_histogram(1, 1)
+    for k, half in enumerate([1, 120, 1080, 3360]):
+        for cell in [(0, k), (k, 0)]:
+            assert oracles.as_dict(table.pair_histogram(*cell)) == {(0,): half}
+            assert oracles.whole(table, cell) == {(0,): len(table.shell(k))}
 
 
 def _record_pairings(monkeypatch):
@@ -604,9 +604,9 @@ def test_object_dtype_tables_read_w_orbits(a2, e8):
         mp.setattr(lattice_module, "_ORBIT_PAIRS", 1)
         for k1 in range(1, 4):
             for k2 in range(k1, 4 - k1):
-                assert oracles.as_dict(table.pair_histogram(k1, k2)) == (
+                assert oracles.whole(table, (k1, k2)) == (
                     oracles.tuple_histogram(skewed, [shell[k1], shell[k2]]))
-        assert oracles.as_dict(table.tuple_histogram((1, 1, 1))) == oracles.tuple_histogram(
+        assert oracles.whole(table, (1, 1, 1)) == oracles.tuple_histogram(
             skewed, [shell[1]] * 3)
 
 
@@ -636,10 +636,10 @@ def test_a_row_orthogonal_to_every_root_stands_for_both_of_its_signs(diag246):
         mp.setattr(lattice_module, "_ORBIT_PAIRS", 1)
         for k1 in range(1, 5):
             for k2 in range(k1, 5):
-                assert oracles.as_dict(table.pair_histogram(k1, k2)) == (
+                assert oracles.whole(table, (k1, k2)) == (
                     oracles.tuple_histogram(diag246, [shell[k1], shell[k2]]))
         for comp in [(2, 1, 1), (2, 2, 1), (2, 1, 3)]:
-            assert oracles.as_dict(table.tuple_histogram(comp)) == oracles.tuple_histogram(
+            assert oracles.whole(table, comp) == oracles.tuple_histogram(
                 diag246, [shell[c] for c in comp])
 
 
@@ -780,10 +780,10 @@ def test_orbit_histograms_on_block_sums_equal_the_oracles(names, seed):
         mp.setattr(lattice_module, "_TUPLE_KEYS", 64)
         for k1 in range(1, 4):
             for k2 in range(k1, 4):
-                assert oracles.as_dict(table.pair_histogram(k1, k2)) == (
+                assert oracles.whole(table, (k1, k2)) == (
                     oracles.tuple_histogram(lat, [shell[k1], shell[k2]]))
         for comp in [(1, 1, 1), (2, 1, 1), (3, 1, 0)]:
-            assert oracles.as_dict(table.tuple_histogram(comp)) == oracles.tuple_histogram(
+            assert oracles.whole(table, comp) == oracles.tuple_histogram(
                 lat, [shell[c] for c in comp])
 
 
@@ -813,14 +813,12 @@ def test_orbit_histograms_equal_the_half_shell_kernel(request, name, bound):
             # every cell reads the orbits
             mp.setattr(lattice_module, "_ORBIT_PAIRS", 1)
             table = ShellTable(lat, bound, shells)
-            got = [oracles.as_dict(table.pair_histogram(*c)) for c in cells]
-            got_tuples = [oracles.as_dict(table.tuple_histogram(c)) for c in comps]
+            got = [oracles.whole(table, c) for c in cells + comps]
         with pytest.MonkeyPatch.context() as mp:
             # H = {+-I} in every cell
             mp.setattr(ShellTable, "orbits", _half_shell_orbits)
             half = ShellTable(lat, bound, shells)
-            assert got == [oracles.as_dict(half.pair_histogram(*c)) for c in cells]
-            assert got_tuples == [oracles.as_dict(half.tuple_histogram(c)) for c in comps]
+            assert got == [oracles.whole(half, c) for c in cells + comps]
 
 
 @pytest.mark.parametrize("name, bound", [
@@ -895,7 +893,7 @@ def test_half_shell_histograms_match_moment_traces(request, cells, name, bound):
         table = enumerate_shells(lattice_by_name(name), bound)
     gram2 = table.lattice.gram2
     for a, b in cells:
-        hist = oracles.as_dict(table.pair_histogram(a, b))
+        hist = oracles.whole(table, (a, b))
         assert sum(hist.values()) == len(table.shell(a)) * len(table.shell(b))
         assert sum(c * t for (t,), c in hist.items()) == 0
         want = _trace(_matmul(gram2, table.moment_matrix(a)),
@@ -962,7 +960,7 @@ def test_kernel_is_exact_on_both_sides_of_the_float64_bound(tmp_path, a2, s):
     for t in (table, loaded):
         shell = {k: t.shell(k).tolist() for k in range(5)}
         for k1, k2 in _SKEW_CELLS + [(0, 4)]:
-            assert oracles.as_dict(t.pair_histogram(k1, k2)) == oracles.tuple_histogram(
+            assert oracles.whole(t, (k1, k2)) == oracles.tuple_histogram(
                 lat, [shell[k1], shell[k2]])
         for k in range(5):
             assert t.moment_matrix(k) == oracles.moment_matrix(shell[k], 2)
@@ -1031,8 +1029,8 @@ def test_large_gram_entries_in_every_dtype_tier_equal_the_oracles():
                 return oracles.tuple_histogram(lat, [shell[c] for c in comp])
 
             for k1, k2 in cells:
-                assert oracles.as_dict(table.pair_histogram(k1, k2)) == pair_hist(k1, k2)
-            assert oracles.as_dict(table.tuple_histogram((1, 1, 1))) == tuple_hist((1, 1, 1))
+                assert oracles.whole(table, (k1, k2)) == pair_hist(k1, k2)
+            assert oracles.whole(table, (1, 1, 1)) == tuple_hist((1, 1, 1))
             for m in (1, 2):
                 got = compute(lat, InvariantRequest((m, m), 3, "pair"), shells=table)
                 assert list(got.coeffs) == oracles.pair_coeffs(lat.rank, m, 3, pair_hist)

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from math import prod
 from operator import mul
 
@@ -252,9 +252,9 @@ def test_object_dtype_kernel_matches_int64_results(a2, shift):
     for k1, k2 in [(1, 1), (1, 3), (3, 4)]:
         want = oracles.tuple_histogram(skewed, [table.shell(k1).tolist(),
                                                 table.shell(k2).tolist()])
-        assert oracles.as_dict(table.pair_histogram(k1, k2)) == want
+        assert oracles.whole(table, (k1, k2)) == want
     want = oracles.tuple_histogram(skewed, [table.shell(c).tolist() for c in (1, 1, 3)])
-    assert oracles.as_dict(table.tuple_histogram((1, 1, 3))) == want
+    assert oracles.whole(table, (1, 1, 3)) == want
     assert theta_pair(skewed, 3, 4, shells=table) == theta_pair(a2, 3, 4)
     assert theta_triple(skewed, 4, shells=table) == theta_triple(a2, 4)
     req = InvariantRequest((1, 1, 2, 2), 4)
@@ -290,10 +290,10 @@ def test_sheared_bases_keep_histograms_and_series(name, s):
     shell = {k: table.shell(k).tolist() for k in range(_SHEAR_ORDER + 1)}
     for k1 in range(1, _SHEAR_ORDER + 1):
         for k2 in range(k1, _SHEAR_ORDER + 1):
-            assert oracles.as_dict(table.pair_histogram(k1, k2)) == oracles.tuple_histogram(
+            assert oracles.whole(table, (k1, k2)) == oracles.tuple_histogram(
                 lat, [shell[k1], shell[k2]])
     for comp in [(1, 1, 2), (2, 1, 1), (0, 1, 2), (1, 2, 1, 0)]:
-        assert oracles.as_dict(table.tuple_histogram(comp)) == oracles.tuple_histogram(
+        assert oracles.whole(table, comp) == oracles.tuple_histogram(
             lat, [shell[c] for c in comp])
     pair, general = _unsheared(name)
     assert theta_pair(lat, 2, _SHEAR_ORDER, shells=table) == pair
@@ -476,8 +476,9 @@ def test_general_equals_the_ordered_composition_oracle_across_bases(request, nam
 
 
 def _library_histograms(table):
-    """hist(comp) of the library's tuple histograms, as the oracle's dicts."""
-    return lambda comp: oracles.as_dict(table.tuple_histogram(comp))
+    """hist(comp) of the library's tuple histograms over whole shells, as
+    the oracle's dicts."""
+    return lambda comp: oracles.whole(table, comp)
 
 
 def _canonical(degrees, comp):
@@ -552,6 +553,51 @@ def test_lists_of_unequal_degrees_vanish_by_orthogonality(monkeypatch, e8, e8_sh
     assert compute(e8, req) == QSeries.zero(4)
 
 
+def test_every_monomial_is_even_in_each_slot():
+    # slot a's vector enters a monomial of pairing exponents e through the
+    # t_ab with b != a and its norm, so its degree there is even exactly
+    # when the e_ab at a add up to an even number: the sum over a shell is
+    # then twice the sum over its stored half, which the histograms read
+    for n in (1, 2, 3, 8, 16):
+        for k in (2, 3, 4):
+            slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
+            for degrees in combinations_with_replacement(range(4), k):
+                _, table = thetamod._composition_table(n, degrees)
+                for exps in table:
+                    for a in range(k):
+                        assert sum(e for e, pair in zip(exps, slots) if a in pair) % 2 == 0
+
+
+_HALVES_DEGREES = [(1, 1), (2, 2), (3, 3), (1, 1, 1), (0, 1, 1), (1, 1, 2), (0, 3, 3),
+                   (1, 2, 3), (1, 1, 1, 1), (0, 0, 3, 3)]
+
+
+@pytest.mark.parametrize("name", ["a2", "a2-moved", "rootless"])
+def test_routes_on_stored_halves_equal_the_whole_shell_oracle(monkeypatch, a2, name):
+    # -I is not in W(A2), so a W-orbit of slot 0 and its negation can be two
+    # rows (shell 3), while the later slots run over stored halves; the
+    # rootless form keeps H = {+-I} in slot 0
+    lat = {"a2": a2,
+           "a2-moved": change_basis(a2, random_unimodular(2, random.Random(31))),
+           "rootless": validate_lattice([[4, 1], [1, 4]])}[name]
+    order = 6
+    whole = oracles.enumerate_shells(lat.gram2, order)
+    # every cell reads the orbits of its slot 0
+    monkeypatch.setattr(latmod, "_ORBIT_PAIRS", 1)
+    nonzero = []
+    for degrees in _HALVES_DEGREES:
+        got = compute(lat, InvariantRequest(degrees, order, max_tuples=10**9))
+        want = oracles.general_coeffs(
+            2, degrees, order,
+            lambda comp: oracles.tuple_histogram(lat, [whole[c] for c in comp]))
+        assert list(got.coeffs) == want, degrees
+        if any(want):
+            nonzero.append(degrees)
+    # the invariant harmonics of a2's isometry group, of order 12, have
+    # degrees divisible by 6, so its lists above that survive hold 3s
+    assert (3, 3) in nonzero and (0, 3, 3) in nonzero and (0, 0, 3, 3) in nonzero
+
+
 def test_no_route_asks_for_the_zero_vector_in_a_slot_of_positive_degree(
         monkeypatch, e8, e8_shells6, skew3):
     calls = []
@@ -602,7 +648,7 @@ def test_integer_reductions_equal_the_bucket_by_bucket_fractions(e8, e8_shells6,
     for m in (1, 4, 9):
         got = theta_pair(e8, m, 5, shells=e8_shells6)
         assert list(got.coeffs) == oracles.pair_coeffs(
-            8, m, 5, lambda k1, k2: oracles.as_dict(e8_shells6.pair_histogram(k1, k2)))
+            8, m, 5, lambda k1, k2: oracles.whole(e8_shells6, (k1, k2)))
     got = theta_general(e8, InvariantRequest((6, 6), 3), shells=e8_shells6)
     assert list(got.coeffs) == oracles.general_coeffs(8, (6, 6), 3,
                                                       _library_histograms(e8_shells6))
